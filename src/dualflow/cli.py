@@ -32,7 +32,6 @@ from .core import (
     ModelError,
     NumericalError,
     RngSpec,
-    SamplePath,
     TimeGrid,
     euler_backward,
     sample_brownian,
@@ -46,6 +45,7 @@ from .coupling import (
     read_coupling_jsonl,
     run_coupling,
     run_entrance_coupling,
+    trajectory_from_columns,
     write_coupling_jsonl,
     write_region_csv,
 )
@@ -54,14 +54,14 @@ from .duals import (
     SlabState,
     WedgeState,
     dual_step,
-    plane_basis,
     plane_density,
+    span_normal,
     _plane_density_sampler,
 )
 from .verify import (
+    SUITES,
     ks_test,
     ks_two_sample,
-    run_all_suites,
     summarize_reports,
     write_reports_jsonl,
 )
@@ -83,7 +83,6 @@ DEFAULTS = {
     "grid": {"T": 1.0, "N": 1000},
     "seed": 0,
     "replicas": 4,
-    "parallel": 0,
     "out": None,
     "simulate": {"x0": [0.0]},
     "dual": {"state": {"family": "interval", "z": -1.0, "y": 1.0}},
@@ -182,8 +181,6 @@ def validate_config(config: dict) -> None:
     replicas = config.get("replicas")
     if not (isinstance(replicas, int) and replicas >= 1):
         raise ConfigError(f"replicas must be a positive integer, got {replicas!r}")
-    if not isinstance(config.get("parallel"), int):
-        raise ConfigError("parallel must be an integer (0 = serial)")
 
 
 def build_drift(config: dict):
@@ -252,23 +249,7 @@ def ingest_training_data(path):
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ModelError("labels must be 0 or 1")
 
-    _, s, vt = np.linalg.svd(inputs)
-    rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
-    if rank == n:
-        raise ModelError(
-            "inputs span the full space; no orthogonal direction exists, "
-            "which is out of scope for the slab construction"
-        )
-    if rank != n - 1:
-        raise ModelError(f"inputs span a rank-{rank} subspace, need exactly {n - 1}")
-    d = vt[n - 1]
-    if abs(d[0]) < 1e-12:
-        raise ModelError("span normal has vanishing first coordinate")
-    if d[0] < 0.0:
-        d = -d
-    d = d / np.linalg.norm(d)
-
-    basis = vt[: n - 1]  # orthonormal rows spanning the input subspace
+    d, basis = span_normal(inputs)
     signed = (2.0 * labels - 1.0)[:, None] * inputs
     w_h = signed @ basis.T  # coordinates in the span
     for axis in range(n - 1):
@@ -307,10 +288,13 @@ def fresh_run_dir(base: str, name: str) -> Path:
     return cand
 
 
-def write_config(run_dir: Path, config: dict) -> None:
+def new_run_dir(config: dict, command: str) -> Path:
+    """Fresh run directory for a command, holding the resolved config."""
+    run_dir = fresh_run_dir(config["out"], f"{command}-seed{config['seed']}")
     with open(run_dir / "config.json", "w") as fp:
         json.dump(config, fp, indent=2, sort_keys=True)
         fp.write("\n")
+    return run_dir
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +338,7 @@ def cmd_simulate(config: dict) -> int:
     x0 = np.atleast_1d(np.asarray(config["simulate"]["x0"], dtype=float))
     if x0.shape != (drift.n,):
         raise ConfigError(f"simulate.x0 has shape {x0.shape}, expected ({drift.n},)")
-    run_dir = fresh_run_dir(config["out"], f"simulate-seed{config['seed']}")
-    write_config(run_dir, config)
+    run_dir = new_run_dir(config, "simulate")
     for r in range(config["replicas"]):
         noise = sample_brownian(grid, drift.n, RngSpec(config["seed"], r))
         path = euler_backward(x0, noise, drift)
@@ -371,8 +354,7 @@ def cmd_dual(config: dict) -> int:
     state0 = build_state(config["dual"]["state"], d)
     if state0.n != drift.n:
         raise ConfigError("dual state and model live in different dimensions")
-    run_dir = fresh_run_dir(config["out"], f"dual-seed{config['seed']}")
-    write_config(run_dir, config)
+    run_dir = new_run_dir(config, "dual")
     for r in range(config["replicas"]):
         noise = sample_brownian(grid, drift.n, RngSpec(config["seed"], r))
         inc = noise.increments()
@@ -401,8 +383,7 @@ def cmd_couple(config: dict) -> int:
     drift, d = build_drift(config)
     grid = TimeGrid(float(config["grid"]["T"]), int(config["grid"]["N"]))
     section = config["couple"]
-    run_dir = fresh_run_dir(config["out"], f"couple-seed{config['seed']}")
-    write_config(run_dir, config)
+    run_dir = new_run_dir(config, "couple")
     for r in range(config["replicas"]):
         rng = RngSpec(config["seed"], r)
         if section.get("entrance"):
@@ -427,8 +408,7 @@ def cmd_pitman(config: dict) -> int:
         raise ConfigError("the 2M - W comparison needs the 1-d constant model")
     mu = float(drift.mu[0])
     grid = TimeGrid(float(config["grid"]["T"]), int(config["grid"]["N"]))
-    run_dir = fresh_run_dir(config["out"], f"pitman-seed{config['seed']}")
-    write_config(run_dir, config)
+    run_dir = new_run_dir(config, "pitman")
     for r in range(config["replicas"]):
         traj = run_entrance_coupling(0.0, drift, grid, RngSpec(config["seed"], r))
         v = pitman_construct(traj.wiener, mu).values[:, 0]
@@ -449,17 +429,14 @@ def cmd_pitman(config: dict) -> int:
 
 def cmd_verify(config: dict) -> int:
     wanted = config["verify"]["suites"]
-    known = ("duality", "flow_wiener", "reversal")
-    bad = [s for s in wanted if s not in known]
+    bad = [s for s in wanted if s not in SUITES]
     if bad:
-        raise ConfigError(f"unknown suites {bad}; known: {list(known)}")
-    run_dir = fresh_run_dir(config["out"], f"verify-seed{config['seed']}")
-    write_config(run_dir, config)
+        raise ConfigError(f"unknown suites {bad}; known: {list(SUITES)}")
+    run_dir = new_run_dir(config, "verify")
     all_reports = []
-    suites = run_all_suites(config["seed"])
-    for name in known:
+    for name, suite in SUITES.items():
         if name in wanted:
-            all_reports.extend(suites[name])
+            all_reports.extend(suite(config["seed"]))
     with open(run_dir / "reports.jsonl", "w") as fp:
         write_reports_jsonl(fp, all_reports)
     summary = summarize_reports(all_reports)
@@ -488,8 +465,7 @@ def cmd_posterior(config: dict) -> int:
         horizon=float(section["horizon"]),
         dt=float(section["dt"]),
     )
-    run_dir = fresh_run_dir(config["out"], f"posterior-seed{config['seed']}")
-    write_config(run_dir, config)
+    run_dir = new_run_dir(config, "posterior")
     with open(run_dir / "samples.csv", "w") as fp:
         write_region_csv(fp, result)
     if result.accepted == 0:
@@ -517,11 +493,10 @@ def _posterior_reports(result, drift, d, region, seed):
     samples = result.samples
     m = samples.shape[0]
     gen = RngSpec(seed, 999983).generator()
-    basis = plane_basis(drift, d)
-    pd = plane_density(drift, basis)
+    pd = plane_density(drift, d)
     w = _plane_density_sampler(pd, gen, m)
     offsets = lo + (hi - lo) * uniforms(gen, (m,))
-    oracle = w @ basis.T + offsets[:, None] * d
+    oracle = w @ pd.basis.T + offsets[:, None] * d
 
     reports = []
     for i in range(samples.shape[1]):
@@ -597,9 +572,6 @@ def read_coupling_csv(fp) -> CouplingTrajectory:
     head = json.loads(first[2:])
     header = fp.readline().strip().split(",")
     data = [line.strip().split(",") for line in fp if line.strip()]
-    grid = TimeGrid(float(head["T"]), int(head["N"]))
-    if len(data) != grid.N + 1:
-        raise ValueError(f"expected {grid.N + 1} rows, got {len(data)}")
     at = {name: i for i, name in enumerate(header)}
 
     def block(prefix):
@@ -615,24 +587,10 @@ def read_coupling_csv(fp) -> CouplingTrajectory:
             raise ValueError(f"no columns for {prefix}")
         return np.array([[float(r[i]) for i in idx] for r in data])
 
-    u_path = None
-    if "u_1" in at and head["family"] == "wedge":
-        u_path = np.array([[float(r[at["u_1"]]), float(r[at["u_2"]])] for r in data])
-    normal = np.asarray(head["normal"], dtype=float) if "normal" in head else None
-    return CouplingTrajectory(
-        family=head["family"],
-        grid=grid,
-        primal=SamplePath(grid, block("X")),
-        z_path=SamplePath(grid, block("Z")),
-        y_path=SamplePath(grid, block("Y")),
-        sigma=SamplePath(grid, block("sigma")),
-        gamma_flags=np.array([r[at["gamma"]] == "1" for r in data]),
-        wiener=SamplePath(grid, block("W")),
-        noise=SamplePath(grid, block("omega")),
-        reflected=SamplePath(grid, block("xi")),
-        u_path=u_path,
-        normal=normal,
-    )
+    u_path = block("u") if "u_1" in at else None
+    gamma = [r[at["gamma"]] == "1" for r in data]
+    names = {"x": "X", "z": "Z", "y": "Y", "w": "W"}
+    return trajectory_from_columns(head, lambda key: block(names.get(key, key)), gamma, u_path)
 
 
 def emit_plot_data(run_dir) -> list:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -157,13 +158,42 @@ def normals(gen: np.random.Generator, shape) -> np.ndarray:
     return ndtri(uniforms(gen, shape))
 
 
+def brownian_increments(gen: np.random.Generator, grid: TimeGrid, shape=()) -> np.ndarray:
+    """Standard Brownian increments over the grid steps, shape (N, *shape)."""
+    return normals(gen, (grid.N, *shape)) * math.sqrt(grid.dt)
+
+
+def partial_sums(increments: np.ndarray) -> np.ndarray:
+    """Node values of a path that starts at zero and moves by the increments."""
+    vals = np.zeros((increments.shape[0] + 1,) + increments.shape[1:])
+    np.cumsum(increments, axis=0, out=vals[1:])
+    return vals
+
+
 def sample_brownian(grid: TimeGrid, dim: int, rng: RngSpec) -> SamplePath:
     """Standard Brownian path on the grid; value at t=0 is the origin."""
-    gen = rng.generator()
-    inc = normals(gen, (grid.N, dim)) * np.sqrt(grid.dt)
-    vals = np.zeros((grid.N + 1, dim))
-    np.cumsum(inc, axis=0, out=vals[1:])
-    return SamplePath(grid, vals)
+    return SamplePath(grid, partial_sums(brownian_increments(rng.generator(), grid, (dim,))))
+
+
+def stream_increments(
+    grid: TimeGrid, dim: int, seed: int, streams: Sequence[int], step_uniforms: bool = False
+):
+    """Per-stream Brownian increments, shape (N, m, dim), and crossing uniforms.
+
+    Stream i draws from RngSpec(seed, streams[i]) alone, so each column is
+    a deterministic function of its id.  With step_uniforms, one uniform
+    per step, shape (N, m), is drawn from the same generator after the
+    increments; otherwise the second result is None.
+    """
+    m = len(streams)
+    inc = np.empty((grid.N, m, dim))
+    uni = np.empty((grid.N, m)) if step_uniforms else None
+    for i, s in enumerate(streams):
+        gen = RngSpec(seed, s).generator()
+        inc[:, i, :] = brownian_increments(gen, grid, (dim,))
+        if step_uniforms:
+            uni[:, i] = uniforms(gen, (grid.N,))
+    return inc, uni
 
 
 def sample_brownian_batch(
@@ -173,14 +203,7 @@ def sample_brownian_batch(
 
     Column i is bit-identical to sample_brownian(grid, dim, RngSpec(seed, streams[i])).
     """
-    m = len(streams)
-    out = np.zeros((grid.N + 1, m, dim))
-    root = np.sqrt(grid.dt)
-    for i, s in enumerate(streams):
-        gen = RngSpec(seed, s).generator()
-        inc = ndtri(uniforms(gen, (grid.N, dim))) * root
-        np.cumsum(inc, axis=0, out=out[1:, i, :])
-    return out
+    return partial_sums(stream_increments(grid, dim, seed, streams)[0])
 
 
 # ---------------------------------------------------------------------------

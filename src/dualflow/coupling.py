@@ -35,9 +35,10 @@ from .core import (
     RngSpec,
     SamplePath,
     TimeGrid,
+    brownian_increments,
     euler_backward,
     euler_forward_implicit,
-    normals,
+    partial_sums,
     uniforms,
 )
 from .duals import (
@@ -45,12 +46,15 @@ from .duals import (
     IntervalState,
     SlabState,
     WedgeState,
-    plane_basis,
+    _interval_mass,
+    covers,
+    face_gap,
     plane_density,
     _plane_density_sampler,
     sample_conditional,
+    span_normal,
 )
-from .reflection import forward_flow, impute_noise
+from .reflection import flow_constant_1d, forward_flow, impute_noise
 from .surfaces import LevelSurface, LineSurface, PlaneSurface
 
 
@@ -86,40 +90,15 @@ class CouplingTrajectory:
 
     def gap(self) -> np.ndarray:
         """Defining separation functional of the dual pair at each node."""
-        z = self.z_path.values
-        y = self.y_path.values
-        if self.family == "interval":
-            return y[:, 0] - z[:, 0]
-        if self.family == "wedge":
-            nvec = np.stack([self.u_path[:, 1], -self.u_path[:, 0]], axis=1)
-            return np.sum(nvec * (y - z), axis=1)
-        return (y - z) @ self.normal
-
-    def state_at(self, j: int) -> DualState:
-        z = self.z_path.values[j]
-        y = self.y_path.values[j]
-        if self.family == "interval":
-            if y[0] < z[0]:
-                return IntervalState(float(z[0]), float(y[0]), absorbed=True,
-                                     zeta=float(self.grid.times[j]))
-            return IntervalState(float(z[0]), float(y[0]))
-        if self.family == "wedge":
-            return WedgeState(self.u_path[j], z, y)
-        return SlabState(z, y, self.normal)
-
-    @property
-    def dual_states(self) -> tuple:
-        return tuple(self.state_at(j) for j in range(self.grid.N + 1))
+        return face_gap(_normals(self.u_path, self.normal), self.z_path.values,
+                        self.y_path.values)
 
 
-def _family_of(state: DualState) -> str:
-    if isinstance(state, IntervalState):
-        return "interval"
-    if isinstance(state, WedgeState):
-        return "wedge"
-    if isinstance(state, SlabState):
-        return "slab"
-    raise ModelError(f"unknown dual state {type(state)}")
+def _normals(u_path: Optional[np.ndarray], normal: Optional[np.ndarray]) -> np.ndarray:
+    """Region normal of a trajectory: e_1, the slab's d, or (u_2, -u_1) per node."""
+    if u_path is not None:
+        return np.stack([u_path[:, 1], -u_path[:, 0]], axis=1)
+    return normal if normal is not None else np.ones(1)
 
 
 def _initial_surface(state: DualState):
@@ -157,20 +136,18 @@ def run_coupling(
     if x0 is None:
         x0 = sample_conditional(state0, drift, gen).point
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    inc = normals(gen, (grid.N, state0.n)) * math.sqrt(grid.dt)
-    wvals = np.zeros((grid.N + 1, state0.n))
-    np.cumsum(inc, axis=0, out=wvals[1:])
-    wiener = SamplePath(grid, wvals)
-    return _couple_with_wiener(state0, drift, grid, x0, wiener)
+    return _couple(state0, drift, grid, x0, gen)
 
 
-def _couple_with_wiener(
+def _couple(
     state0: DualState,
     drift: DriftField,
     grid: TimeGrid,
     x0: np.ndarray,
-    wiener: SamplePath,
+    gen: np.random.Generator,
 ) -> CouplingTrajectory:
+    """Drive the coupling with the generator's next Brownian draws."""
+    wiener = SamplePath(grid, partial_sums(brownian_increments(gen, grid, (state0.n,))))
     if isinstance(state0, IntervalState) and isinstance(drift, ConstantDrift):
         return _interval_constant_coupling(state0, drift, grid, x0, wiener)
     return _general_coupling(state0, drift, grid, x0, wiener)
@@ -189,26 +166,16 @@ def _interval_constant_coupling(
     x_start = float(x0[0])
     X = x_start - mu * times + w
     omega = w - 2.0 * mu * times
-
-    gap0 = state0.y - x_start
-    if gap0 < 0.0:
-        # start above the surface: degenerate flow branch
-        sigma = 2.0 * omega
-        xi = -omega
-        Y = state0.y + mu * times + omega
-    else:
-        excess = 2.0 * omega - gap0
-        sigma = np.maximum.accumulate(np.maximum(excess, 0.0))
-        xi = omega - sigma
-        Y = state0.y + mu * times - omega + sigma
+    flow = flow_constant_1d(state0.y, mu, x0[:1], omega[:, None], times)
+    sigma, xi, Y = (flow[key][:, 0] for key in ("sigma", "xi", "levels"))
     Z = state0.z + mu * times + xi
 
-    if gap0 < 0.0:
+    if flow["outside"][0]:
+        # start above the surface: degenerate flow branch
         upper = np.zeros(grid.N + 1, dtype=bool)
-        upper[0] = False
     else:
-        # sigma >= excess holds exactly by the running-max construction
-        upper = sigma >= excess
+        # sigma >= 2 omega - gap holds exactly by the running-max construction
+        upper = sigma >= 2.0 * omega - (state0.y - x_start)
     lower = (x_start - state0.z) + sigma > 0.0
     gamma = upper & lower
 
@@ -233,7 +200,7 @@ def _general_coupling(
     x0: np.ndarray,
     wiener: SamplePath,
 ) -> CouplingTrajectory:
-    family = _family_of(state0)
+    family = state0.family
     x_path = euler_backward(x0, wiener, drift)
     omega = impute_noise(x_path, drift)
     surface0 = _initial_surface(state0)
@@ -246,24 +213,10 @@ def _general_coupling(
     Z = z_path.values
     if family == "interval":
         Y = np.array([[s.level] for s in surfaces])
-        upper = X[:, 0] <= Y[:, 0]
-        lower = Z[:, 0] < X[:, 0]
-        u_path = None
-        normal = None
-    elif family == "wedge":
-        Y = np.stack([s.anchor for s in surfaces])
-        u_path = np.stack([s.u for s in surfaces])
-        nvec = np.stack([u_path[:, 1], -u_path[:, 0]], axis=1)
-        upper = np.sum(nvec * (Y - X), axis=1) >= 0.0
-        lower = np.sum(nvec * (X - Z), axis=1) > 0.0
-        normal = None
     else:
         Y = np.stack([s.anchor for s in surfaces])
-        d = state0.normal
-        upper = (Y - X) @ d >= 0.0
-        lower = (X - Z) @ d > 0.0
-        u_path = None
-        normal = d
+    u_path = np.stack([s.u for s in surfaces]) if family == "wedge" else None
+    normal = state0.normal if family == "slab" else None
 
     return CouplingTrajectory(
         family=family,
@@ -272,7 +225,7 @@ def _general_coupling(
         z_path=z_path,
         y_path=SamplePath(grid, Y),
         sigma=flow.sigma,
-        gamma_flags=upper & lower,
+        gamma_flags=covers(_normals(u_path, normal), Z, Y, X),
         wiener=wiener,
         noise=omega,
         reflected=xi,
@@ -308,21 +261,18 @@ def run_entrance_coupling(
             raise ModelError("entrance interval must be degenerate (z == y)")
         state0 = start
         x0 = np.array([start.z])
+    elif isinstance(start, (WedgeState, SlabState)) and abs(start.gap()) > 1e-12:
+        raise ModelError(f"entrance {start.family} must have coincident faces")
     elif isinstance(start, WedgeState):
-        if abs(float(start.normal @ (start.y - start.z))) > 1e-12:
-            raise ModelError("entrance strip must have coincident lines")
         state0 = start
         x0 = _entrance_point_on_line(start, gen)
     elif isinstance(start, SlabState):
-        if abs(float(start.normal @ (start.y - start.z))) > 1e-12:
-            raise ModelError("entrance slab must have coincident faces")
         if not isinstance(drift, LogisticDrift):
             raise ModelError("slab entrance requires the logistic drift family")
         state0 = start
-        basis = plane_basis(drift, start.normal)
-        pd = plane_density(drift, basis)
+        pd = plane_density(drift, start.normal)
         w = _plane_density_sampler(pd, gen, 1)[0]
-        x0 = basis @ w + float(start.normal @ start.y) * start.normal
+        x0 = pd.basis @ w + float(start.normal @ start.y) * start.normal
     else:
         raise ModelError(f"unsupported entrance start {type(start)}")
 
@@ -338,11 +288,7 @@ def run_entrance_coupling(
         while not surf.contains(x0):
             x0[0] = np.nextafter(x0[0], -np.inf)
 
-    inc = normals(gen, (grid.N, state0.n)) * math.sqrt(grid.dt)
-    wvals = np.zeros((grid.N + 1, state0.n))
-    np.cumsum(inc, axis=0, out=wvals[1:])
-    wiener = SamplePath(grid, wvals)
-    return _couple_with_wiener(state0, drift, grid, x0, wiener)
+    return _couple(state0, drift, grid, x0, gen)
 
 
 def _entrance_point_on_line(state: WedgeState, gen, points: int = 10000) -> np.ndarray:
@@ -422,12 +368,8 @@ def _mass_rate(traj: CouplingTrajectory, drift: DriftField) -> np.ndarray:
 
 def _mass_path(traj: CouplingTrajectory, drift: DriftField) -> np.ndarray:
     if traj.family == "interval":
-        mu = float(drift.mu[0])
-        z = traj.z_path.values[:, 0]
-        y = traj.y_path.values[:, 0]
-        if mu == 0.0:
-            return y - z
-        return np.exp(-2.0 * mu * z) * (-np.expm1(-2.0 * mu * (y - z))) / (2.0 * mu)
+        return _interval_mass(traj.z_path.values[:, 0], traj.y_path.values[:, 0],
+                              float(drift.mu[0]))
     return traj.gap()
 
 
@@ -536,16 +478,15 @@ def mc_region_sampler(
     elif isinstance(drift, LogisticDrift):
         if h1 is None:
             anchor = 0.5 * (lo + hi)
-            d = _slab_normal_for(drift)
+            d, _ = span_normal(drift.inputs)
             h1 = SlabState(anchor * d, anchor * d, d)
         if not isinstance(h1, SlabState):
             raise ModelError("slab region sampling needs a degenerate slab start")
         meta_start = {"anchor_offset": float(h1.normal @ h1.y), "normal": h1.normal.tolist()}
-        basis = plane_basis(drift, h1.normal)
-        pd = plane_density(drift, basis)
+        pd = plane_density(drift, h1.normal)
 
         def attempt(spec):
-            return _slab_region_attempt(lo, hi, h1, drift, grid, spec, basis, pd)
+            return _slab_region_attempt(lo, hi, h1, grid, spec, pd)
 
     else:
         raise ModelError("region sampling supports 1-d constant drift or logistic slabs")
@@ -584,52 +525,25 @@ def mc_region_sampler(
     )
 
 
-def _slab_normal_for(drift: LogisticDrift) -> np.ndarray:
-    a = drift.inputs
-    # unit normal to the input span, positive first coordinate
-    _, s, vt = np.linalg.svd(a)
-    null = vt[np.sum(s > 1e-10 * s[0]):]
-    if null.shape[0] != 1:
-        raise ModelError("inputs must span a codimension-one subspace")
-    d = null[0]
-    if d[0] < 0.0:
-        d = -d
-    if not d[0] > 0.0:
-        raise ModelError("span normal has vanishing first coordinate")
-    return d / np.linalg.norm(d)
-
-
 def _interval_region_attempt(lo, hi, start, drift, grid, spec):
-    mu = float(drift.mu[0])
-    gen = spec.generator()
-    inc = normals(gen, (grid.N, 1))[:, 0] * math.sqrt(grid.dt)
-    w = np.zeros(grid.N + 1)
-    np.cumsum(inc, out=w[1:])
-    times = grid.times
-    omega = w - 2.0 * mu * times
-    sigma = np.maximum.accumulate(np.maximum(2.0 * omega, 0.0))
-    Z = start + mu * times + omega - sigma
-    Y = start + mu * times - omega + sigma
-    cover = (Z < lo) & (hi <= Y)
+    traj = run_entrance_coupling(start, drift, grid, spec)
+    cover = (traj.z_path.values[:, 0] < lo) & (hi <= traj.y_path.values[:, 0])
     if not np.any(cover):
         return None
     j = int(np.argmax(cover))
-    x_t = start - mu * times[j] + w[j]
-    return np.array([x_t]), float(times[j]), bool(lo < x_t <= hi)
+    x_t = float(traj.primal.values[j, 0])
+    return np.array([x_t]), float(grid.times[j]), bool(lo < x_t <= hi)
 
 
-def _slab_region_attempt(lo, hi, start, drift, grid, spec, basis, pd):
+def _slab_region_attempt(lo, hi, start, grid, spec, pd):
     d = start.normal
+    drift = pd.drift
     gen = spec.generator()
     w0 = _plane_density_sampler(pd, gen, 1)[0]
-    x0 = basis @ w0 + float(d @ start.y) * d
+    x0 = pd.basis @ w0 + float(d @ start.y) * d
 
-    n = drift.n
-    dt = grid.dt
-    inc = normals(gen, (grid.N, n)) * math.sqrt(dt)
-    wvals = np.zeros((grid.N + 1, n))
-    np.cumsum(inc, axis=0, out=wvals[1:])
-    x_path = euler_backward(x0, SamplePath(grid, wvals), drift)
+    wiener = partial_sums(brownian_increments(gen, grid, (drift.n,)))
+    x_path = euler_backward(x0, SamplePath(grid, wiener), drift)
     omega = impute_noise(x_path, drift)
 
     # projections onto the normal close on their own: the drift is
@@ -683,30 +597,35 @@ def write_coupling_jsonl(fp, traj: CouplingTrajectory) -> None:
 
 def read_coupling_jsonl(fp) -> CouplingTrajectory:
     head = json.loads(fp.readline())
-    grid = TimeGrid(float(head["T"]), int(head["N"]))
     rows = [json.loads(line) for line in fp if line.strip()]
-    if len(rows) != grid.N + 1:
-        raise ValueError(f"expected {grid.N + 1} records, got {len(rows)}")
 
     def col(key):
         return np.asarray([r[key] for r in rows], dtype=float)
 
-    u_path = col("u") if "u" in rows[0] else None
+    u_path = col("u") if rows and "u" in rows[0] else None
+    return trajectory_from_columns(head, col, [r["gamma"] for r in rows], u_path)
+
+
+# per-node record fields and the trajectory paths they fill
+_RECORD_PATHS = (("x", "primal"), ("z", "z_path"), ("y", "y_path"), ("sigma", "sigma"),
+                 ("w", "wiener"), ("omega", "noise"), ("xi", "reflected"))
+
+
+def trajectory_from_columns(head: dict, column, gamma, u_path) -> CouplingTrajectory:
+    """Rebuild a trajectory from its header record and per-node columns.
+
+    column(key) returns the node values of the record field key (x, z, y,
+    sigma, w, omega or xi); gamma holds the region flag of each node and
+    u_path the strip direction per node (None for other families).
+    """
+    grid = TimeGrid(float(head["T"]), int(head["N"]))
+    if len(gamma) != grid.N + 1:
+        raise ValueError(f"expected {grid.N + 1} records, got {len(gamma)}")
     normal = np.asarray(head["normal"], dtype=float) if "normal" in head else None
-    return CouplingTrajectory(
-        family=head["family"],
-        grid=grid,
-        primal=SamplePath(grid, col("x")),
-        z_path=SamplePath(grid, col("z")),
-        y_path=SamplePath(grid, col("y")),
-        sigma=SamplePath(grid, col("sigma")),
-        gamma_flags=np.asarray([r["gamma"] for r in rows], dtype=bool),
-        wiener=SamplePath(grid, col("w")),
-        noise=SamplePath(grid, col("omega")),
-        reflected=SamplePath(grid, col("xi")),
-        u_path=u_path,
-        normal=normal,
-    )
+    paths = {name: SamplePath(grid, column(key)) for key, name in _RECORD_PATHS}
+    return CouplingTrajectory(family=head["family"], grid=grid,
+                              gamma_flags=np.asarray(gamma, dtype=bool), u_path=u_path,
+                              normal=normal, **paths)
 
 
 def write_region_csv(fp, result: RegionSamples) -> None:

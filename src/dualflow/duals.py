@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfi, ndtri
+from scipy.special import erfi
 
 from .core import (
     ConstantDrift,
@@ -36,6 +36,8 @@ from .core import (
     TimeGrid,
     flip_first,
     implicit_step,
+    normals,
+    stream_increments,
     uniforms,
 )
 
@@ -46,33 +48,70 @@ _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
 # dual states
 
 
+def face_gap(normal: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Separation normal . (upper - lower) along the last axis.
+
+    normal is one vector, or one per row of upper - lower (a rotating
+    normal read along a path).
+    """
+    diff = np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float)
+    if np.ndim(normal) == 1:
+        return diff @ normal
+    return np.sum(normal * diff, axis=-1)
+
+
+def covers(normal: np.ndarray, z: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Indicator of the half-space pair {n . (x - z) > 0, n . (y - x) >= 0}."""
+    return (face_gap(normal, x, y) >= 0.0) & (face_gap(normal, z, x) > 0.0)
+
+
+class _FacePair:
+    """Geometry shared by the dual regions.
+
+    Every region is the half-space pair between a z-face and a y-face with
+    a common normal: e_1 for an interval, (u_2, -u_1) for a strip, d for a
+    slab.  The gap is the y-face's height above the z-face along it.
+    """
+
+    @property
+    def n(self) -> int:
+        return len(self.normal)
+
+    def gap(self) -> float:
+        return float(face_gap(self.normal, np.atleast_1d(self.z), np.atleast_1d(self.y)))
+
+    def contains(self, x) -> bool:
+        if self.absorbed:
+            return False
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return bool(covers(self.normal, self.z, self.y, x))
+
+
 @dataclass(frozen=True)
-class IntervalState:
+class IntervalState(_FacePair):
     """Half-open interval (z, y] on the line; degenerate z == y only as an
     entrance start, from which the pair separates immediately."""
 
+    family = "interval"
     z: float
     y: float
     absorbed: bool = False
     zeta: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # endpoints are plain floats; one-element arrays are unwrapped
+        object.__setattr__(self, "z", np.asarray(self.z, dtype=float).item())
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float).item())
         if not self.absorbed and self.z > self.y:
             raise ModelError(f"need z <= y, got z={self.z}, y={self.y}")
 
     @property
-    def n(self) -> int:
-        return 1
-
-    def contains(self, x) -> bool:
-        if self.absorbed:
-            return False
-        x1 = float(np.atleast_1d(x)[0])
-        return self.z < x1 <= self.y
+    def normal(self) -> np.ndarray:
+        return np.ones(1)
 
 
 @dataclass(frozen=True)
-class WedgeState:
+class WedgeState(_FacePair):
     """Strip between two parallel lines with direction u, |u_1| < u_2.
 
     The strip normal is [u_2, -u_1]; the y-line must lie on or above the
@@ -80,6 +119,7 @@ class WedgeState:
     restricted to the cone 0 < u_1 < u_2.
     """
 
+    family = "wedge"
     u: np.ndarray
     z: np.ndarray
     y: np.ndarray
@@ -104,26 +144,21 @@ class WedgeState:
     def normal_of(u: np.ndarray) -> np.ndarray:
         return np.array([u[1], -u[0]])
 
+    @staticmethod
+    def rotate(u: np.ndarray, dt: float) -> np.ndarray:
+        """One deterministic Euler substep of du = (u_2, u_1) dt."""
+        return u + dt * np.array([u[1], u[0]])
+
     @property
     def normal(self) -> np.ndarray:
         return self.normal_of(self.u)
 
-    @property
-    def n(self) -> int:
-        return 2
-
-    def contains(self, x) -> bool:
-        if self.absorbed:
-            return False
-        x = np.asarray(x, dtype=float)
-        nvec = self.normal
-        return float(nvec @ (self.y - x)) >= 0.0 and float(nvec @ (x - self.z)) > 0.0
-
 
 @dataclass(frozen=True)
-class SlabState:
+class SlabState(_FacePair):
     """Region between two parallel hyperplanes with shared unit normal."""
 
+    family = "slab"
     z: np.ndarray
     y: np.ndarray
     normal: np.ndarray
@@ -144,34 +179,16 @@ class SlabState:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "normal", d)
 
-    @property
-    def n(self) -> int:
-        return self.normal.shape[0]
-
-    def contains(self, x) -> bool:
-        if self.absorbed:
-            return False
-        x = np.asarray(x, dtype=float)
-        d = self.normal
-        return float(d @ (self.y - x)) >= 0.0 and float(d @ (x - self.z)) > 0.0
-
 
 DualState = Union[IntervalState, WedgeState, SlabState]
 
 
 def contains_batch(state: DualState, x: np.ndarray) -> np.ndarray:
     """Vectorized region indicator over rows of x."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).reshape(-1, state.n)
     if state.absorbed:
         return np.zeros(x.shape[0], dtype=bool)
-    if isinstance(state, IntervalState):
-        x1 = x[:, 0] if x.ndim > 1 else x
-        return (state.z < x1) & (x1 <= state.y)
-    if isinstance(state, WedgeState):
-        nvec = state.normal
-        return ((state.y - x) @ nvec >= 0.0) & ((x - state.z) @ nvec > 0.0)
-    d = state.normal
-    return ((state.y - x) @ d >= 0.0) & ((x - state.z) @ d > 0.0)
+    return covers(state.normal, state.z, state.y, x)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +205,23 @@ def _interval_mass(z, y, mu: float):
     return np.exp(-2.0 * mu * z) * (-np.expm1(-2.0 * mu * d)) / (2.0 * mu)
 
 
-def _wedge_bounds(u: np.ndarray, z: np.ndarray, y: np.ndarray):
+def _wedge_bounds(state: WedgeState):
+    """Normal coordinates of the two lines in the exp(eta^2) frame.
+
+    The frame needs a direction in the entrance cone 0 < u_1 < u_2, and
+    coordinates beyond 25 would overflow the weight.
+    """
+    u, z, y = state.u, state.z, state.y
+    if not 0.0 < u[0] < u[1]:
+        raise ModelError(f"direction outside the entrance cone: u={u.tolist()}")
     root = np.sqrt(2.0 * u[0] * u[1])
-    a = (u[1] * z[..., 0] - u[0] * z[..., 1]) / root
-    b = (u[1] * y[..., 0] - u[0] * y[..., 1]) / root
+    a = (u[1] * z[0] - u[0] * z[1]) / root
+    b = (u[1] * y[0] - u[0] * y[1]) / root
+    if max(abs(a), abs(b)) > 25.0:
+        raise ModelError(
+            f"normal coordinates {a:.3g}, {b:.3g} too large for the exp(eta^2) weight"
+        )
     return a, b
-
-
-def _wedge_mass(u: np.ndarray, z, y):
-    a, b = _wedge_bounds(u, np.asarray(z, float), np.asarray(y, float))
-    return math.sqrt(2.0 * math.pi) * (math.sqrt(math.pi) / 2.0) * (erfi(b) - erfi(a))
 
 
 def nu_mass(state: DualState, drift: DriftField) -> float:
@@ -227,18 +251,11 @@ def nu_mass(state: DualState, drift: DriftField) -> float:
             return float(val)
         raise ModelError("interval mass needs a constant drift or a 1-d potential")
     if isinstance(state, WedgeState):
-        u = state.u
-        if not 0.0 < u[0] < u[1]:
-            raise ModelError(f"direction outside the entrance cone: u={u.tolist()}")
-        a, b = _wedge_bounds(u, state.z, state.y)
-        if max(abs(a), abs(b)) > 25.0:
-            raise ModelError(
-                f"normal coordinates {a:.3g}, {b:.3g} too large for the exp(eta^2) integral"
-            )
+        a, b = _wedge_bounds(state)
         val, _ = quad(lambda e: math.exp(e * e), a, b, **_QUAD_OPTS)
         return float(math.sqrt(2.0 * math.pi) * val)
     if isinstance(state, SlabState):
-        return float(state.normal @ (state.y - state.z))
+        return state.gap()
     raise ModelError(f"unknown dual state {type(state)}")
 
 
@@ -326,46 +343,26 @@ def sample_conditional(
 
 
 def _wedge_conditional_batch(state: WedgeState, gen, count: int, max_rounds: int = 10000):
+    wz, wy = _wedge_bounds(state)
     u = state.u
-    if not 0.0 < u[0] < u[1]:
-        raise ModelError(f"direction outside the entrance cone: u={u.tolist()}")
     norm2 = float(u @ u)
     norm = math.sqrt(norm2)
     uhat = u / norm
     nhat = state.normal / norm
-    wz, wy = _wedge_bounds(u, state.z, state.y)
-    if max(abs(wz), abs(wy)) > 25.0:
-        raise ModelError("wedge too far from the axis for stable sampling")
     wmax2 = max(wz * wz, wy * wy)
     # conditional Gaussian in xi given eta: mean -c*eta, sd from the tilt
     c = (u[1] ** 2 - u[0] ** 2) / (2.0 * u[0] * u[1])
     sd_xi = math.sqrt(norm2 / (4.0 * u[0] * u[1]))
     eta_scale = math.sqrt(2.0 * u[0] * u[1]) / norm
 
-    out_w = np.empty(count)
-    filled = 0
-    drawn = 0
-    accepted = 0
-    for _ in range(max_rounds):
-        batch = max(64, 2 * (count - filled))
+    def propose(batch):
         w = wz + (wy - wz) * uniforms(gen, batch)
-        acc = np.log(uniforms(gen, batch)) <= w * w - wmax2
-        drawn += batch
-        accepted += int(np.sum(acc))
-        take = w[acc][: count - filled]
-        out_w[filled : filled + take.size] = take
-        filled += take.size
-        if filled == count:
-            break
-        if drawn >= 20000 and accepted / drawn < 1e-4:
-            raise NumericalError(
-                f"wedge sampler acceptance {accepted}/{drawn} below 1e-4; "
-                f"bounds ({wz:.3g}, {wy:.3g})"
-            )
-    if filled < count:
-        raise NumericalError(f"wedge sampler starved after {max_rounds} rounds")
+        return w, np.log(uniforms(gen, batch)) <= w * w - wmax2
+
+    out_w = _rejection_fill(propose, count, f"wedge sampler, bounds ({wz:.3g}, {wy:.3g})",
+                            max_rounds)
     eta = out_w * eta_scale
-    xi = -c * eta + sd_xi * ndtri(uniforms(gen, count))
+    xi = -c * eta + sd_xi * normals(gen, count)
     pts = xi[:, None] * uhat + eta[:, None] * nhat
     log_mass = math.log(math.sqrt(math.pi)) + _log_erfi_diff(wz, wy)
     logd = -2.0 * pts[:, 0] * pts[:, 1] - log_mass
@@ -430,7 +427,9 @@ def _plane_curvature(drift: LogisticDrift, basis: np.ndarray, w: np.ndarray) -> 
     return hess + 1e-12 * np.eye(basis.shape[1])
 
 
-def plane_density(drift: LogisticDrift, basis: np.ndarray, scale: float = 1.6) -> PlaneDensity:
+def plane_density(drift: LogisticDrift, normal: np.ndarray, scale: float = 1.6) -> PlaneDensity:
+    """The in-plane density on the orthogonal complement of the normal."""
+    basis = plane_basis(drift, normal)
     k = basis.shape[1]
     w = np.zeros(k)
     for _ in range(100):
@@ -468,42 +467,77 @@ def _plane_density_sampler(pd: PlaneDensity, gen, count: int, max_rounds: int = 
     if pd.dof != 4.0:
         raise ModelError("the rejection sampler draws its mixing variable for dof 4 only")
     k = pd.basis.shape[1]
-    out = np.empty((count, k))
-    filled = 0
-    drawn = 0
-    accepted = 0
     env = pd.log_envelope
-    for _ in range(max_rounds):
-        batch = max(64, 2 * (count - filled))
-        z = ndtri(uniforms(gen, (batch, k)))
+
+    def propose(batch):
+        nonlocal env
+        z = normals(gen, (batch, k))
         # chi-square with dof 4, via two unit exponentials per draw
         g = -(np.log(uniforms(gen, batch)) + np.log(uniforms(gen, batch))) / 2.0
         w = pd.mode + (z @ pd.chol_cov.T) / np.sqrt(g)[:, None]
         logr = pd.log_target(w) - pd.log_proposal(w)
         worst = float(np.max(logr))
         if worst > env:
-            # envelope violation: raise it and discard progress so accepted
-            # draws always came from a validated envelope
+            # envelope violation: raise it for the rest of this call and
+            # void the batch; the shared density keeps its own envelope
             env = worst + math.log(1.5)
-            object.__setattr__(pd, "log_envelope", env)
+            return None
+        return w, np.log(uniforms(gen, batch)) <= logr - env
+
+    return _rejection_fill(propose, count, f"in-plane sampler, mode {pd.mode}", max_rounds)
+
+
+def _rejection_fill(propose, count: int, what: str, max_rounds: int) -> np.ndarray:
+    """First count accepted candidates of propose(batch) -> (candidates, accept).
+
+    A proposal of None voids the batch and every earlier acceptance, so
+    accepted draws always came from a validated envelope.
+    """
+    out = None
+    filled = drawn = accepted = 0
+    for _ in range(max_rounds):
+        batch = max(64, 2 * (count - filled))
+        proposal = propose(batch)
+        if proposal is None:
             filled = 0
             continue
-        acc = np.log(uniforms(gen, batch)) <= logr - env
+        cand, acc = proposal
+        if out is None:
+            out = np.empty((count,) + cand.shape[1:])
         drawn += batch
         accepted += int(np.sum(acc))
-        take = w[acc][: count - filled]
-        out[filled : filled + take.size] = take
-        filled += take.size
+        take = cand[acc][: count - filled]
+        out[filled : filled + len(take)] = take
+        filled += len(take)
         if filled == count:
-            break
+            return out
         if drawn >= 20000 and accepted / drawn < 1e-4:
-            raise NumericalError(
-                f"in-plane sampler acceptance {accepted}/{drawn} below 1e-4 "
-                f"(envelope {env:.3g}, mode {pd.mode})"
-            )
-    if filled < count:
-        raise NumericalError(f"in-plane sampler starved after {max_rounds} rounds")
-    return out
+            raise NumericalError(f"{what}: acceptance {accepted}/{drawn} below 1e-4")
+    raise NumericalError(f"{what}: starved after {max_rounds} rounds")
+
+
+def span_normal(inputs: np.ndarray):
+    """Unit normal to the span of the rows of inputs, and a basis of the span.
+
+    The span must have codimension one.  The normal has a positive first
+    entry; the basis is returned as orthonormal rows.
+    """
+    n = inputs.shape[1]
+    _, s, vt = np.linalg.svd(inputs)
+    rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
+    if rank == n:
+        raise ModelError(
+            "inputs span the full space; no orthogonal direction exists, "
+            "which is out of scope for the slab construction"
+        )
+    if rank != n - 1:
+        raise ModelError(f"inputs span a rank-{rank} subspace, need exactly {n - 1}")
+    d = vt[n - 1]
+    if abs(d[0]) < 1e-12:
+        raise ModelError("span normal has vanishing first coordinate")
+    if d[0] < 0.0:
+        d = -d
+    return d / np.linalg.norm(d), vt[: n - 1]
 
 
 def plane_basis(drift: LogisticDrift, normal: np.ndarray) -> np.ndarray:
@@ -542,15 +576,14 @@ def _plane_log_normalizer(pd: PlaneDensity) -> float:
 
 def _slab_conditional_batch(state: SlabState, drift: LogisticDrift, gen, count: int):
     d = state.normal
-    h = float(d @ (state.y - state.z))
+    h = state.gap()
     if h <= 0.0:
         raise ModelError("slab has no interior")
-    basis = plane_basis(drift, d)
-    pd = plane_density(drift, basis)
+    pd = plane_density(drift, d)
     w = _plane_density_sampler(pd, gen, count)
     offs = h * uniforms(gen, count)  # uniform on (0, h] from the z-face
     base = float(d @ state.z)
-    pts = w @ basis.T + (base + offs)[:, None] * d
+    pts = w @ pd.basis.T + (base + offs)[:, None] * d
     logd = pd.log_target(w) - _plane_log_normalizer(pd) - math.log(h)
     return pts, logd
 
@@ -577,36 +610,19 @@ def dual_step(
     if state.absorbed:
         return state
     d = np.atleast_1d(np.asarray(dnoise, dtype=float))
-    dflip = flip_first(d)
-    if isinstance(state, IntervalState):
-        z_new = float(implicit_step(np.array([state.z]), d, dt, drift)[0])
-        y_new = float(implicit_step(np.array([state.y]), dflip, dt, drift)[0])
-        g_old = state.y - state.z
-        g_new = y_new - z_new
-        if g_new <= 0.0:
-            frac = g_old / (g_old - g_new) if g_old > g_new else 0.0
-            return IntervalState(z_new, y_new, absorbed=True, zeta=t_prev + frac * dt)
-        return IntervalState(z_new, y_new)
+    z_new = implicit_step(np.atleast_1d(state.z), d, dt, drift)
+    y_new = implicit_step(np.atleast_1d(state.y), flip_first(d), dt, drift)
+    frame = {}
+    normal = state.normal
     if isinstance(state, WedgeState):
-        u_new = state.u + dt * np.array([state.u[1], state.u[0]])
-        z_new = implicit_step(state.z, d, dt, drift)
-        y_new = implicit_step(state.y, dflip, dt, drift)
-        g_old = float(state.normal @ (state.y - state.z))
-        g_new = float(WedgeState.normal_of(u_new) @ (y_new - z_new))
-        if g_new <= 0.0:
-            frac = g_old / (g_old - g_new) if g_old > g_new else 0.0
-            return WedgeState(u_new, z_new, y_new, absorbed=True, zeta=t_prev + frac * dt)
-        return WedgeState(u_new, z_new, y_new)
-    if isinstance(state, SlabState):
-        z_new = implicit_step(state.z, d, dt, drift)
-        y_new = implicit_step(state.y, dflip, dt, drift)
-        g_old = float(state.normal @ (state.y - state.z))
-        g_new = float(state.normal @ (y_new - z_new))
-        if g_new <= 0.0:
-            frac = g_old / (g_old - g_new) if g_old > g_new else 0.0
-            return SlabState(z_new, y_new, state.normal, absorbed=True, zeta=t_prev + frac * dt)
-        return SlabState(z_new, y_new, state.normal)
-    raise ModelError(f"unknown dual state {type(state)}")
+        frame["u"] = WedgeState.rotate(state.u, dt)
+        normal = WedgeState.normal_of(frame["u"])
+    g_old = state.gap()
+    g_new = float(face_gap(normal, z_new, y_new))
+    if g_new <= 0.0:
+        frac = g_old / (g_old - g_new) if g_old > g_new else 0.0
+        return replace(state, z=z_new, y=y_new, absorbed=True, zeta=t_prev + frac * dt, **frame)
+    return replace(state, z=z_new, y=y_new, **frame)
 
 
 def dual_drift(state: DualState, drift: DriftField):
@@ -636,7 +652,7 @@ def dual_drift(state: DualState, drift: DriftField):
             return np.array([bz - c]), np.array([by + c])
         raise ModelError("interval dual drift needs a constant drift or a 1-d potential")
     if isinstance(state, SlabState):
-        h = float(state.normal @ (state.y - state.z))
+        h = state.gap()
         corr = np.zeros(state.n)
         corr[0] = 2.0 * state.normal[0] / h
         return drift.beta(state.z) - corr, drift.beta(state.y) + corr
@@ -716,46 +732,6 @@ def intertwining_residual(
 # batched simulation and the Monte Carlo duality identity
 
 
-def _chunk_sizes(total: int, chunk: int) -> Sequence[tuple[int, int]]:
-    out = []
-    lo = 0
-    while lo < total:
-        hi = min(lo + chunk, total)
-        out.append((lo, hi))
-        lo = hi
-    return out
-
-
-def _stream_increments(grid: TimeGrid, dim: int, seed: int, streams: Sequence[int]):
-    """Per-stream Brownian increments, shape (N, m, dim)."""
-    m = len(streams)
-    out = np.empty((grid.N, m, dim))
-    root = math.sqrt(grid.dt)
-    for i, s in enumerate(streams):
-        gen = RngSpec(seed, s).generator()
-        out[:, i, :] = ndtri(uniforms(gen, (grid.N, dim))) * root
-    return out
-
-
-def _stream_increments_uniforms(
-    grid: TimeGrid, dim: int, seed: int, streams: Sequence[int]
-):
-    """Per-stream increments plus one uniform per step for crossing draws.
-
-    The uniforms come from the same per-stream generator, drawn after the
-    increments, so each stream stays a deterministic function of its id.
-    """
-    m = len(streams)
-    inc = np.empty((grid.N, m, dim))
-    uni = np.empty((grid.N, m))
-    root = math.sqrt(grid.dt)
-    for i, s in enumerate(streams):
-        gen = RngSpec(seed, s).generator()
-        inc[:, i, :] = ndtri(uniforms(gen, (grid.N, dim))) * root
-        uni[:, i] = uniforms(gen, (grid.N,))
-    return inc, uni
-
-
 def primal_terminal_batch(
     x: np.ndarray,
     drift: DriftField,
@@ -769,8 +745,9 @@ def primal_terminal_batch(
     n = x.shape[0]
     out = np.empty((len(streams), n))
     dt = grid.dt
-    for lo, hi in _chunk_sizes(len(streams), chunk):
-        inc = _stream_increments(grid, n, seed, streams[lo:hi])
+    for lo in range(0, len(streams), chunk):
+        hi = min(lo + chunk, len(streams))
+        inc, _ = stream_increments(grid, n, seed, streams[lo:hi])
         if isinstance(drift, ConstantDrift):
             # the stepwise scheme telescopes for a state-free drift
             out[lo:hi] = x - drift.mu * grid.T + inc.sum(axis=0)
@@ -780,10 +757,6 @@ def primal_terminal_batch(
             cur += -drift.beta(cur) * dt + inc[j]
         out[lo:hi] = cur
     return out
-
-
-def _implicit_batch(prev: np.ndarray, dnoise: np.ndarray, dt: float, drift: DriftField):
-    return implicit_step(prev, dnoise, dt, drift)
 
 
 def dual_terminal_batch(
@@ -796,9 +769,10 @@ def dual_terminal_batch(
 ) -> dict:
     """Terminal dual anchors and survival mask over independent streams.
 
-    Returns arrays z, y (m, n), the shared terminal direction u for wedges,
-    and alive (m,), with absorbed replicas frozen at their last surviving
-    node.  Absorption is resolved inside each step, not just at the nodes:
+    Returns arrays z, y (m, n), the shared terminal direction u for wedges
+    (None otherwise), the shared terminal normal, and alive (m,), with
+    absorbed replicas frozen at their last surviving node.  Absorption is
+    resolved inside each step, not just at the nodes:
     a replica whose gap is positive at both endpoints is still killed with
     the bridge crossing probability exp(-2 g_prev g / s2), where s2 is the
     step variance of the gap along the current normal.  For the constant
@@ -815,9 +789,11 @@ def dual_terminal_batch(
     z_out = np.empty((m, n))
     y_out = np.empty((m, n))
     alive_out = np.empty(m, dtype=bool)
-    u_final = None
-    for lo, hi in _chunk_sizes(m, chunk):
-        inc, uni = _stream_increments_uniforms(grid, n, seed, streams[lo:hi])
+    u = None
+    nvec = state.normal
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        inc, uni = stream_increments(grid, n, seed, streams[lo:hi], step_uniforms=True)
         mc = hi - lo
         if isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
             # implicit steps are exact for constant drift, so the pair is
@@ -846,29 +822,17 @@ def dual_terminal_batch(
         z = np.broadcast_to(z0, (mc, n)).copy()
         y = np.broadcast_to(y0, (mc, n)).copy()
         alive = np.ones(mc, dtype=bool)
-        u = state.u.copy() if isinstance(state, WedgeState) else None
-        if u is not None:
-            g_prev = np.full(mc, float((y0 - z0) @ WedgeState.normal_of(u)))
-        elif isinstance(state, SlabState):
-            g_prev = np.full(mc, float((y0 - z0) @ state.normal))
-        else:
-            g_prev = np.full(mc, float(y0[0] - z0[0]))
+        u = state.u if isinstance(state, WedgeState) else None
+        g_prev = np.full(mc, state.gap())
         for j in range(grid.N):
             d = inc[j]
-            dflip = flip_first(d)
-            z_new = _implicit_batch(z, d, dt, drift)
-            y_new = _implicit_batch(y, dflip, dt, drift)
+            z_new = implicit_step(z, d, dt, drift)
+            y_new = implicit_step(y, flip_first(d), dt, drift)
             if u is not None:
-                u = u + dt * np.array([u[1], u[0]])
+                u = WedgeState.rotate(u, dt)
                 nvec = WedgeState.normal_of(u)
-                g = (y_new - z_new) @ nvec
-                n1 = float(nvec[0])
-            elif isinstance(state, SlabState):
-                g = (y_new - z_new) @ state.normal
-                n1 = float(state.normal[0])
-            else:
-                g = (y_new - z_new)[:, 0]
-                n1 = 1.0
+            g = face_gap(nvec, z_new, y_new)
+            n1 = float(nvec[0])
             # the y-z gap receives the flipped-minus-straight noise, whose
             # variance along the normal is (2 n1)^2 dt per step
             s2 = max(4.0 * n1 * n1 * dt, 1e-300)
@@ -882,8 +846,7 @@ def dual_terminal_batch(
         z_out[lo:hi] = z
         y_out[lo:hi] = y
         alive_out[lo:hi] = alive
-        u_final = u
-    return {"z": z_out, "y": y_out, "alive": alive_out, "u": u_final}
+    return {"z": z_out, "y": y_out, "alive": alive_out, "u": u, "normal": nvec}
 
 
 @dataclass(frozen=True)
@@ -932,21 +895,9 @@ def liggett_identity_mc(
     lhs_se = math.sqrt(max(lhs * (1.0 - lhs), 1e-300) / paths)
 
     duals = dual_terminal_batch(state, drift, grid, rng.seed, rhs_streams, chunk)
-    covers = np.zeros(paths)
     alive = duals["alive"]
-    if np.any(alive):
-        if isinstance(state, WedgeState):
-            nvec = WedgeState.normal_of(duals["u"])
-            above = (duals["y"][alive] - x) @ nvec >= 0.0
-            below = (x - duals["z"][alive]) @ nvec > 0.0
-        elif isinstance(state, SlabState):
-            d = state.normal
-            above = (duals["y"][alive] - x) @ d >= 0.0
-            below = (x - duals["z"][alive]) @ d > 0.0
-        else:
-            above = x[0] <= duals["y"][alive][:, 0]
-            below = duals["z"][alive][:, 0] < x[0]
-        covers[alive] = (above & below).astype(float)
-    rhs = math.fsum(covers) / paths
+    covered = np.zeros(paths)
+    covered[alive] = covers(duals["normal"], duals["z"][alive], duals["y"][alive], x)
+    rhs = math.fsum(covered) / paths
     rhs_se = math.sqrt(max(rhs * (1.0 - rhs), 1e-300) / paths)
     return IdentityEstimate(lhs, lhs_se, rhs, rhs_se, paths)

@@ -32,13 +32,16 @@ from .core import (
     ModelError,
     SamplePath,
     TimeGrid,
+    euler_backward_values,
     flip_first,
     implicit_step,
+    partial_sums,
 )
 from .surfaces import (
     HypoSurface,
     LevelSurface,
     SurfaceTrajectory,
+    evolve_surface,
     step_surface,
 )
 
@@ -104,9 +107,20 @@ def impute_noise(x_path: SamplePath, drift: DriftField) -> SamplePath:
     dt = x_path.grid.dt
     vals = x_path.values
     inc = np.diff(vals, axis=0) - drift.beta(vals[1:]) * dt
-    out = np.zeros_like(vals)
-    np.cumsum(inc, axis=0, out=out[1:])
-    return SamplePath(x_path.grid, out)
+    return SamplePath(x_path.grid, partial_sums(inc))
+
+
+def _flow_output(grid: TimeGrid, noise: SamplePath, sigma: np.ndarray, trajectory: SamplePath,
+                 outside: bool = False, **evolved) -> FlowOutput:
+    """Flow result whose reflected noise is the noise less sigma on
+    coordinate 1; on the degenerate branch that is the flipped noise."""
+    if outside:
+        reflected = flip_first(noise.values)
+    else:
+        reflected = noise.values.copy()
+        reflected[:, 0] -= sigma
+    return FlowOutput(SamplePath(grid, sigma), SamplePath(grid, reflected), trajectory, outside,
+                      **evolved)
 
 
 def backward_flow(
@@ -131,15 +145,8 @@ def backward_flow(
     inc = noise.increments()
 
     if not surface_traj[0].contains(x0):
-        sigma_vals = 2.0 * noise.values[:, 0]
-        reflected = SamplePath(grid, flip_first(noise.values))
-        traj = _explicit_path(grid, x0, reflected.values, drift)
-        return FlowOutput(
-            sigma=SamplePath(grid, sigma_vals),
-            reflected_noise=reflected,
-            trajectory=traj,
-            outside=True,
-        )
+        traj = euler_backward_values(grid, x0, flip_first(noise.values), drift)
+        return _flow_output(grid, noise, 2.0 * noise.values[:, 0], SamplePath(grid, traj), True)
 
     n = noise.dim
     y = np.empty((grid.N + 1, n))
@@ -156,26 +163,7 @@ def backward_flow(
         y[k, 0] = prev[0] - b[0] * dt + (d1 - dsig)
         y[k, 1:] = rest
 
-    reflected_vals = noise.values.copy()
-    reflected_vals[:, 0] -= sigma
-    return FlowOutput(
-        sigma=SamplePath(grid, sigma),
-        reflected_noise=SamplePath(grid, reflected_vals),
-        trajectory=SamplePath(grid, y),
-        outside=False,
-    )
-
-
-def _explicit_path(
-    grid: TimeGrid, x0: np.ndarray, noise_values: np.ndarray, drift: DriftField
-) -> SamplePath:
-    vals = np.empty_like(noise_values)
-    vals[0] = x0
-    dt = grid.dt
-    for k in range(1, grid.N + 1):
-        cur = vals[k - 1]
-        vals[k] = cur - drift.beta(cur) * dt + (noise_values[k] - noise_values[k - 1])
-    return SamplePath(grid, vals)
+    return _flow_output(grid, noise, sigma, SamplePath(grid, y))
 
 
 def forward_flow(
@@ -204,17 +192,9 @@ def forward_flow(
     x0 = X[0]
 
     if not y0.contains(x0):
-        sigma_vals = 2.0 * noise.values[:, 0]
-        reflected = SamplePath(grid, flip_first(noise.values))
         # flipped reflected noise is the plain noise again
-        surfaces = _evolve_forward(y0, grid, noise.values, drift)
-        return FlowOutput(
-            sigma=SamplePath(grid, sigma_vals),
-            reflected_noise=reflected,
-            trajectory=x_path,
-            outside=True,
-            surfaces=surfaces,
-        )
+        return _flow_output(grid, noise, 2.0 * noise.values[:, 0], x_path, True,
+                            surfaces=evolve_surface(y0, noise, drift))
 
     n = x_path.dim
     sigma = np.zeros(grid.N + 1)
@@ -222,7 +202,6 @@ def forward_flow(
     predictor = np.empty((grid.N + 1, n))
     predictor[0, 0] = y0.height(x0[1:])
     predictor[0, 1:] = x0[1:]
-    reflected_vals = noise.values.copy()
     for j in range(1, grid.N + 1):
         cur = surfaces[-1]
         d1 = inc[j - 1, 0]
@@ -233,8 +212,7 @@ def forward_flow(
         sigma[j] = sigma[j - 1] + dsig
         dxi = inc[j - 1].copy()
         dxi[0] -= dsig
-        dflip = dxi.copy()
-        dflip[0] = -dflip[0]
+        dflip = flip_first(dxi)
         surfaces.append(step_surface(cur, drift, dt, dflip))
         if crossing or j == 1:
             restart = np.concatenate(([near_height], X[j - 1, 1:]))
@@ -242,25 +220,9 @@ def forward_flow(
         else:
             predictor[j] = implicit_step(predictor[j - 1], dflip, dt, drift)
 
-    reflected_vals[:, 0] -= sigma
-    return FlowOutput(
-        sigma=SamplePath(grid, sigma),
-        reflected_noise=SamplePath(grid, reflected_vals),
-        trajectory=x_path,
-        outside=False,
-        surfaces=SurfaceTrajectory(grid, tuple(surfaces)),
-        predictor=SamplePath(grid, predictor),
-    )
-
-
-def _evolve_forward(
-    y0: HypoSurface, grid: TimeGrid, driver_values: np.ndarray, drift: DriftField
-) -> SurfaceTrajectory:
-    out = [y0]
-    dt = grid.dt
-    for j in range(1, grid.N + 1):
-        out.append(step_surface(out[-1], drift, dt, driver_values[j] - driver_values[j - 1]))
-    return SurfaceTrajectory(grid, tuple(out))
+    return _flow_output(grid, noise, sigma, x_path,
+                        surfaces=SurfaceTrajectory(grid, tuple(surfaces)),
+                        predictor=SamplePath(grid, predictor))
 
 
 def flow_from_path(y0: HypoSurface, x_path: SamplePath, drift: DriftField) -> FlowOutput:
@@ -283,23 +245,13 @@ def _constant_level_flow(
     mu = float(drift.mu[0])
     x = x_path.values[:, 0]
     omega = x - x[0] - mu * grid.times
-    if x[0] > y0.level:
-        sigma = 2.0 * omega
-        xi = -omega
-        levels = y0.level + mu * grid.times + omega
-        outside = True
-    else:
-        # running record of 2*omega against the initial gap
-        sigma = np.maximum.accumulate(np.maximum(2.0 * omega - (y0.level - x[0]), 0.0))
-        xi = omega - sigma
-        levels = y0.level + mu * grid.times - omega + sigma
-        outside = False
-    surfaces = SurfaceTrajectory(grid, tuple(LevelSurface(v) for v in levels))
+    out = flow_constant_1d(y0.level, mu, x[:1], omega[:, None], grid.times)
+    surfaces = SurfaceTrajectory(grid, tuple(LevelSurface(v) for v in out["levels"][:, 0]))
     return FlowOutput(
-        sigma=SamplePath(grid, sigma),
-        reflected_noise=SamplePath(grid, xi),
+        sigma=SamplePath(grid, out["sigma"]),
+        reflected_noise=SamplePath(grid, out["xi"]),
         trajectory=x_path,
-        outside=outside,
+        outside=bool(out["outside"][0]),
         surfaces=surfaces,
     )
 
@@ -313,14 +265,9 @@ def flow_constant_1d(
     replicas.  Returns sigma, the reflected noise xi, the level paths, and
     the outside mask, all as arrays.
     """
-    outside = x0 > level0
     gap = level0 - x0
     sigma_in = np.maximum.accumulate(np.maximum(2.0 * omega - gap, 0.0), axis=0)
-    sigma = np.where(outside, 2.0 * omega, sigma_in)
-    xi = np.where(outside, -omega, omega - sigma_in)
-    drift_term = mu * times[:, None]
-    levels = np.where(outside, level0 + drift_term + omega, level0 + drift_term - omega + sigma_in)
-    return {"sigma": sigma, "xi": xi, "levels": levels, "outside": outside}
+    return _level_flow(level0, mu, omega, times, x0 > level0, sigma_in)
 
 
 def flow_trigger_1d(
@@ -350,6 +297,12 @@ def flow_trigger_1d(
         pa = pa + np.where(trig, dw, -dw)
         px = px + dw
         sigma_in[j] = sig
+    return _level_flow(level0, mu, omega, times, outside, sigma_in)
+
+
+def _level_flow(level0, mu, omega, times, outside, sigma_in) -> dict:
+    """Both flow branches from the inside compensator; outside columns
+    take the degenerate branch."""
     sigma = np.where(outside, 2.0 * omega, sigma_in)
     xi = np.where(outside, -omega, omega - sigma_in)
     drift_term = mu * times[:, None]

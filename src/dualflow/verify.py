@@ -28,8 +28,10 @@ from .core import (
     RngSpec,
     SamplePath,
     TimeGrid,
+    brownian_increments,
+    euler_backward_values,
     euler_forward_implicit,
-    normals,
+    partial_sums,
     sample_brownian,
     sample_brownian_batch,
     uniforms,
@@ -65,12 +67,7 @@ class TestReport:
     def __post_init__(self) -> None:
         if (self.p_value is None) == (self.residual is None):
             raise ModelError("exactly one of p_value and residual must be set")
-        want = (
-            self.p_value > self.threshold
-            if self.p_value is not None
-            else self.residual <= self.threshold
-        )
-        if bool(self.passed) != bool(want):
+        if bool(self.passed) != _passes(self.p_value, self.residual, self.threshold):
             raise ModelError(f"inconsistent pass flag for {self.name}")
 
     def to_dict(self) -> dict:
@@ -91,28 +88,29 @@ class TestReport:
         return out
 
 
+def _passes(p_value, residual, threshold) -> bool:
+    return bool(p_value > threshold if p_value is not None else residual <= threshold)
+
+
 def report_p(name, statistic, p_value, threshold, sample_size, seeds, **detail):
-    return TestReport(
-        name=name,
-        statistic=float(statistic),
-        threshold=float(threshold),
-        passed=bool(p_value > threshold),
-        sample_size=int(sample_size),
-        seeds=dict(seeds),
-        p_value=float(p_value),
-        detail=detail,
-    )
+    return _report(name, statistic, threshold, sample_size, seeds, detail, p_value=float(p_value))
 
 
 def report_residual(name, statistic, residual, threshold, sample_size, seeds, **detail):
+    return _report(name, statistic, threshold, sample_size, seeds, detail,
+                   residual=float(residual))
+
+
+def _report(name, statistic, threshold, sample_size, seeds, detail, p_value=None, residual=None):
     return TestReport(
         name=name,
         statistic=float(statistic),
         threshold=float(threshold),
-        passed=bool(residual <= threshold),
+        passed=_passes(p_value, residual, threshold),
         sample_size=int(sample_size),
         seeds=dict(seeds),
-        residual=float(residual),
+        p_value=p_value,
+        residual=residual,
         detail=detail,
     )
 
@@ -257,28 +255,21 @@ def suite_duality(seed: int = 0, paths: int = 10000, threshold: float = 0.01) ->
         max(abs(est_out.lhs - oracle_out), abs(est_out.rhs - oracle_out)),
         tol_out, paths, {"seed": seed}, oracle=oracle_out))
 
-    # strip between lines under the bilinear drift: two-estimator agreement
-    wedge_grid = TimeGrid(0.5, 250)
-    wedge = WedgeState(np.array([1.0, 2.0]), np.array([0.0, 0.0]),
-                       np.array([0.5, 0.0]))
-    est_w = liggett_identity_mc(np.array([0.2, 0.0]), wedge, wedge_grid, paths,
-                                BilinearDrift(), RngSpec(seed, 3))
-    tol_w = 3.0 * est_w.pooled_se
-    reports.append(report_residual(
-        "duality_wedge_two_sided", est_w.lhs, est_w.difference, tol_w, paths,
-        {"seed": seed}, lhs=est_w.lhs, rhs=est_w.rhs, dt=wedge_grid.dt))
-
-    # slab under the logistic drift: two-estimator agreement
-    slab_drift = _toy_logistic_drift()
+    # strip between lines under the bilinear drift, and slab under the
+    # logistic drift: two-estimator agreement
     d = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    slab = SlabState(-0.4 * d, 0.4 * d, d)
-    slab_grid = TimeGrid(0.5, 250)
-    est_s = liggett_identity_mc(np.array([0.0, 0.0]), slab, slab_grid, paths,
-                                slab_drift, RngSpec(seed, 4))
-    tol_s = 3.0 * est_s.pooled_se
-    reports.append(report_residual(
-        "duality_slab_two_sided", est_s.lhs, est_s.difference, tol_s, paths,
-        {"seed": seed}, lhs=est_s.lhs, rhs=est_s.rhs, dt=slab_grid.dt))
+    planar_grid = TimeGrid(0.5, 250)
+    planar = (
+        ("wedge", np.array([0.2, 0.0]), BilinearDrift(),
+         WedgeState(np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.array([0.5, 0.0]))),
+        ("slab", np.array([0.0, 0.0]), _toy_logistic_drift(), SlabState(-0.4 * d, 0.4 * d, d)),
+    )
+    for stream, (family, x, planar_drift, region) in enumerate(planar, start=3):
+        est = liggett_identity_mc(x, region, planar_grid, paths, planar_drift,
+                                  RngSpec(seed, stream))
+        reports.append(report_residual(
+            f"duality_{family}_two_sided", est.lhs, est.difference, 3.0 * est.pooled_se,
+            paths, {"seed": seed}, lhs=est.lhs, rhs=est.rhs, dt=planar_grid.dt))
     return reports
 
 
@@ -349,13 +340,7 @@ def _flow_wiener_bilinear(seed: int, replicas: int, threshold: float) -> TestRep
     x = np.array([0.0, 0.0])
     hat = sample_brownian_batch(grid, 2, seed + 1, range(replicas))
     # backward paths from x, all replicas at once
-    vals = np.empty((grid.N + 1, replicas, 2))
-    vals[0] = x
-    dt = grid.dt
-    for j in range(1, grid.N + 1):
-        prev = vals[j - 1]
-        dn = hat[j] - hat[j - 1]
-        vals[j] = prev - drift.beta(prev) * dt + dn
+    vals = euler_backward_values(grid, x, hat, drift)
     surface = LineSurface(np.array([1.0, 2.0]), np.array([0.4, 0.0]))
     xi_T = np.empty(replicas)
     for i in range(replicas):
@@ -382,9 +367,7 @@ def suite_reversal(seed: int = 0, paths: int = 20000,
     grid = TimeGrid(T, N)
     gen = RngSpec(seed, 11).generator()
     x0 = (2.0 * a) * uniforms(gen, (paths,)) - a
-    inc = normals(gen, (N, paths)) * math.sqrt(grid.dt)
-    w = np.zeros((N + 1, paths))
-    np.cumsum(inc, axis=0, out=w[1:])
+    w = partial_sums(brownian_increments(gen, grid, (paths,)))
     X = x0[None, :] - mu * grid.times[:, None] + w
     weight = (2.0 * a) * np.exp(-2.0 * mu * x0)
 
@@ -422,8 +405,7 @@ def suite_reversal(seed: int = 0, paths: int = 20000,
     mc = float(np.mean(weight * hit))
 
     def band_mass(lo, hi, x):
-        rt = math.sqrt(T)
-        return ndtr((hi - x + mu * T) / rt) - ndtr((lo - x + mu * T) / rt)
+        return reflection_probabilities(T, x, lo, hi, mu)["p_identity"]
 
     oracle, _ = integrate.quad(
         lambda x: math.exp(-2.0 * mu * x) * band_mass(b1[0], b1[1], x),
@@ -444,10 +426,13 @@ def suite_reversal(seed: int = 0, paths: int = 20000,
     return reports
 
 
+SUITES = {
+    "duality": suite_duality,
+    "flow_wiener": suite_flow_wiener,
+    "reversal": suite_reversal,
+}
+
+
 def run_all_suites(seed: int = 0) -> dict:
     """All suites keyed by name, with deterministic report order."""
-    return {
-        "duality": suite_duality(seed),
-        "flow_wiener": suite_flow_wiener(seed),
-        "reversal": suite_reversal(seed),
-    }
+    return {name: suite(seed) for name, suite in SUITES.items()}

@@ -1,5 +1,6 @@
 """Command-line driver: config plumbing, data ingestion, subcommand runs."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -208,6 +209,23 @@ def test_couple_pitman_and_plot_data(tmp_path):
     assert max(diffs) < 1e-10  # the two constructions agree at every node
 
 
+def test_verify_runs_only_the_requested_suites(tmp_path, monkeypatch):
+    from dualflow import verify
+
+    def unexpected(seed):
+        raise AssertionError("a suite ran that was not requested")
+
+    for name, attr in (("duality", "suite_duality"), ("flow_wiener", "suite_flow_wiener")):
+        monkeypatch.setitem(verify.SUITES, name, unexpected)
+        monkeypatch.setattr(verify, attr, unexpected)
+    code = main(["verify", "--seed", "7", "--out", str(tmp_path),
+                 "--override", 'verify.suites=["reversal"]'])
+    assert code == EXIT_OK
+    lines = (next(tmp_path.iterdir()) / "reports.jsonl").read_text().splitlines()
+    names = [json.loads(line)["name"] for line in lines]
+    assert names and all(name.startswith("reversal_") for name in names)
+
+
 def test_verify_rejects_unknown_suite(tmp_path):
     code = main(["verify", "--out", str(tmp_path),
                  "--override", 'verify.suites=["nope"]'])
@@ -221,3 +239,64 @@ def test_run_dir_collision_suffix(tmp_path):
                      "--out", str(out), "--override", "grid.N=4"]) == EXIT_OK
     names = sorted(p.name for p in out.iterdir())
     assert names == ["simulate-seed9", "simulate-seed9-2"]
+
+
+# ---------------------------------------------------------------------------
+# byte stability: run directories are pure functions of (config, seed)
+
+_WEDGE = json.dumps({"family": "wedge", "u": [1, 2], "z": [0, 0], "y": [1, 0]})
+_SLAB = json.dumps({"family": "slab", "z_offset": -0.4, "y_offset": 0.4})
+_SMALL = ["--replicas", "2", "--override", "grid.N=40"]
+
+GOLDEN_RUNS = {
+    "simulate": ["simulate", "--seed", "3"] + _SMALL,
+    "dual-interval": ["dual", "--seed", "3"] + _SMALL,
+    "dual-wedge": ["dual", "--seed", "3", "--override", "model.family=bilinear",
+                   "--override", f"dual.state={_WEDGE}"] + _SMALL,
+    "dual-slab": ["dual", "--seed", "3", "--override", "model.family=logistic",
+                  "--override", f"dual.state={_SLAB}"] + _SMALL,
+    "couple-interval": ["couple", "--seed", "5"] + _SMALL,
+    "couple-entrance": ["couple", "--seed", "11",
+                        "--override", "couple.entrance=true"] + _SMALL,
+    "couple-wedge": ["couple", "--seed", "5", "--override", "model.family=bilinear",
+                     "--override", f"couple.state={_WEDGE}"] + _SMALL,
+    "couple-slab": ["couple", "--seed", "5", "--override", "model.family=logistic",
+                    "--override", f"couple.state={_SLAB}"] + _SMALL,
+    "pitman": ["pitman", "--seed", "2"] + _SMALL,
+    "posterior": ["posterior", "--seed", "8808", "--override", "model.family=logistic",
+                  "--override", "posterior.count=20"],
+}
+
+# sha256 over every artifact but config.json (name and bytes, sorted by
+# name), after plot-data on the dual and couple runs
+GOLDEN_DIGESTS = {
+    "simulate": "5983e33bdeb22966fefc61338f81fb5394dbe177fc65060125df048bc4079154",
+    "dual-interval": "2ff9d6fbc8c3864a98188f1760035671d781389c9dacbad526829656bcb6cef7",
+    "dual-wedge": "79275780e41ef49b166fd54d436749d1caf3cb8a632ded329dd6ecd40b71d846",
+    "dual-slab": "70e8da430a6b5111a63dc584510b78affa681c8a5f34c3168c7d5302bb53c77c",
+    "couple-interval": "2341853968c1b67b0a1ef9751e8e21ad6449b18a608bbe6b1f624b58f89d1d14",
+    "couple-entrance": "7dfd33860e2b8680bd7aa4eb64d6e761020dad06eed08d3ef15b0a9b4e999ec3",
+    "couple-wedge": "34185389fb42b2c573941de385ba5dd32d0ed6b27c50230a8ff4f7dc78a38290",
+    "couple-slab": "ea6b45c4f5d97c263fd1785948906e215df8b0959b6353244cde9a1afae58d71",
+    "pitman": "e62839c7f4ee76a0d12859d061e66263053a1c2f9723ebee4f755cd78e928902",
+    "posterior": "7a0ad9119a8f011ba44b52bbd1c59200d04127c9445bec8eb39a748c1cd2521d",
+}
+
+
+def golden_digests(root: Path) -> dict:
+    out = {}
+    for name, argv in GOLDEN_RUNS.items():
+        assert main(argv + ["--out", str(root / name)]) == EXIT_OK, name
+        run = next((root / name).iterdir())
+        if name.startswith(("dual", "couple")):
+            assert main(["plot-data", str(run)]) == EXIT_OK, name
+        h = hashlib.sha256()
+        for f in sorted(run.iterdir()):
+            if f.name != "config.json":
+                h.update(f.name.encode() + b"\0" + f.read_bytes())
+        out[name] = h.hexdigest()
+    return out
+
+
+def test_cli_artifacts_are_byte_stable(tmp_path):
+    assert golden_digests(tmp_path) == GOLDEN_DIGESTS

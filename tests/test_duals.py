@@ -1,6 +1,7 @@
 """Dual regions: masses, conditional laws, dual dynamics, identity estimators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from dualflow import (
     sample_conditional,
     truncated_exp_mean,
 )
-from dualflow.duals import dual_terminal_batch, primal_terminal_batch
+from dualflow.duals import (
+    _plane_density_sampler,
+    dual_terminal_batch,
+    plane_density,
+    primal_terminal_batch,
+)
 
 
 def toy_logistic():
@@ -199,6 +205,27 @@ def test_slab_conditional_law():
     offs = (pts - (-0.4 * d)) @ d
     res = stats.kstest(offs, lambda v: np.clip(np.asarray(v) / 0.8, 0.0, 1.0))
     assert res.pvalue > 1e-3
+
+
+def test_plane_sampler_keeps_a_raised_envelope_local():
+    # an envelope far below the target forces a raise on the first batch
+    pd = replace(plane_density(toy_logistic(), SLAB_NORMAL), log_envelope=-50.0)
+    first = _plane_density_sampler(pd, RngSpec(72, 0).generator(), 50)
+    assert first.shape == (50, 1)
+    # the shared density is untouched, so an equal generator draws equally
+    assert pd.log_envelope == -50.0
+    second = _plane_density_sampler(pd, RngSpec(72, 0).generator(), 50)
+    assert np.array_equal(first, second)
+
+
+def test_plane_sampler_fills_a_two_dimensional_span():
+    # inputs span the (x_2, x_3) plane of R^3, so each draw has two coordinates
+    inputs = np.array([[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [0, 1, 1], [0, -1, -1]])
+    drift = LogisticDrift(inputs, np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
+    pd = plane_density(drift, np.array([1.0, 0.0, 0.0]))
+    w = _plane_density_sampler(pd, RngSpec(73, 0).generator(), 50)
+    assert w.shape == (50, 2)
+    assert np.all(np.isfinite(w))
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,11 @@ def test_flow_constant_batch_matches_scalar_form():
         assert np.allclose(out["sigma"][:, c], flow.sigma.values[:, 0], atol=1e-12)
         assert np.allclose(out["xi"][:, c], flow.reflected_noise.values[:, 0], atol=1e-12)
         assert out["outside"][c] == flow.outside
+        if not flow.outside:
+            # independent oracle: the compensator is the Skorohod pushing
+            # term of the initial gap less twice the noise
+            ell = solve_skorohod_1d((0.3 - x0[c]) - 2.0 * omega[:, c]).ell
+            assert np.array_equal(out["sigma"][:, c], ell)
 
 
 # ---------------------------------------------------------------------------
