@@ -3,7 +3,8 @@
 The primal object is an n-dimensional Brownian motion with gradient drift
 whose invariant density is known up to scale.  Around it the package
 builds: exactly invertible explicit/implicit step schemes, Skorohod
-reflection flows at evolving hypographical surfaces, region-valued dual
+reflection flows below an evolving surface (the hypograph of a hyperplane
+whose normal is fixed, or rotating for a line), region-valued dual
 processes (intervals, strips between lines, slabs between hyperplanes)
 with absorption, conditional samplers and region masses, linked couplings
 conserving the covering indicator, the 2M - W gap representation with its
@@ -38,9 +39,7 @@ from .core import (
     write_path_csv,
 )
 from .surfaces import (
-    LevelSurface,
-    LineSurface,
-    PlaneSurface,
+    Surface,
     SurfaceTrajectory,
     evolve_surface,
     step_surface,
@@ -100,18 +99,16 @@ __all__ = [
     "DriftField",
     "FlowOutput",
     "IntervalState",
-    "LevelSurface",
-    "LineSurface",
     "LogisticDrift",
     "ModelError",
     "NumericalError",
-    "PlaneSurface",
     "ProductDrift",
     "ReflectionOutput",
     "RegionSamples",
     "RngSpec",
     "SamplePath",
     "SlabState",
+    "Surface",
     "SurfaceTrajectory",
     "TestReport",
     "TimeGrid",

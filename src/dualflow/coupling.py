@@ -55,7 +55,7 @@ from .duals import (
     span_normal,
 )
 from .reflection import flow_constant_1d, forward_flow, impute_noise
-from .surfaces import LevelSurface, LineSurface, PlaneSurface
+from .surfaces import _normal_of
 
 
 # ---------------------------------------------------------------------------
@@ -90,23 +90,10 @@ class CouplingTrajectory:
 
     def gap(self) -> np.ndarray:
         """Defining separation functional of the dual pair at each node."""
-        return face_gap(_normals(self.u_path, self.normal), self.z_path.values,
+        # e_1 for an interval, the slab's d, or (u_2, -u_1) per node
+        normal = self.normal if self.u_path is None else _normal_of(self.u_path)
+        return face_gap(np.ones(1) if normal is None else normal, self.z_path.values,
                         self.y_path.values)
-
-
-def _normals(u_path: Optional[np.ndarray], normal: Optional[np.ndarray]) -> np.ndarray:
-    """Region normal of a trajectory: e_1, the slab's d, or (u_2, -u_1) per node."""
-    if u_path is not None:
-        return np.stack([u_path[:, 1], -u_path[:, 0]], axis=1)
-    return normal if normal is not None else np.ones(1)
-
-
-def _initial_surface(state: DualState):
-    if isinstance(state, IntervalState):
-        return LevelSurface(state.y)
-    if isinstance(state, WedgeState):
-        return LineSurface(state.u, state.y)
-    return PlaneSurface(state.normal, state.y)
 
 
 # ---------------------------------------------------------------------------
@@ -200,37 +187,26 @@ def _general_coupling(
     x0: np.ndarray,
     wiener: SamplePath,
 ) -> CouplingTrajectory:
-    family = state0.family
     x_path = euler_backward(x0, wiener, drift)
     omega = impute_noise(x_path, drift)
-    surface0 = _initial_surface(state0)
-    flow = forward_flow(x_path, surface0, omega, drift)
+    flow = forward_flow(x_path, state0.upper_face(), omega, drift)
     xi = flow.reflected_noise
     z_path = euler_forward_implicit(np.atleast_1d(state0.z), xi, drift)
-
-    surfaces = flow.surfaces.surfaces
-    X = x_path.values
-    Z = z_path.values
-    if family == "interval":
-        Y = np.array([[s.level] for s in surfaces])
-    else:
-        Y = np.stack([s.anchor for s in surfaces])
-    u_path = np.stack([s.u for s in surfaces]) if family == "wedge" else None
-    normal = state0.normal if family == "slab" else None
+    surfaces = flow.surfaces
 
     return CouplingTrajectory(
-        family=family,
+        family=state0.family,
         grid=grid,
         primal=x_path,
         z_path=z_path,
-        y_path=SamplePath(grid, Y),
+        y_path=SamplePath(grid, surfaces.anchors),
         sigma=flow.sigma,
-        gamma_flags=covers(_normals(u_path, normal), Z, Y, X),
+        gamma_flags=covers(surfaces.normals, z_path.values, surfaces.anchors, x_path.values),
         wiener=wiener,
         noise=omega,
         reflected=xi,
-        u_path=u_path,
-        normal=normal,
+        u_path=surfaces.u,
+        normal=surfaces.normal if state0.n > 1 else None,
     )
 
 
@@ -249,8 +225,8 @@ def run_entrance_coupling(
     tilted Gaussian along the line.  For a slab the two faces coincide and
     the primal point is the face's in-plane invariant draw.  The region
     indicator is false at time zero by construction (the point sits on the
-    boundary); the separation functional leaves zero immediately and stays
-    positive.
+    boundary).  Only the closed-form interval gap surely leaves zero at
+    once and stays positive; strip and slab gaps can touch zero again.
     """
     gen = rng.generator()
     if isinstance(start, (int, float)):
@@ -280,13 +256,7 @@ def run_entrance_coupling(
         # the draw lands on the shared boundary only up to rounding, and the
         # reflection flow branches on exact containment; snap the first
         # coordinate onto the surface (an adjustment of at most a few ulps)
-        surf = _initial_surface(state0)
-        x0 = np.asarray(x0, dtype=float).copy()
-        h = surf.height(x0[1:])
-        if x0[0] > h:
-            x0[0] = h
-        while not surf.contains(x0):
-            x0[0] = np.nextafter(x0[0], -np.inf)
+        x0[0] = min(x0[0], state0.upper_face().height(x0[1:]))
 
     return _couple(state0, drift, grid, x0, gen)
 

@@ -40,6 +40,7 @@ from .core import (
     stream_increments,
     uniforms,
 )
+from .surfaces import Surface, _check_direction, _check_unit_normal, _normal_of, _rotate
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
 
@@ -86,6 +87,10 @@ class _FacePair:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return bool(covers(self.normal, self.z, self.y, x))
 
+    def upper_face(self) -> Surface:
+        """The hypograph below the y-face, with the region's fixed normal."""
+        return Surface(self.y, normal=self.normal)
+
 
 @dataclass(frozen=True)
 class IntervalState(_FacePair):
@@ -127,31 +132,27 @@ class WedgeState(_FacePair):
     zeta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=float)
+        u = _check_direction(self.u)
         z = np.asarray(self.z, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if u.shape != (2,) or z.shape != (2,) or y.shape != (2,):
-            raise ModelError("u, z, y must be 2-vectors")
-        if not u[1] > abs(u[0]):
-            raise ModelError(f"need |u_1| < u_2, got u={u.tolist()}")
+        if z.shape != (2,) or y.shape != (2,):
+            raise ModelError("z and y must be 2-vectors")
         if not self.absorbed and self.normal_of(u) @ (y - z) < 0.0:
             raise ModelError("y-line must not lie below the z-line")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
 
-    @staticmethod
-    def normal_of(u: np.ndarray) -> np.ndarray:
-        return np.array([u[1], -u[0]])
-
-    @staticmethod
-    def rotate(u: np.ndarray, dt: float) -> np.ndarray:
-        """One deterministic Euler substep of du = (u_2, u_1) dt."""
-        return u + dt * np.array([u[1], u[0]])
+    normal_of = staticmethod(_normal_of)
+    rotate = staticmethod(_rotate)
 
     @property
     def normal(self) -> np.ndarray:
-        return self.normal_of(self.u)
+        return _normal_of(self.u)
+
+    def upper_face(self) -> Surface:
+        """The hypograph below the y-line, rotating with the direction u."""
+        return Surface(self.y, u=self.u)
 
 
 @dataclass(frozen=True)
@@ -168,11 +169,9 @@ class SlabState(_FacePair):
     def __post_init__(self) -> None:
         z = np.asarray(self.z, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        d = np.asarray(self.normal, dtype=float)
-        if z.shape != d.shape or y.shape != d.shape or d.ndim != 1:
+        d = _check_unit_normal(self.normal)
+        if z.shape != d.shape or y.shape != d.shape:
             raise ModelError("z, y, normal must be vectors of equal length")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12 or not d[0] > 0.0:
-            raise ModelError("normal must be a unit vector with positive first entry")
         if not self.absorbed and d @ (y - z) < 0.0:
             raise ModelError("y-face must not lie below the z-face")
         object.__setattr__(self, "z", z)
@@ -881,13 +880,16 @@ def liggett_identity_mc(
 
     The left side runs the primal forward from x and asks whether it lands
     in the fixed region; the right side evolves the region with absorption
-    and asks whether it still covers x.  Streams for the two sides are
-    disjoint, so the estimates are independent; reductions accumulate with
-    compensated summation so the result does not depend on chunking.
+    and asks whether it still covers x.  Path i draws from streams
+    (rng.stream << 32) + 2i and + 2i + 1, so both sides and all rng.stream
+    values are independent; compensated sums make chunking irrelevant.
     """
+    if paths >= 2**31:
+        raise ModelError(f"need fewer than 2**31 paths per stream block, got {paths}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    lhs_streams = [2 * i for i in range(paths)]
-    rhs_streams = [2 * i + 1 for i in range(paths)]
+    base = rng.stream << 32
+    lhs_streams = [base + 2 * i for i in range(paths)]
+    rhs_streams = [base + 2 * i + 1 for i in range(paths)]
 
     terminal = primal_terminal_batch(x, drift, grid, rng.seed, lhs_streams, chunk)
     hits = contains_batch(state, terminal).astype(float)

@@ -34,16 +34,9 @@ from .core import (
     TimeGrid,
     euler_backward_values,
     flip_first,
-    implicit_step,
     partial_sums,
 )
-from .surfaces import (
-    HypoSurface,
-    LevelSurface,
-    SurfaceTrajectory,
-    evolve_surface,
-    step_surface,
-)
+from .surfaces import Surface, SurfaceTrajectory, evolve_surface, step_surface
 
 
 @dataclass(frozen=True)
@@ -84,8 +77,7 @@ class FlowOutput:
     degenerate branch where the start lies strictly above the initial
     surface, in which case sigma is exactly twice coordinate 1 of the noise
     and the reflected noise is the flipped noise.  Forward flows also carry
-    the surface trajectory they evolved and the inside-approximation path
-    restarted at each sigma-accrual step.
+    the surface trajectory they evolved.
     """
 
     sigma: SamplePath
@@ -93,7 +85,6 @@ class FlowOutput:
     trajectory: SamplePath
     outside: bool
     surfaces: Optional[SurfaceTrajectory] = None
-    predictor: Optional[SamplePath] = None
 
 
 def impute_noise(x_path: SamplePath, drift: DriftField) -> SamplePath:
@@ -168,7 +159,7 @@ def backward_flow(
 
 def forward_flow(
     x_path: SamplePath,
-    y0: HypoSurface,
+    y0: Surface,
     noise: SamplePath,
     drift: DriftField,
 ) -> FlowOutput:
@@ -179,9 +170,7 @@ def forward_flow(
     crossing test compares the implicit-scheme combination at the step's
     far endpoint with the surface at the step's near endpoint; on a
     crossing, sigma accrues twice the coordinate-1 increment.  The surface
-    is then advanced with the flipped reflected increment, and an
-    inside-approximation path is restarted from the surface whenever sigma
-    accrued.
+    is then advanced with the flipped reflected increment.
     """
     grid = x_path.grid
     if noise.grid.N != grid.N or abs(noise.grid.T - grid.T) > 1e-12:
@@ -196,12 +185,8 @@ def forward_flow(
         return _flow_output(grid, noise, 2.0 * noise.values[:, 0], x_path, True,
                             surfaces=evolve_surface(y0, noise, drift))
 
-    n = x_path.dim
     sigma = np.zeros(grid.N + 1)
     surfaces = [y0]
-    predictor = np.empty((grid.N + 1, n))
-    predictor[0, 0] = y0.height(x0[1:])
-    predictor[0, 1:] = x0[1:]
     for j in range(1, grid.N + 1):
         cur = surfaces[-1]
         d1 = inc[j - 1, 0]
@@ -212,20 +197,13 @@ def forward_flow(
         sigma[j] = sigma[j - 1] + dsig
         dxi = inc[j - 1].copy()
         dxi[0] -= dsig
-        dflip = flip_first(dxi)
-        surfaces.append(step_surface(cur, drift, dt, dflip))
-        if crossing or j == 1:
-            restart = np.concatenate(([near_height], X[j - 1, 1:]))
-            predictor[j] = implicit_step(restart, dflip, dt, drift)
-        else:
-            predictor[j] = implicit_step(predictor[j - 1], dflip, dt, drift)
+        surfaces.append(step_surface(cur, drift, dt, flip_first(dxi)))
 
     return _flow_output(grid, noise, sigma, x_path,
-                        surfaces=SurfaceTrajectory(grid, tuple(surfaces)),
-                        predictor=SamplePath(grid, predictor))
+                        surfaces=SurfaceTrajectory.stack(grid, surfaces))
 
 
-def flow_from_path(y0: HypoSurface, x_path: SamplePath, drift: DriftField) -> FlowOutput:
+def flow_from_path(y0: Surface, x_path: SamplePath, drift: DriftField) -> FlowOutput:
     """Reflected noise of the forward flow at a surface, from the path alone.
 
     The noise is imputed from the path, then reflected against the surface
@@ -233,26 +211,25 @@ def flow_from_path(y0: HypoSurface, x_path: SamplePath, drift: DriftField) -> Fl
     has a running-minimum closed form, exact at every node, and that form
     is used directly; other models go through the stepwise forward flow.
     """
-    if isinstance(y0, LevelSurface) and isinstance(drift, ConstantDrift) and x_path.dim == 1:
+    if y0.n == 1 and isinstance(drift, ConstantDrift):
         return _constant_level_flow(y0, x_path, drift)
     return forward_flow(x_path, y0, impute_noise(x_path, drift), drift)
 
 
 def _constant_level_flow(
-    y0: LevelSurface, x_path: SamplePath, drift: ConstantDrift
+    y0: Surface, x_path: SamplePath, drift: ConstantDrift
 ) -> FlowOutput:
     grid = x_path.grid
     mu = float(drift.mu[0])
     x = x_path.values[:, 0]
     omega = x - x[0] - mu * grid.times
-    out = flow_constant_1d(y0.level, mu, x[:1], omega[:, None], grid.times)
-    surfaces = SurfaceTrajectory(grid, tuple(LevelSurface(v) for v in out["levels"][:, 0]))
+    out = flow_constant_1d(float(y0.anchor[0]), mu, x[:1], omega[:, None], grid.times)
     return FlowOutput(
         sigma=SamplePath(grid, out["sigma"]),
         reflected_noise=SamplePath(grid, out["xi"]),
         trajectory=x_path,
         outside=bool(out["outside"][0]),
-        surfaces=surfaces,
+        surfaces=SurfaceTrajectory(grid, out["levels"], y0.normal),
     )
 
 
@@ -321,21 +298,20 @@ def complementarity_report(flow: FlowOutput) -> dict:
     if flow.surfaces is None:
         raise ValueError("flow carries no surface trajectory")
     X = flow.trajectory.values
-    gaps = np.array(
-        [s.height(X[j, 1:]) - X[j, 0] for j, s in enumerate(flow.surfaces.surfaces)]
-    )
+    surfaces = list(flow.surfaces)
+    gaps = np.array([s.height(x[1:]) - x[0] for s, x in zip(surfaces, X)])
     dsig = np.diff(flow.sigma.values[:, 0])
     comp = float(np.sum(gaps[1:] * dsig))
     noise_vals = flow.reflected_noise.values.copy()
     noise_vals[:, 0] += flow.sigma.values[:, 0]
     modulus = float(np.max(np.linalg.norm(np.diff(noise_vals, axis=0), axis=-1)))
-    k_surf = max(s.lipschitz for s in flow.surfaces.surfaces)
+    k_surf = max(s.lipschitz for s in surfaces)
     tol = 2.0 * max(k_surf, 1.0) * modulus * float(flow.sigma.values[-1, 0])
     return {"complementarity": comp, "tolerance": tol}
 
 
 def compare_trigger_variants(
-    x_path: SamplePath, y0: HypoSurface, drift: DriftField
+    x_path: SamplePath, y0: Surface, drift: DriftField
 ) -> dict:
     """Contrast the near-endpoint crossing test with a far-endpoint variant.
 

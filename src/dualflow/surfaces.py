@@ -1,19 +1,22 @@
-"""Hypograph surfaces: graphs over the non-first coordinates, and their flows.
+"""Hypograph surfaces: the region below a moving hyperplane, and its flows.
 
-A surface splits R^n into the points at or below a height function of the
-remaining coordinates and the points strictly above it.  Three families are
-supported: a level in one dimension, a line in the plane carried by a
-rotating direction vector, and a fixed-normal hyperplane.  Each family
-evolves under the same dynamics as the paths it interacts with, driven by
-the noise with its first coordinate negated (the "flipped" noise), so that
-an upper boundary and a lower path can share one Brownian source.
+A surface is the hypograph {x : n . (a - x) >= 0} below the hyperplane
+through an anchor a with normal n, n_1 > 0.  It is a graph over the
+non-first coordinates and splits R^n into the points at or below it and
+the points strictly above it.  The normal is either fixed (e_1 for a level
+on the line, a unit normal d for a hyperplane) or carried by a planar
+direction u whose normal (u_2, -u_1) rotates as the surface steps (a line).
+The anchor evolves under the same dynamics as the paths the surface
+interacts with, driven by the noise with its first coordinate negated (the
+"flipped" noise), so that an upper boundary and a lower path can share one
+Brownian source.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,205 +30,172 @@ from .core import (
 )
 
 
+def _normal_of(u: np.ndarray) -> np.ndarray:
+    """Normal (u_2, -u_1) of a direction, or of each row of a direction path."""
+    return u[..., ::-1] * np.array([1.0, -1.0])
+
+
+def _rotate(u: np.ndarray, dt: float) -> np.ndarray:
+    """One deterministic Euler substep of du = (u_2, u_1) dt; dt < 0 steps back."""
+    return u + dt * u[..., ::-1]
+
+
+def _check_direction(u) -> np.ndarray:
+    """A strip or line direction: a 2-vector in the cone |u_1| < u_2."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (2,) or not u[1] > abs(u[0]):
+        raise ModelError(f"need a 2-vector u with |u_1| < u_2, got u={u.tolist()}")
+    return u
+
+
+def _check_unit_normal(d) -> np.ndarray:
+    """A fixed face normal: a unit vector with positive first entry."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1 or abs(np.linalg.norm(d) - 1.0) > 1e-12 or not d[0] > 0.0:
+        raise ModelError("normal must be a unit vector with positive first entry")
+    return d
+
+
 @dataclass(frozen=True)
-class LevelSurface:
-    """One-dimensional hypograph: everything at or below a level."""
+class Surface:
+    """Hypograph below the hyperplane through an anchor.
 
-    level: float
-
-    @property
-    def n(self) -> int:
-        return 1
-
-    @property
-    def lipschitz(self) -> float:
-        return 0.0
-
-    def height(self, rest=None) -> float:
-        return float(self.level)
-
-    def contains(self, x) -> bool:
-        return float(np.atleast_1d(x)[0]) <= self.level
-
-    def params(self) -> dict:
-        return {"level": float(self.level)}
-
-
-@dataclass(frozen=True)
-class LineSurface:
-    """Planar hypograph below a line with direction u through an anchor point.
-
-    The direction must satisfy |u_1| < u_2 so the line is a graph over the
-    second coordinate with slope u_1/u_2 of modulus below one.
+    Give a fixed unit normal with positive first entry, or a direction u
+    with |u_1| < u_2; then normal is (u_2, -u_1) and rotates with u.
     """
 
-    u: np.ndarray
     anchor: np.ndarray
+    normal: Optional[np.ndarray] = None
+    u: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=float)
-        a = np.asarray(self.anchor, dtype=float)
-        if u.shape != (2,) or a.shape != (2,):
-            raise ModelError("direction and anchor must be 2-vectors")
-        if not u[1] > abs(u[0]):
-            raise ModelError(
-                f"degenerate line direction: need u_2 > |u_1|, got u={u.tolist()}"
-            )
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "anchor", a)
-
-    @property
-    def n(self) -> int:
-        return 2
-
-    @property
-    def lipschitz(self) -> float:
-        return abs(self.u[0] / self.u[1])
-
-    def height(self, rest) -> float:
-        x2 = float(np.atleast_1d(rest)[0])
-        return float(self.u[0] / self.u[1] * (x2 - self.anchor[1]) + self.anchor[0])
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(x[0]) <= self.height(x[1:])
-
-    def params(self) -> dict:
-        return {"u": self.u.tolist(), "anchor": self.anchor.tolist()}
-
-
-@dataclass(frozen=True)
-class PlaneSurface:
-    """Hyperplane hypograph with a fixed unit normal whose first entry is positive."""
-
-    normal: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.normal, dtype=float)
-        a = np.asarray(self.anchor, dtype=float)
-        if d.ndim != 1 or a.shape != d.shape:
+        if (self.normal is None) == (self.u is None):
+            raise ModelError("a surface needs exactly one of a fixed normal and a direction u")
+        if self.u is not None:
+            object.__setattr__(self, "u", _check_direction(self.u))
+        normal = _normal_of(self.u) if self.u is not None else _check_unit_normal(self.normal)
+        anchor = np.atleast_1d(np.asarray(self.anchor, dtype=float))
+        if anchor.shape != normal.shape:
             raise ModelError("normal and anchor must be vectors of equal length")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise ModelError(f"normal must be a unit vector, got norm {np.linalg.norm(d)!r}")
-        if not d[0] > 0.0:
-            raise ModelError("normal must have positive first coordinate")
-        object.__setattr__(self, "normal", d)
-        object.__setattr__(self, "anchor", a)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "anchor", anchor)
+
+    @classmethod
+    def level(cls, level: float) -> "Surface":
+        return cls(np.array([float(level)]), normal=np.ones(1))
 
     @property
     def n(self) -> int:
-        return self.normal.shape[0]
+        return self.anchor.shape[0]
 
     @property
     def lipschitz(self) -> float:
         return float(np.linalg.norm(self.normal[1:]) / self.normal[0])
 
-    def height(self, rest) -> float:
-        rest = np.atleast_1d(np.asarray(rest, dtype=float))
-        d = self.normal
-        return float((d @ self.anchor - d[1:] @ rest) / d[0])
+    @property
+    def variant(self) -> str:
+        if self.u is not None:
+            return "line"
+        return "level" if self.n == 1 else "plane"
+
+    def height(self, rest=()) -> float:
+        rest = np.asarray(rest, dtype=float)
+        a, d = self.anchor, self.normal
+        return float(a[0] - (d[1:] / d[0]) @ (rest - a[1:]))
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return float(self.normal @ x) <= float(self.normal @ self.anchor)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return bool(x[0] <= self.height(x[1:]))
 
     def params(self) -> dict:
+        if self.u is not None:
+            return {"u": self.u.tolist(), "anchor": self.anchor.tolist()}
+        if self.n == 1:
+            return {"level": float(self.anchor[0])}
         return {"normal": self.normal.tolist(), "anchor": self.anchor.tolist()}
 
 
-HypoSurface = Union[LevelSurface, LineSurface, PlaneSurface]
-
-_VARIANTS = {"level": LevelSurface, "line": LineSurface, "plane": PlaneSurface}
-
-
-def variant_name(surface: HypoSurface) -> str:
-    for name, cls in _VARIANTS.items():
-        if isinstance(surface, cls):
-            return name
-    raise ModelError(f"unknown surface type {type(surface)}")
-
-
-def _check_normal(surface: PlaneSurface, drift: DriftField) -> None:
-    # the normal stays fixed only if the drift has no component along it
-    b = drift.beta(surface.anchor)
-    if abs(float(surface.normal @ b)) > 1e-8 * (1.0 + float(np.linalg.norm(b))):
-        raise ModelError(
-            "drift is tilted against the hyperplane normal; the surface would not stay planar"
-        )
-
-
 def step_surface(
-    surface: HypoSurface,
+    surface: Surface,
     drift: DriftField,
     dt: float,
     dnoise_flipped: np.ndarray,
     backward: bool = False,
-) -> HypoSurface:
+) -> Surface:
     """Advance a surface one step, driven by a flipped-noise increment.
 
-    Forward steps move the anchor with drift +beta: the level explicitly,
-    the line and plane anchors by the implicit inverse-flow step, and the
-    line direction by one deterministic Euler substep.  Backward steps use
-    the explicit scheme with drift -beta throughout, which inverts the
-    forward step exactly for the implicit families.
+    Forward steps move the anchor with drift +beta by the implicit
+    inverse-flow step and a rotating direction by one deterministic Euler
+    substep.  Backward steps use the explicit scheme with drift -beta and
+    the reversed substep; the anchor step then inverts the forward step
+    exactly, the direction substep to second order in dt.
     """
+    if surface.u is None and surface.n > 1:
+        # the normal stays fixed only if the drift has no component along it
+        b = drift.beta(surface.anchor)
+        if abs(float(surface.normal @ b)) > 1e-8 * (1.0 + float(np.linalg.norm(b))):
+            raise ModelError(
+                "drift is tilted against the hyperplane normal; the surface would not stay planar"
+            )
     d = np.atleast_1d(np.asarray(dnoise_flipped, dtype=float))
-    if isinstance(surface, LevelSurface):
-        z = np.array([surface.level])
-        b = float(drift.beta(z)[0])
-        if backward:
-            return LevelSurface(surface.level - b * dt + float(d[0]))
-        return LevelSurface(surface.level + b * dt + float(d[0]))
-    if isinstance(surface, LineSurface):
-        u = surface.u
-        du = np.array([u[1], u[0]]) * dt
-        if backward:
-            u_new = u - du
-            a_new = explicit_step(surface.anchor, dt, d, drift)
-        else:
-            u_new = u + du
-            a_new = implicit_step(surface.anchor, d, dt, drift)
-        return LineSurface(u_new, a_new)
-    if isinstance(surface, PlaneSurface):
-        _check_normal(surface, drift)
-        if backward:
-            a_new = explicit_step(surface.anchor, dt, d, drift)
-        else:
-            a_new = implicit_step(surface.anchor, d, dt, drift)
-        return PlaneSurface(surface.normal, a_new)
-    raise ModelError(f"unknown surface type {type(surface)}")
+    if backward:
+        anchor = explicit_step(surface.anchor, dt, d, drift)
+    else:
+        anchor = implicit_step(surface.anchor, d, dt, drift)
+    if surface.u is None:
+        return Surface(anchor, normal=surface.normal)
+    return Surface(anchor, u=_rotate(surface.u, -dt if backward else dt))
 
 
 @dataclass(frozen=True)
 class SurfaceTrajectory:
-    """A surface per grid node, all of one family."""
+    """A surface per grid node: anchors (N+1, n) with one fixed normal, or
+    with the direction u (N+1, 2) of a rotating line at each node."""
 
     grid: TimeGrid
-    surfaces: tuple
+    anchors: np.ndarray
+    normal: Optional[np.ndarray] = None
+    u: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if len(self.surfaces) != self.grid.N + 1:
-            raise ModelError(
-                f"need {self.grid.N + 1} surfaces for the grid, got {len(self.surfaces)}"
-            )
-        kinds = {type(s) for s in self.surfaces}
-        if len(kinds) != 1:
-            raise ModelError(f"mixed surface families in one trajectory: {kinds}")
-        object.__setattr__(self, "surfaces", tuple(self.surfaces))
+        if (self.normal is None) == (self.u is None):
+            raise ModelError("a trajectory needs exactly one of a fixed normal and a u path")
+        if len(self.anchors) != self.grid.N + 1:
+            raise ModelError(f"need {self.grid.N + 1} surfaces for the grid, got {len(self.anchors)}")
 
-    def __getitem__(self, k: int) -> HypoSurface:
-        return self.surfaces[k]
+    @classmethod
+    def stack(cls, grid: TimeGrid, surfaces: Sequence[Surface]) -> "SurfaceTrajectory":
+        """Trajectory of per-node surfaces that share one fixed normal or all rotate."""
+        first = surfaces[0]
+        rotating = first.u is not None
+        if any((s.u is not None) != rotating
+               or not (rotating or np.array_equal(s.normal, first.normal)) for s in surfaces):
+            raise ModelError("one trajectory needs one fixed normal or rotating lines throughout")
+        anchors = np.stack([s.anchor for s in surfaces])
+        if rotating:
+            return cls(grid, anchors, u=np.stack([s.u for s in surfaces]))
+        return cls(grid, anchors, first.normal)
+
+    @property
+    def normals(self) -> np.ndarray:
+        """The fixed normal, or the rotating normal at each node."""
+        return self.normal if self.u is None else _normal_of(self.u)
+
+    def __getitem__(self, k: int) -> Surface:
+        if self.u is None:
+            return Surface(self.anchors[k], normal=self.normal)
+        return Surface(self.anchors[k], u=self.u[k])
 
     def __len__(self) -> int:
-        return len(self.surfaces)
+        return len(self.anchors)
 
     def reversed(self) -> "SurfaceTrajectory":
-        return SurfaceTrajectory(self.grid, tuple(self.surfaces[::-1]))
+        u = None if self.u is None else self.u[::-1]
+        return SurfaceTrajectory(self.grid, self.anchors[::-1], self.normal, u)
 
 
 def evolve_surface(
-    initial: HypoSurface,
+    initial: Surface,
     flipped_noise: SamplePath,
     drift: DriftField,
     backward: bool = False,
@@ -236,20 +206,16 @@ def evolve_surface(
     nodes as one pass, since each step consumes exactly one increment.
     """
     grid = flipped_noise.grid
-    dt = grid.dt
     inc = flipped_noise.increments()
     out = [initial]
     for k in range(grid.N):
-        out.append(step_surface(out[-1], drift, dt, inc[k], backward=backward))
-    return SurfaceTrajectory(grid, tuple(out))
+        out.append(step_surface(out[-1], drift, grid.dt, inc[k], backward=backward))
+    return SurfaceTrajectory.stack(grid, out)
 
 
 def write_surfaces_jsonl(fp, traj: SurfaceTrajectory) -> None:
-    for t, s in zip(traj.grid.times, traj.surfaces):
-        fp.write(
-            json.dumps({"t": float(t), "variant": variant_name(s), "params": s.params()})
-            + "\n"
-        )
+    for t, s in zip(traj.grid.times, traj):
+        fp.write(json.dumps({"t": float(t), "variant": s.variant, "params": s.params()}) + "\n")
 
 
 def read_surfaces_jsonl(fp) -> SurfaceTrajectory:
@@ -258,8 +224,11 @@ def read_surfaces_jsonl(fp) -> SurfaceTrajectory:
         if not line.strip():
             continue
         rec = json.loads(line)
+        params = rec["params"]
+        s = Surface.level(**params) if rec["variant"] == "level" else Surface(**params)
+        if s.variant != rec["variant"]:
+            raise ModelError(f"surface record of variant {rec['variant']!r} holds a {s.variant}")
         ts.append(rec["t"])
-        cls = _VARIANTS[rec["variant"]]
-        surfaces.append(cls(**rec["params"]))
+        surfaces.append(s)
     grid = TimeGrid(float(ts[-1]), len(ts) - 1)
-    return SurfaceTrajectory(grid, tuple(surfaces))
+    return SurfaceTrajectory.stack(grid, surfaces)

@@ -38,7 +38,7 @@ from .core import (
 )
 from .duals import IntervalState, SlabState, WedgeState, liggett_identity_mc
 from .reflection import flow_trigger_1d, forward_flow, impute_noise
-from .surfaces import LevelSurface, LineSurface
+from .surfaces import Surface
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +320,7 @@ def suite_flow_wiener(seed: int = 0, replicas: int = 4000,
     w = sample_brownian(grid, 1, RngSpec(seed, 977))
     x_path = euler_forward_implicit(np.array([0.8]), w, drift)
     noise = impute_noise(x_path, drift)
-    flow = forward_flow(x_path, LevelSurface(0.3), noise, drift)
+    flow = forward_flow(x_path, Surface.level(0.3), noise, drift)
     if not flow.outside:
         raise ModelError("outside-branch check started inside the surface")
     residual = float(np.max(np.abs(flow.reflected_noise.values + noise.values)))
@@ -341,7 +341,7 @@ def _flow_wiener_bilinear(seed: int, replicas: int, threshold: float) -> TestRep
     hat = sample_brownian_batch(grid, 2, seed + 1, range(replicas))
     # backward paths from x, all replicas at once
     vals = euler_backward_values(grid, x, hat, drift)
-    surface = LineSurface(np.array([1.0, 2.0]), np.array([0.4, 0.0]))
+    surface = Surface(np.array([0.4, 0.0]), u=np.array([1.0, 2.0]))
     xi_T = np.empty(replicas)
     for i in range(replicas):
         x_path = SamplePath(grid, vals[::-1, i, :])
@@ -391,11 +391,8 @@ def suite_reversal(seed: int = 0, paths: int = 20000,
         "reversal_path_gates", lhs, abs(lhs - rhs), tol, paths,
         {"seed": seed}, lhs=lhs, rhs=rhs, dt=grid.dt)]
 
-    # constant functional: the paired estimators coincide sample by sample
-    c_diff = float(np.max(np.abs(weight - weight)))
-    reports.append(report_residual(
-        "reversal_constant_exact", float(np.mean(weight)), c_diff, 0.0, paths,
-        {"seed": seed}))
+    # constant functional: the weights alone estimate the window mass of nu
+    reports.append(window_mass_report(weight, mu, a, seed))
 
     # endpoint functional against the closed-form density oracle
     b0, b1 = (0.0, 1.0), (-1.0, 0.0)
@@ -424,6 +421,15 @@ def suite_reversal(seed: int = 0, paths: int = 20000,
         abs(float(oracle) - float(swapped)), threshold_quad, 1,
         {"seed": seed}, swapped=float(swapped)))
     return reports
+
+
+def window_mass_report(weight: np.ndarray, mu: float, a: float, seed: int) -> TestReport:
+    """Mean weight against the window mass sinh(2 mu a) / mu of nu, within 3 SE."""
+    mass = math.sinh(2.0 * mu * a) / mu
+    mean = float(np.mean(weight))
+    se = float(np.std(weight, ddof=1) / math.sqrt(weight.size))
+    return report_residual("reversal_constant_mass", mean, abs(mean - mass), 3.0 * se,
+                           weight.size, {"seed": seed}, mass=mass, se=se)
 
 
 SUITES = {

@@ -23,12 +23,11 @@ from dualflow import (
     BilinearDrift,
     ConstantDrift,
     IntervalState,
-    LevelSurface,
-    LineSurface,
     LogisticDrift,
     RngSpec,
     SamplePath,
     SlabState,
+    Surface,
     TimeGrid,
     WedgeState,
     backward_flow,
@@ -242,12 +241,12 @@ def test_criterion_06_reflection_converges_with_refinement():
         om = np.zeros((NF + 1, 1))
         np.cumsum(inc, axis=0, out=om[1:])
         ref = flow_from_path(
-            LevelSurface(level), SamplePath(fine_grid, om), drift0
+            Surface.level(level), SamplePath(fine_grid, om), drift0
         ).sigma.values[:, 0]
         for k, N in enumerate(Ns):
             sub = om[:: NF // N]
             sig = flow_from_path(
-                LevelSurface(level), SamplePath(TimeGrid(T, N), sub), drift0
+                Surface.level(level), SamplePath(TimeGrid(T, N), sub), drift0
             ).sigma.values[:, 0]
             errs[s, k] = np.max(np.abs(sig[:: N // 250] - ref[:: NF // 250]))
     monotone = np.all(np.diff(errs, axis=1) <= 0.0, axis=1)
@@ -368,12 +367,12 @@ def test_criterion_09_schemes_and_flows_invert():
     assert worst["2d"] <= 1e-10
 
     for tag, drift, x0, y0, block in (
-        ("1d level", drift1, np.array([0.0]), LevelSurface(0.1), 20000),
+        ("1d level", drift1, np.array([0.0]), Surface.level(0.1), 20000),
         (
             "2d line",
             drift2,
             np.array([0.0, 0.0]),
-            LineSurface(np.array([1.0, 2.0]), np.array([0.15, 0.0])),
+            Surface(np.array([0.15, 0.0]), u=np.array([1.0, 2.0])),
             30000,
         ),
     ):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
+import dualflow
 from dualflow import (
     BilinearDrift,
     ConstantDrift,
@@ -333,3 +334,9 @@ def test_binary_rejects_foreign_content():
     buf = io.BytesIO(b"not a path file at all")
     with pytest.raises(ValueError):
         read_path_binary(buf)
+
+
+def test_every_public_name_resolves():
+    assert len(set(dualflow.__all__)) == len(dualflow.__all__)
+    for name in dualflow.__all__:
+        assert getattr(dualflow, name) is not None, name

@@ -28,6 +28,7 @@ from dualflow import (
 )
 from dualflow.duals import (
     _plane_density_sampler,
+    covers,
     dual_terminal_batch,
     plane_density,
     primal_terminal_batch,
@@ -366,3 +367,25 @@ def test_liggett_identity_estimate_reproducible():
     c = liggett_identity_mc(np.array([0.0]), state, grid, 400, drift,
                             RngSpec(79, 0), chunk=64)
     assert (c.lhs, c.rhs) == (a.lhs, a.rhs)
+
+
+def test_liggett_identity_honours_stream():
+    drift = ConstantDrift(0.5)
+    grid = TimeGrid(1.0, 100)
+    state = IntervalState(-1.0, 1.0)
+    x = np.array([0.0])
+    paths = 300
+    ests = [liggett_identity_mc(x, state, grid, paths, drift, RngSpec(80, k)) for k in (0, 1)]
+    assert (ests[0].lhs, ests[0].rhs) != (ests[1].lhs, ests[1].rhs)
+    # stream k draws path i from streams (k << 32) + 2i and (k << 32) + 2i + 1
+    for k, est in enumerate(ests):
+        base = k << 32
+        lhs_streams = [base + 2 * i for i in range(paths)]
+        rhs_streams = [base + 2 * i + 1 for i in range(paths)]
+        hits = contains_batch(state, primal_terminal_batch(x, drift, grid, 80, lhs_streams))
+        duals = dual_terminal_batch(state, drift, grid, 80, rhs_streams)
+        covered = duals["alive"] & covers(duals["normal"], duals["z"], duals["y"], x)
+        assert est.lhs == math.fsum(hits.astype(float)) / paths
+        assert est.rhs == math.fsum(covered.astype(float)) / paths
+    with pytest.raises(ModelError):
+        liggett_identity_mc(x, state, grid, 2**31, drift, RngSpec(80, 0))

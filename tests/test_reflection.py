@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from dualflow import (
     BilinearDrift,
     ConstantDrift,
-    LevelSurface,
-    LineSurface,
     ModelError,
     RngSpec,
     SamplePath,
+    Surface,
+    SurfaceTrajectory,
     TimeGrid,
     backward_flow,
     euler_forward_implicit,
@@ -73,7 +73,7 @@ def test_flow_from_path_uses_record_form():
     grid = TimeGrid(1.0, 200)
     w = sample_brownian(grid, 1, RngSpec(61, 0))
     x_path = SamplePath(grid, 0.0 + mu * grid.times + w.values[:, 0])
-    flow = flow_from_path(LevelSurface(0.3), x_path, ConstantDrift(mu))
+    flow = flow_from_path(Surface.level(0.3), x_path, ConstantDrift(mu))
     omega = impute_noise(x_path, ConstantDrift(mu)).values[:, 0]
     record = solve_skorohod_1d(0.3 - 2.0 * omega).ell
     assert np.max(np.abs(flow.sigma.values[:, 0] - record)) < 1e-12
@@ -81,7 +81,7 @@ def test_flow_from_path_uses_record_form():
     assert np.allclose(flow.reflected_noise.values[:, 0] + flow.sigma.values[:, 0],
                        omega, atol=1e-12)
     # the surface stays above the path at every node
-    levels = np.array([s.level for s in flow.surfaces.surfaces])
+    levels = flow.surfaces.anchors[:, 0]
     assert np.all(levels - x_path.values[:, 0] >= -1e-12)
 
 
@@ -90,7 +90,7 @@ def test_flow_outside_start_is_exactly_doubled_noise():
     grid = TimeGrid(1.0, 50)
     w = sample_brownian(grid, 1, RngSpec(61, 1))
     x_path = SamplePath(grid, 1.0 + mu * grid.times + w.values[:, 0])
-    flow = flow_from_path(LevelSurface(0.3), x_path, ConstantDrift(mu))
+    flow = flow_from_path(Surface.level(0.3), x_path, ConstantDrift(mu))
     assert flow.outside
     omega = impute_noise(x_path, ConstantDrift(mu)).values[:, 0]
     assert np.allclose(flow.sigma.values[:, 0], 2.0 * omega, atol=1e-12)
@@ -108,7 +108,7 @@ def test_flow_constant_batch_matches_scalar_form():
     out = flow_constant_1d(0.3, 0.5, x0, omega, grid.times)
     for c in range(m):
         x_path = SamplePath(grid, x0[c] + 0.5 * grid.times + omega[:, c])
-        flow = flow_from_path(LevelSurface(0.3), x_path, ConstantDrift(0.5))
+        flow = flow_from_path(Surface.level(0.3), x_path, ConstantDrift(0.5))
         assert np.allclose(out["sigma"][:, c], flow.sigma.values[:, 0], atol=1e-12)
         assert np.allclose(out["xi"][:, c], flow.reflected_noise.values[:, 0], atol=1e-12)
         assert out["outside"][c] == flow.outside
@@ -136,10 +136,10 @@ def test_trigger_flow_matches_stepwise_flow_columnwise():
     for c in range(m):
         x_path = SamplePath(grid, x0[c] + mu * grid.times + omega[:, c])
         noise = SamplePath(grid, omega[:, c])
-        flow = forward_flow(x_path, LevelSurface(0.3), noise, ConstantDrift(mu))
+        flow = forward_flow(x_path, Surface.level(0.3), noise, ConstantDrift(mu))
         assert np.allclose(out["sigma"][:, c], flow.sigma.values[:, 0], atol=1e-12)
         assert np.allclose(out["xi"][:, c], flow.reflected_noise.values[:, 0], atol=1e-12)
-        levels = np.array([s.level for s in flow.surfaces.surfaces])
+        levels = flow.surfaces.anchors[:, 0]
         assert np.allclose(out["levels"][:, c], levels, atol=1e-12)
 
 
@@ -158,12 +158,12 @@ def test_compare_trigger_variants_reports_gap():
     grid = TimeGrid(1.0, 200)
     w = sample_brownian(grid, 1, RngSpec(64, 3))
     x_path = SamplePath(grid, 0.0 + mu * grid.times + w.values[:, 0])
-    out = compare_trigger_variants(x_path, LevelSurface(0.1), ConstantDrift(mu))
+    out = compare_trigger_variants(x_path, Surface.level(0.1), ConstantDrift(mu))
     assert out["crossings"] >= 0
     assert out["sup_sigma_diff"] >= 0.0
     # outside start short-circuits
     x_out = SamplePath(grid, 1.0 + mu * grid.times + w.values[:, 0])
-    out2 = compare_trigger_variants(x_out, LevelSurface(0.1), ConstantDrift(mu))
+    out2 = compare_trigger_variants(x_out, Surface.level(0.1), ConstantDrift(mu))
     assert out2["sup_sigma_diff"] == 0.0
 
 
@@ -177,7 +177,7 @@ def one_d_flow(stream, mu=0.5, level=0.1, N=64):
     w = sample_brownian(grid, 1, RngSpec(65, stream))
     x_path = euler_forward_implicit(np.zeros(1), w, drift)
     omega = impute_noise(x_path, drift)
-    flow = forward_flow(x_path, LevelSurface(level), omega, drift)
+    flow = forward_flow(x_path, Surface.level(level), omega, drift)
     return drift, x_path, omega, flow
 
 
@@ -204,10 +204,8 @@ def test_backward_flow_outside_start():
     drift = ConstantDrift(0.5)
     grid = TimeGrid(1.0, 32)
     w = sample_brownian(grid, 1, RngSpec(66, 0))
-    surfaces = tuple(LevelSurface(-1.0) for _ in range(grid.N + 1))
-    from dualflow import SurfaceTrajectory
-
-    traj = SurfaceTrajectory(grid, surfaces)
+    surfaces = tuple(Surface.level(-1.0) for _ in range(grid.N + 1))
+    traj = SurfaceTrajectory.stack(grid, surfaces)
     flow = backward_flow(np.zeros(1), traj, w, drift)
     assert flow.outside
     assert np.allclose(flow.sigma.values[:, 0], 2.0 * w.values[:, 0], atol=0.0)
@@ -222,7 +220,7 @@ def test_flow_grid_mismatch_rejected():
     x_path = euler_forward_implicit(np.zeros(1), w, drift)
     bad_noise = sample_brownian(other, 1, RngSpec(66, 2))
     with pytest.raises(ModelError):
-        forward_flow(x_path, LevelSurface(0.3), bad_noise, drift)
+        forward_flow(x_path, Surface.level(0.3), bad_noise, drift)
 
 
 def test_two_dimensional_flow_runs_and_reflects():
@@ -231,7 +229,7 @@ def test_two_dimensional_flow_runs_and_reflects():
     w = sample_brownian(grid, 2, RngSpec(67, 5))
     x_path = euler_forward_implicit(np.zeros(2), w, drift)
     omega = impute_noise(x_path, drift)
-    y0 = LineSurface(u=np.array([1.0, 2.0]), anchor=np.array([0.15, 0.0]))
+    y0 = Surface(np.array([0.15, 0.0]), u=np.array([1.0, 2.0]))
     flow = forward_flow(x_path, y0, omega, drift)
     assert np.all(np.diff(flow.sigma.values[:, 0]) >= 0.0)
     # reflected noise differs from the raw noise only in coordinate 1

@@ -1,6 +1,7 @@
 """Hypographical surfaces: geometry, stepping, evolution, serialization."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -8,19 +9,19 @@ import pytest
 from dualflow import (
     BilinearDrift,
     ConstantDrift,
-    LevelSurface,
-    LineSurface,
     LogisticDrift,
     ModelError,
-    PlaneSurface,
+    ProductDrift,
     RngSpec,
+    SamplePath,
+    Surface,
     SurfaceTrajectory,
     TimeGrid,
     evolve_surface,
     sample_brownian,
     step_surface,
 )
-from dualflow.surfaces import read_surfaces_jsonl, variant_name, write_surfaces_jsonl
+from dualflow.surfaces import read_surfaces_jsonl, write_surfaces_jsonl
 
 
 def toy_logistic():
@@ -34,48 +35,48 @@ def toy_logistic():
 
 
 def test_level_surface_geometry():
-    s = LevelSurface(0.7)
+    s = Surface.level(0.7)
     assert s.n == 1
     assert s.lipschitz == 0.0
     assert s.height() == 0.7
     assert s.contains(np.array([0.7]))
     assert not s.contains(np.array([0.700001]))
-    assert variant_name(s) == "level"
+    assert s.variant == "level"
 
 
 def test_line_surface_geometry():
-    s = LineSurface(u=np.array([1.0, 2.0]), anchor=np.array([0.4, 0.0]))
+    s = Surface(np.array([0.4, 0.0]), u=np.array([1.0, 2.0]))
     # graph over x2 with slope u1/u2 through the anchor
     assert s.height(np.array([2.0])) == pytest.approx(0.4 + 0.5 * 2.0)
     assert s.lipschitz == pytest.approx(0.5)
     assert s.contains(np.array([1.4, 2.0]))
     assert not s.contains(np.array([1.41, 2.0]))
-    assert variant_name(s) == "line"
+    assert s.variant == "line"
 
 
 def test_line_surface_needs_interior_cone_direction():
     with pytest.raises(ModelError):
-        LineSurface(u=np.array([2.0, 1.0]), anchor=np.zeros(2))
+        Surface(np.zeros(2), u=np.array([2.0, 1.0]))
     with pytest.raises(ModelError):
-        LineSurface(u=np.array([1.0, -2.0]), anchor=np.zeros(2))
+        Surface(np.zeros(2), u=np.array([1.0, -2.0]))
 
 
 def test_plane_surface_geometry():
     d = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    s = PlaneSurface(normal=d, anchor=np.array([0.5, 0.0]))
+    s = Surface(np.array([0.5, 0.0]), normal=d)
     # on the plane: d @ x = d @ anchor
     x2 = 1.0
     h = s.height(np.array([x2]))
     assert d @ np.array([h, x2]) == pytest.approx(d @ s.anchor)
     assert s.lipschitz == pytest.approx(1.0)
-    assert variant_name(s) == "plane"
+    assert s.variant == "plane"
 
 
 def test_plane_surface_validation():
     with pytest.raises(ModelError):
-        PlaneSurface(normal=np.array([1.0, 1.0]), anchor=np.zeros(2))  # not unit
+        Surface(np.zeros(2), normal=np.array([1.0, 1.0]))  # not unit
     with pytest.raises(ModelError):
-        PlaneSurface(normal=np.array([-1.0, 0.0]), anchor=np.zeros(2))  # d1 <= 0
+        Surface(np.zeros(2), normal=np.array([-1.0, 0.0]))  # d1 <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +85,27 @@ def test_plane_surface_validation():
 
 def test_level_step_forward_backward_inverse():
     drift = ConstantDrift(0.5)
-    s = LevelSurface(0.3)
+    s = Surface.level(0.3)
     d = np.array([0.2])
     fwd = step_surface(s, drift, 0.1, d)
-    assert fwd.level == pytest.approx(0.3 + 0.05 + 0.2)
+    assert fwd.anchor[0] == pytest.approx(0.3 + 0.05 + 0.2)
     back = step_surface(fwd, drift, 0.1, -d, backward=True)
-    assert back.level == pytest.approx(0.3, abs=1e-15)
+    assert back.anchor[0] == pytest.approx(0.3, abs=1e-15)
+
+
+def test_level_step_inverts_for_state_dependent_drift():
+    # beta_1(x) = x: an explicit forward step would come back to 0.277
+    drift = ProductDrift(n=1, beta1=lambda x: np.asarray(x, float), k_lipschitz=1.0)
+    s = Surface.level(0.3)
+    d = np.array([0.2])
+    fwd = step_surface(s, drift, 0.1, d)
+    back = step_surface(fwd, drift, 0.1, -d, backward=True)
+    assert abs(back.anchor[0] - 0.3) < 1e-12
 
 
 def test_line_step_forward_backward_inverse():
     drift = BilinearDrift()
-    s = LineSurface(u=np.array([1.0, 2.0]), anchor=np.array([0.4, 0.1]))
+    s = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
     d = np.array([0.05, -0.08])
     dt = 0.01
     fwd = step_surface(s, drift, dt, d)
@@ -110,7 +121,7 @@ def test_line_step_forward_backward_inverse():
 def test_plane_step_forward_backward_inverse():
     drift = toy_logistic()
     d_normal = np.array([1.0, -1.0]) / np.sqrt(2.0)  # orthogonal to the inputs
-    s = PlaneSurface(normal=d_normal, anchor=np.array([0.3, 0.0]))
+    s = Surface(np.array([0.3, 0.0]), normal=d_normal)
     d = np.array([0.05, 0.02])
     dt = 0.01
     fwd = step_surface(s, drift, dt, d)
@@ -120,14 +131,22 @@ def test_plane_step_forward_backward_inverse():
 
 def test_plane_step_rejects_tilted_drift():
     drift = ConstantDrift(np.array([1.0, 0.0]))
-    s = PlaneSurface(normal=np.array([1.0, 0.0]), anchor=np.zeros(2))
+    s = Surface(np.zeros(2), normal=np.array([1.0, 0.0]))
     with pytest.raises(ModelError):
         step_surface(s, drift, 0.01, np.array([0.1, 0.0]))
 
 
 def test_variant_name_unknown():
+    rec = {"t": 0.0, "variant": "ellipse", "params": {"normal": [1.0, 0.0], "anchor": [0.0, 0.0]}}
     with pytest.raises(ModelError):
-        variant_name(object())
+        read_surfaces_jsonl(io.StringIO(json.dumps(rec) + "\n"))
+
+
+def test_surface_needs_one_normal_source():
+    with pytest.raises(ModelError):
+        Surface(np.zeros(2))
+    with pytest.raises(ModelError):
+        Surface(np.zeros(2), normal=np.array([1.0, 0.0]), u=np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +157,7 @@ def test_evolve_surface_concatenates():
     drift = BilinearDrift()
     grid = TimeGrid(0.5, 20)
     noise = sample_brownian(grid, 2, RngSpec(31, 0))
-    s0 = LineSurface(u=np.array([1.0, 2.0]), anchor=np.array([0.4, 0.1]))
+    s0 = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
     full = evolve_surface(s0, noise, drift)
     assert len(full) == grid.N + 1
 
@@ -146,8 +165,6 @@ def test_evolve_surface_concatenates():
     half = grid.N // 2
     sub_grid = TimeGrid(grid.T / 2, half)
     shifted = noise.values[half:] - noise.values[half]
-    from dualflow import SamplePath
-
     sub_noise = SamplePath(sub_grid, shifted)
     second = evolve_surface(full[half], sub_noise, drift)
     assert np.allclose(second[half].anchor, full[grid.N].anchor, atol=1e-12)
@@ -156,16 +173,16 @@ def test_evolve_surface_concatenates():
 
 def test_trajectory_validation_and_reversal():
     grid = TimeGrid(1.0, 2)
-    surfaces = (LevelSurface(0.0), LevelSurface(1.0), LevelSurface(2.0))
-    traj = SurfaceTrajectory(grid, surfaces)
-    assert traj[1].level == 1.0
+    surfaces = (Surface.level(0.0), Surface.level(1.0), Surface.level(2.0))
+    traj = SurfaceTrajectory.stack(grid, surfaces)
+    assert traj[1].anchor[0] == 1.0
     rev = traj.reversed()
-    assert rev[0].level == 2.0 and rev[2].level == 0.0
+    assert rev[0].anchor[0] == 2.0 and rev[2].anchor[0] == 0.0
     with pytest.raises(ModelError):
-        SurfaceTrajectory(grid, surfaces[:2])  # wrong node count
+        SurfaceTrajectory.stack(grid, surfaces[:2])  # wrong node count
     with pytest.raises(ModelError):
-        SurfaceTrajectory(
-            grid, (LevelSurface(0.0), LineSurface(np.array([1.0, 2.0]), np.zeros(2)), LevelSurface(2.0))
+        SurfaceTrajectory.stack(
+            grid, (Surface.level(0.0), Surface(np.zeros(2), u=np.array([1.0, 2.0])), Surface.level(2.0))
         )  # mixed variants
 
 
@@ -176,13 +193,49 @@ def test_trajectory_validation_and_reversal():
 def test_surfaces_jsonl_round_trip():
     grid = TimeGrid(0.5, 20)
     noise = sample_brownian(grid, 2, RngSpec(31, 1))
-    s0 = LineSurface(u=np.array([1.0, 2.0]), anchor=np.array([0.4, 0.1]))
+    s0 = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
     traj = evolve_surface(s0, noise, BilinearDrift())
     buf = io.StringIO()
     write_surfaces_jsonl(buf, traj)
     buf.seek(0)
     back = read_surfaces_jsonl(buf)
     assert len(back) == len(traj)
-    for a, b in zip(traj.surfaces, back.surfaces):
+    for k in range(len(traj)):
+        a, b = traj[k], back[k]
         assert np.allclose(a.anchor, b.anchor, atol=0.0)
         assert np.allclose(a.u, b.u, atol=0.0)
+
+
+# the file format of a 3-node line and plane trajectory, as written before
+# the three surface families became one type
+GOLDEN_LINE = (
+    '{"t": 0.0, "variant": "line", "params": {"u": [1.0, 2.0], "anchor": [0.4, 0.1]}}\n'
+    '{"t": 0.01, "variant": "line", "params": {"u": [1.02, 2.01], '
+    '"anchor": [0.450245024502451, 0.024502450245024003]}}\n'
+    '{"t": 0.02, "variant": "line", "params": {"u": [1.0401, 2.0202], '
+    '"anchor": [0.42163221222612385, 0.13871877236728522]}}\n'
+)
+GOLDEN_PLANE = (
+    '{"t": 0.0, "variant": "plane", "params": {"normal": [0.7071067811865475, '
+    '-0.7071067811865475], "anchor": [0.3, 0.0]}}\n'
+    '{"t": 0.01, "variant": "plane", "params": {"normal": [0.7071067811865475, '
+    '-0.7071067811865475], "anchor": [0.35135516329623984, -0.07864483670376013]}}\n'
+    '{"t": 0.02, "variant": "plane", "params": {"normal": [0.7071067811865475, '
+    '-0.7071067811865475], "anchor": [0.3231177402070264, 0.03311774020702644]}}\n'
+)
+
+
+def test_surfaces_jsonl_golden_bytes():
+    grid = TimeGrid(0.02, 2)
+    noise = SamplePath(grid, np.array([[0.0, 0.0], [0.05, -0.08], [0.02, 0.03]]))
+    line = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
+    plane = Surface(np.array([0.3, 0.0]), normal=np.array([1.0, -1.0]) / np.sqrt(2.0))
+    for s0, drift, golden in ((line, BilinearDrift(), GOLDEN_LINE),
+                              (plane, toy_logistic(), GOLDEN_PLANE)):
+        buf = io.StringIO()
+        write_surfaces_jsonl(buf, evolve_surface(s0, noise, drift))
+        assert buf.getvalue() == golden
+        # reading the golden text back and writing it again keeps every byte
+        again = io.StringIO()
+        write_surfaces_jsonl(again, read_surfaces_jsonl(io.StringIO(golden)))
+        assert again.getvalue() == golden

@@ -25,6 +25,7 @@ from dualflow.verify import (
     report_p,
     report_residual,
     summarize_reports,
+    window_mass_report,
     write_reports_jsonl,
 )
 
@@ -130,3 +131,15 @@ def test_suite_flow_wiener_passes_small():
 def test_suite_reversal_passes_small():
     reports = suite_reversal(seed=95, paths=6000)
     assert all(r.passed for r in reports), summarize_reports(reports)
+
+
+def test_reversal_constant_mass_can_fail():
+    # the window weights of suite_reversal at seed 0 pass; 5% too large fails
+    mu, a, paths = 0.3, 2.0, 20000
+    gen = RngSpec(0, 11).generator()
+    x0 = (2.0 * a) * uniforms(gen, (paths,)) - a
+    weight = (2.0 * a) * np.exp(-2.0 * mu * x0)
+    assert window_mass_report(weight, mu, a, 0).passed
+    assert not window_mass_report(1.05 * weight, mu, a, 0).passed
+    names = [r.name for r in suite_reversal(seed=0, paths=2000)]
+    assert "reversal_constant_mass" in names and "reversal_constant_exact" not in names
