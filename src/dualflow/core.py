@@ -24,7 +24,7 @@ import io
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import expit, ndtri
@@ -65,6 +65,29 @@ class TimeGrid:
 
     def refined(self, factor: int) -> "TimeGrid":
         return TimeGrid(self.T, self.N * int(factor))
+
+    @property
+    def first(self) -> int:
+        """Index of the node the steps start from; a GridBlock's may be later."""
+        return 0
+
+    def block(self, first: int, steps: int) -> "GridBlock":
+        """Steps first+1 .. first+steps of the grid, cut off at its end."""
+        return GridBlock(self.dt, min(steps, self.N - first), first)
+
+
+@dataclass(frozen=True)
+class GridBlock:
+    """A run of N consecutive grid steps after node `first`, with the grid's dt.
+
+    The scheme kernels and brownian_increments take one in place of a
+    TimeGrid.  A TimeGrid over the same span would derive its step as
+    (N dt)/N, which can round away from the parent grid's dt.
+    """
+
+    dt: float
+    N: int
+    first: int
 
 
 @dataclass(frozen=True)
@@ -158,8 +181,13 @@ def normals(gen: np.random.Generator, shape) -> np.ndarray:
     return ndtri(uniforms(gen, shape))
 
 
-def brownian_increments(gen: np.random.Generator, grid: TimeGrid, shape=()) -> np.ndarray:
-    """Standard Brownian increments over the grid steps, shape (N, *shape)."""
+def brownian_increments(
+    gen: np.random.Generator, grid: Union[TimeGrid, GridBlock], shape=()
+) -> np.ndarray:
+    """Standard Brownian increments over the grid steps, shape (N, *shape).
+
+    Drawing a grid's blocks in order gives the same values as one draw.
+    """
     return normals(gen, (grid.N, *shape)) * math.sqrt(grid.dt)
 
 
@@ -471,17 +499,25 @@ def implicit_step(
 
 
 def euler_backward_values(
-    grid: TimeGrid, x_start: np.ndarray, noise_values: np.ndarray, drift: DriftField
+    grid: Union[TimeGrid, GridBlock],
+    x_start: np.ndarray,
+    noise_values: np.ndarray,
+    drift: DriftField,
 ) -> np.ndarray:
-    """Explicit scheme from an anchor point, batched over middle axes."""
+    """Explicit scheme from an anchor point, batched over middle axes.
+
+    grid may be a GridBlock, whose run starts at x_start; a divergence
+    names the step index and time on the whole grid.
+    """
     dt = grid.dt
     out = np.empty_like(noise_values)
     out[0] = x_start
     for k in range(1, grid.N + 1):
         cur = out[k - 1]
         out[k] = cur - drift.beta(cur) * dt + (noise_values[k] - noise_values[k - 1])
-        if not np.all(np.isfinite(out[k])):
-            raise NumericalError(f"explicit scheme diverged at t={k * dt:.6g}")
+        if not np.isfinite(out[k]).all():
+            step = grid.first + k
+            raise NumericalError(f"explicit scheme diverged at step {step} (t={step * dt:.6g})")
     return out
 
 

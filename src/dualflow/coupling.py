@@ -32,11 +32,13 @@ from .core import (
     DriftField,
     LogisticDrift,
     ModelError,
+    NumericalError,
     RngSpec,
     SamplePath,
     TimeGrid,
     brownian_increments,
     euler_backward,
+    euler_backward_values,
     euler_forward_implicit,
     partial_sums,
     uniforms,
@@ -54,7 +56,7 @@ from .duals import (
     sample_conditional,
     span_normal,
 )
-from .reflection import flow_constant_1d, forward_flow, impute_noise
+from .reflection import _impute_increments, flow_constant_1d, forward_flow, impute_noise
 from .surfaces import _normal_of
 
 
@@ -431,7 +433,12 @@ def mc_region_sampler(
     the normal times the in-plane invariant density.  Attempts whose
     stopping time exceeds the horizon are discarded; if the attempt budget
     runs out before `count` acceptances, partial results return with the
-    truncated flag set.
+    truncated flag set.  Attempt k draws from stream rng.stream + k alone,
+    so the first samples do not depend on `count`.  A slab attempt runs
+    in blocks of steps and ends at its stopping time, so its cost scales
+    with that time, not with the horizon; only an attempt that never
+    covers runs the whole horizon.  A numerical failure names the
+    attempt's (seed, stream).
     """
     lo, hi = float(region[0]), float(region[1])
     if not lo < hi:
@@ -468,7 +475,12 @@ def mc_region_sampler(
     while len(samples) < count and attempts < max_attempts:
         spec = RngSpec(rng.seed, rng.stream + attempts)
         attempts += 1
-        hit = attempt(spec)
+        try:
+            hit = attempt(spec)
+        except NumericalError as err:
+            raise NumericalError(
+                f"region attempt (seed {spec.seed}, stream {spec.stream}): {err}"
+            ) from err
         if hit is None:
             continue
         covered += 1
@@ -505,37 +517,52 @@ def _interval_region_attempt(lo, hi, start, drift, grid, spec):
     return np.array([x_t]), float(grid.times[j]), bool(lo < x_t <= hi)
 
 
+_BLOCK = 64  # steps a slab attempt simulates before it checks for a cover
+
+
 def _slab_region_attempt(lo, hi, start, grid, spec, pd):
     d = start.normal
     drift = pd.drift
     gen = spec.generator()
     w0 = _plane_density_sampler(pd, gen, 1)[0]
-    x0 = pd.basis @ w0 + float(d @ start.y) * d
-
-    wiener = partial_sums(brownian_increments(gen, grid, (drift.n,)))
-    x_path = euler_backward(x0, SamplePath(grid, wiener), drift)
-    omega = impute_noise(x_path, drift)
+    x = pd.basis @ w0 + float(d @ start.y) * d
 
     # projections onto the normal close on their own: the drift is
     # orthogonal to it, the far-endpoint crossing test projects to
     # pX + d1*(do1 + |do1|) > pA, the face moves with the flipped
-    # reflected increment and the lower side with the reflected one
-    X = x_path.values
-    om_inc = omega.increments()
+    # reflected increment and the lower side with the reflected one.
+    # The attempt runs block by block and stops at the first covering
+    # node; the Wiener and imputed-noise sums carry across blocks, so
+    # every value is the one a full-horizon run would compute
     d1 = float(d[0])
-    pX = X @ d
     pA = float(d @ start.y)
     pZ = pA
-    for j in range(1, grid.N + 1):
-        po = float(om_inc[j - 1] @ d)
-        po1 = float(om_inc[j - 1][0])
-        crossing = pX[j - 1] + d1 * (po1 + abs(po1)) > pA
-        dsig = 2.0 * po1 if crossing else 0.0
-        pA = pA + po + d1 * (dsig - 2.0 * po1)
-        pZ = pZ + po - d1 * dsig
-        if pZ < lo and hi <= pA:
-            return X[j].copy(), float(grid.times[j]), bool(lo < pX[j] <= hi)
+    w_end = om_end = np.zeros(drift.n)
+    for first in range(0, grid.N, _BLOCK):
+        block = grid.block(first, _BLOCK)
+        wiener = _sums_from(w_end, brownian_increments(gen, block, (drift.n,)))
+        X = euler_backward_values(block, x, wiener, drift)
+        omega = _sums_from(om_end, _impute_increments(X, block.dt, drift))
+        om_inc = np.diff(omega, axis=0)
+        # over two or more rows, as one row can round differently
+        pX = X @ d
+        for i in range(block.N):
+            po = float(om_inc[i] @ d)
+            po1 = float(om_inc[i][0])
+            crossing = pX[i] + d1 * (po1 + abs(po1)) > pA
+            dsig = 2.0 * po1 if crossing else 0.0
+            pA = pA + po + d1 * (dsig - 2.0 * po1)
+            pZ = pZ + po - d1 * dsig
+            if pZ < lo and hi <= pA:
+                j = first + i + 1
+                return X[i + 1].copy(), float(grid.times[j]), bool(lo < pX[i + 1] <= hi)
+        x, w_end, om_end = X[-1], wiener[-1], omega[-1]
     return None
+
+
+def _sums_from(carry: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Running sums of the increments after carry, with carry as row 0."""
+    return np.cumsum(np.vstack((carry, increments)), axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -358,8 +358,9 @@ def _wedge_conditional_batch(state: WedgeState, gen, count: int, max_rounds: int
         w = wz + (wy - wz) * uniforms(gen, batch)
         return w, np.log(uniforms(gen, batch)) <= w * w - wmax2
 
-    out_w = _rejection_fill(propose, count, f"wedge sampler, bounds ({wz:.3g}, {wy:.3g})",
-                            max_rounds)
+    out_w = _rejection_fill(
+        propose, count, lambda: f"wedge sampler, bounds ({wz:.3g}, {wy:.3g})", max_rounds
+    )
     eta = out_w * eta_scale
     xi = -c * eta + sd_xi * normals(gen, count)
     pts = xi[:, None] * uhat + eta[:, None] * nhat
@@ -483,14 +484,16 @@ def _plane_density_sampler(pd: PlaneDensity, gen, count: int, max_rounds: int = 
             return None
         return w, np.log(uniforms(gen, batch)) <= logr - env
 
-    return _rejection_fill(propose, count, f"in-plane sampler, mode {pd.mode}", max_rounds)
+    return _rejection_fill(propose, count, lambda: f"in-plane sampler, mode {pd.mode}",
+                           max_rounds)
 
 
-def _rejection_fill(propose, count: int, what: str, max_rounds: int) -> np.ndarray:
+def _rejection_fill(propose, count: int, what: Callable[[], str], max_rounds: int) -> np.ndarray:
     """First count accepted candidates of propose(batch) -> (candidates, accept).
 
     A proposal of None voids the batch and every earlier acceptance, so
-    accepted draws always came from a validated envelope.
+    accepted draws always came from a validated envelope.  what() labels
+    the sampler in a failure message; it runs only when one is raised.
     """
     out = None
     filled = drawn = accepted = 0
@@ -511,8 +514,8 @@ def _rejection_fill(propose, count: int, what: str, max_rounds: int) -> np.ndarr
         if filled == count:
             return out
         if drawn >= 20000 and accepted / drawn < 1e-4:
-            raise NumericalError(f"{what}: acceptance {accepted}/{drawn} below 1e-4")
-    raise NumericalError(f"{what}: starved after {max_rounds} rounds")
+            raise NumericalError(f"{what()}: acceptance {accepted}/{drawn} below 1e-4")
+    raise NumericalError(f"{what()}: starved after {max_rounds} rounds")
 
 
 def span_normal(inputs: np.ndarray):

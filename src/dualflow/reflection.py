@@ -95,10 +95,13 @@ def impute_noise(x_path: SamplePath, drift: DriftField) -> SamplePath:
     the implicit scheme reproduces the path to solver precision regardless
     of how the path was generated.
     """
-    dt = x_path.grid.dt
-    vals = x_path.values
-    inc = np.diff(vals, axis=0) - drift.beta(vals[1:]) * dt
+    inc = _impute_increments(x_path.values, x_path.grid.dt, drift)
     return SamplePath(x_path.grid, partial_sums(inc))
+
+
+def _impute_increments(values: np.ndarray, dt: float, drift: DriftField) -> np.ndarray:
+    """The imputed noise increments between consecutive node values."""
+    return np.diff(values, axis=0) - drift.beta(values[1:]) * dt
 
 
 def _flow_output(grid: TimeGrid, noise: SamplePath, sigma: np.ndarray, trajectory: SamplePath,

@@ -265,6 +265,11 @@ GOLDEN_RUNS = {
     "pitman": ["pitman", "--seed", "2"] + _SMALL,
     "posterior": ["posterior", "--seed", "8808", "--override", "model.family=logistic",
                   "--override", "posterior.count=20"],
+    # 36 attempts, 8 of which never cover within the short horizon
+    "posterior-short": ["posterior", "--seed", "8808", "--override", "model.family=logistic",
+                        "--override", "posterior.horizon=1.0",
+                        "--override", "posterior.count=20",
+                        "--override", "posterior.oracle=false"],
 }
 
 # sha256 over every artifact but config.json (name and bytes, sorted by
@@ -280,6 +285,7 @@ GOLDEN_DIGESTS = {
     "couple-slab": "ea6b45c4f5d97c263fd1785948906e215df8b0959b6353244cde9a1afae58d71",
     "pitman": "e62839c7f4ee76a0d12859d061e66263053a1c2f9723ebee4f755cd78e928902",
     "posterior": "7a0ad9119a8f011ba44b52bbd1c59200d04127c9445bec8eb39a748c1cd2521d",
+    "posterior-short": "002ffab934160f1057af79310a66a8a7f5b24d5dc5a6fd1e58125a97735d299c",
 }
 
 

@@ -34,6 +34,9 @@ from dualflow import (
     transition_density_constant_drift,
 )
 from dualflow.core import (
+    DriftField,
+    brownian_increments,
+    euler_backward_values,
     normals,
     path_csv_string,
     read_path_binary,
@@ -243,6 +246,41 @@ def test_backward_scheme_divergence_detected():
     noise = SamplePath(grid, np.zeros(5))
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
         euler_backward(np.array([1e200]), noise, drift)
+
+
+class _BlowUp(DriftField):
+    """Zero drift whose beta returns inf on its `at`-th call."""
+
+    n = 1
+    k_lipschitz = 0.0
+
+    def __init__(self, at: int):
+        self.at, self.calls = at, 0
+
+    def beta(self, x):
+        self.calls += 1
+        return np.full_like(x, np.inf if self.calls == self.at else 0.0)
+
+
+def test_backward_scheme_divergence_names_step_and_time():
+    grid = TimeGrid(1.0, 8)
+    with pytest.raises(NumericalError, match=r"diverged at step 5 \(t=0\.625\)$"):
+        euler_backward(np.zeros(1), SamplePath(grid, np.zeros(9)), _BlowUp(5))
+    # a block counts its steps from the whole grid's start
+    block = grid.block(4, 4)
+    with pytest.raises(NumericalError, match=r"diverged at step 7 \(t=0\.875\)$"):
+        euler_backward_values(block, np.zeros(1), np.zeros((5, 1)), _BlowUp(3))
+
+
+def test_grid_blocks_keep_the_grid_step_and_draws():
+    grid = TimeGrid(1.0, 500)
+    blocks = [grid.block(first, 64) for first in range(0, grid.N, 64)]
+    assert [b.N for b in blocks] == [64] * 7 + [52]
+    assert all(b.dt == grid.dt for b in blocks)
+    whole = brownian_increments(RngSpec(5, 1).generator(), grid, (2,))
+    gen = RngSpec(5, 1).generator()
+    parts = np.concatenate([brownian_increments(gen, b, (2,)) for b in blocks])
+    assert parts.tobytes() == whole.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,19 +13,26 @@ from dualflow import (
     IntervalState,
     LogisticDrift,
     ModelError,
+    NumericalError,
     RngSpec,
     SamplePath,
     SlabState,
     TimeGrid,
     WedgeState,
     bessel_time_change,
+    euler_backward,
+    impute_noise,
     mc_region_sampler,
     pitman_construct,
     run_coupling,
     run_entrance_coupling,
     truncated_exp_mean,
 )
-from dualflow.coupling import read_coupling_jsonl, write_coupling_jsonl
+from dualflow import coupling
+from dualflow.cli import build_drift
+from dualflow.core import brownian_increments, partial_sums
+from dualflow.coupling import _slab_region_attempt, read_coupling_jsonl, write_coupling_jsonl
+from dualflow.duals import _plane_density_sampler, plane_density, span_normal
 
 
 def toy_logistic():
@@ -290,3 +297,102 @@ def test_region_sampler_validation():
         mc_region_sampler((0.5, -0.5), None, ConstantDrift(0.3), RngSpec(0, 0))
     with pytest.raises(ModelError):
         mc_region_sampler((-0.5, 0.5), None, BilinearDrift(), RngSpec(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# slab region attempts stop at their first cover
+
+
+def _full_horizon_slab_attempt(lo, hi, start, grid, spec, pd):
+    """The slab attempt before early stopping: simulate the whole horizon,
+    then scan it for the first covering node."""
+    d = start.normal
+    drift = pd.drift
+    gen = spec.generator()
+    w0 = _plane_density_sampler(pd, gen, 1)[0]
+    x0 = pd.basis @ w0 + float(d @ start.y) * d
+
+    wiener = partial_sums(brownian_increments(gen, grid, (drift.n,)))
+    x_path = euler_backward(x0, SamplePath(grid, wiener), drift)
+    omega = impute_noise(x_path, drift)
+
+    X = x_path.values
+    om_inc = omega.increments()
+    d1 = float(d[0])
+    pX = X @ d
+    pA = float(d @ start.y)
+    pZ = pA
+    for j in range(1, grid.N + 1):
+        po = float(om_inc[j - 1] @ d)
+        po1 = float(om_inc[j - 1][0])
+        crossing = pX[j - 1] + d1 * (po1 + abs(po1)) > pA
+        dsig = 2.0 * po1 if crossing else 0.0
+        pA = pA + po + d1 * (dsig - 2.0 * po1)
+        pZ = pZ + po - d1 * dsig
+        if pZ < lo and hi <= pA:
+            return X[j].copy(), float(grid.times[j]), bool(lo < pX[j] <= hi)
+    return None
+
+
+@pytest.fixture(scope="module")
+def bundled_slab():
+    """The bundled logistic model and the sampler's default slab start."""
+    drift, _ = build_drift({"model": {"family": "logistic", "data": None}})
+    d, _ = span_normal(drift.inputs)
+    return drift, SlabState(0.0 * d, 0.0 * d, d), plane_density(drift, d)
+
+
+# 500 and 449 steps are not multiples of the 64-step block; 449 leaves a
+# one-step final block
+@pytest.mark.parametrize("horizon, steps, streams", [(8.0, 4000, 200), (1.0, 500, 300),
+                                                     (1.0, 449, 100)])
+def test_slab_attempt_matches_full_horizon_bits(bundled_slab, horizon, steps, streams):
+    _, h1, pd = bundled_slab
+    grid = TimeGrid(horizon, steps)
+    never = 0
+    for s in range(streams):
+        spec = RngSpec(8808, s)
+        want = _full_horizon_slab_attempt(-0.6, 0.6, h1, grid, spec, pd)
+        got = _slab_region_attempt(-0.6, 0.6, h1, grid, spec, pd)
+        if want is None:
+            never += 1
+            assert got is None, s
+        else:
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:], s
+    if horizon == 1.0:
+        assert never > 0
+
+
+def test_region_sampler_samples_do_not_depend_on_count(bundled_slab):
+    drift = bundled_slab[0]
+    few = mc_region_sampler((-0.6, 0.6), None, drift, RngSpec(8808, 0), count=5, horizon=1.0)
+    many = mc_region_sampler((-0.6, 0.6), None, drift, RngSpec(8808, 0), count=15,
+                             horizon=1.0)
+    assert many.accepted == 15
+    assert many.samples[:5].tobytes() == few.samples.tobytes()
+    assert many.stop_times[:5].tobytes() == few.stop_times.tobytes()
+
+
+def test_region_attempt_divergence_names_step_and_stream(bundled_slab, monkeypatch):
+    drift, h1, pd = bundled_slab
+    grid = TimeGrid(8.0, 4000)
+    # stream 5 first covers at t = 2.724, past the failing step 1000
+    assert _slab_region_attempt(-0.6, 0.6, h1, grid, RngSpec(8808, 5), pd)[1] > 2.0
+    beta = LogisticDrift.beta
+    explicit_steps = [0]
+
+    def blowup(self, x):
+        out = beta(self, x)
+        if np.ndim(x) == 1:  # the explicit scheme steps one point at a time
+            explicit_steps[0] += 1
+            if explicit_steps[0] == 1000:
+                return np.full_like(out, np.inf)
+        return out
+
+    monkeypatch.setattr(coupling, "plane_density", lambda drift, normal: pd)
+    monkeypatch.setattr(LogisticDrift, "beta", blowup)
+    with pytest.raises(NumericalError) as err:
+        mc_region_sampler((-0.6, 0.6), h1, drift, RngSpec(8808, 5), count=1)
+    assert str(err.value) == (
+        "region attempt (seed 8808, stream 5): explicit scheme diverged at step 1000 (t=2)"
+    )

@@ -12,6 +12,7 @@ from dualflow import (
     IntervalState,
     LogisticDrift,
     ModelError,
+    NumericalError,
     ProductDrift,
     RngSpec,
     SlabState,
@@ -28,6 +29,7 @@ from dualflow import (
 )
 from dualflow.duals import (
     _plane_density_sampler,
+    _wedge_conditional_batch,
     covers,
     dual_terminal_batch,
     plane_density,
@@ -227,6 +229,22 @@ def test_plane_sampler_fills_a_two_dimensional_span():
     w = _plane_density_sampler(pd, RngSpec(73, 0).generator(), 50)
     assert w.shape == (50, 2)
     assert np.all(np.isfinite(w))
+
+
+def test_sampler_failures_name_the_sampler():
+    pd = plane_density(toy_logistic(), SLAB_NORMAL)
+    label = f"in-plane sampler, mode {pd.mode}"
+    # an envelope e^50 above the target accepts nothing
+    high = replace(pd, log_envelope=pd.log_envelope + 50.0)
+    with pytest.raises(NumericalError) as err:
+        _plane_density_sampler(high, RngSpec(74, 0).generator(), 1)
+    assert str(err.value).startswith(f"{label}: acceptance 0/")
+    with pytest.raises(NumericalError) as err:
+        _plane_density_sampler(pd, RngSpec(74, 1).generator(), 1, max_rounds=0)
+    assert str(err.value) == f"{label}: starved after 0 rounds"
+    wedge = WedgeState(np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 0.0]))
+    with pytest.raises(NumericalError, match=r"^wedge sampler, bounds \(.*\): starved"):
+        _wedge_conditional_batch(wedge, RngSpec(74, 2).generator(), 1, max_rounds=0)
 
 
 # ---------------------------------------------------------------------------
