@@ -481,20 +481,22 @@ def implicit_step(
     iteration converges geometrically; the damping only engages if the
     residual ever fails to shrink.
     """
+    beta = drift.beta
     prev = np.asarray(prev, dtype=float)
     c = prev + np.asarray(dnoise, dtype=float)
-    w = c + drift.beta(prev) * dt
+    w = c + beta(prev) * dt
     alpha = 1.0
     last = np.inf
     for _ in range(max_iter):
-        target = c + drift.beta(w) * dt
-        res = float(np.max(np.abs(target - w)))
+        target = c + beta(w) * dt
+        diff = target - w
+        res = float(abs(diff).max())
         if res <= tol:
             return target
         if res >= last:
             alpha = 0.5 * alpha
         last = res
-        w = w + alpha * (target - w)
+        w = w + alpha * diff
     raise NumericalError(f"implicit step failed to reach residual {tol:.1e} (last {last:.3e})")
 
 
@@ -510,11 +512,13 @@ def euler_backward_values(
     names the step index and time on the whole grid.
     """
     dt = grid.dt
+    beta = drift.beta
+    dnoise = np.diff(noise_values, axis=0)
     out = np.empty_like(noise_values)
     out[0] = x_start
     for k in range(1, grid.N + 1):
         cur = out[k - 1]
-        out[k] = cur - drift.beta(cur) * dt + (noise_values[k] - noise_values[k - 1])
+        out[k] = cur - beta(cur) * dt + dnoise[k - 1]
         if not np.isfinite(out[k]).all():
             step = grid.first + k
             raise NumericalError(f"explicit scheme diverged at step {step} (t={step * dt:.6g})")
@@ -531,13 +535,20 @@ def euler_backward(x_start: np.ndarray, noise: SamplePath, drift: DriftField) ->
 def euler_forward_implicit_values(
     grid: TimeGrid, x_start: np.ndarray, noise_values: np.ndarray, drift: DriftField
 ) -> np.ndarray:
-    """Implicit scheme with drift +beta, batched; exact inverse of the explicit one."""
+    """Implicit scheme with drift +beta, batched; exact inverse of the explicit one.
+
+    A failed solve names the step index and time on the grid.
+    """
     _check_step_size(grid, drift)
     dt = grid.dt
+    dnoise = np.diff(noise_values, axis=0)
     out = np.empty_like(noise_values)
     out[0] = x_start
-    for j in range(1, grid.N + 1):
-        out[j] = implicit_step(out[j - 1], noise_values[j] - noise_values[j - 1], dt, drift)
+    try:
+        for j in range(1, grid.N + 1):
+            out[j] = implicit_step(out[j - 1], dnoise[j - 1], dt, drift)
+    except NumericalError as err:
+        raise NumericalError(f"implicit scheme failed at step {j} (t={j * dt:.6g}): {err}") from err
     return out
 
 

@@ -118,14 +118,18 @@ def run_coupling(
     the lower side is the implicit flow of the reflected noise.  For a
     constant-drift interval every ingredient has a node-space closed form
     and that form is used, making grid identities exact to float dust.
+    A numerical failure names the run's (seed, stream).
     """
     if state0.absorbed:
         raise ModelError("cannot couple from an absorbed state")
     gen = rng.generator()
-    if x0 is None:
-        x0 = sample_conditional(state0, drift, gen).point
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    return _couple(state0, drift, grid, x0, gen)
+    try:
+        if x0 is None:
+            x0 = sample_conditional(state0, drift, gen).point
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        return _couple(state0, drift, grid, x0, gen)
+    except NumericalError as err:
+        raise NumericalError(f"coupling (seed {rng.seed}, stream {rng.stream}): {err}") from err
 
 
 def _couple(

@@ -18,7 +18,8 @@ levels together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -264,8 +265,20 @@ def nu_mass(state: DualState, drift: DriftField) -> float:
 
 @dataclass(frozen=True)
 class ConditionalSample:
+    """A draw from a region-conditional law and its normalized log-density.
+
+    log_density_fn computes the log-density at the point; log_density
+    calls it when first read and keeps the value.  A slab's needs a
+    quadrature of the in-plane mass, which a caller that takes only the
+    point never pays for.
+    """
+
     point: np.ndarray
-    log_density: float
+    log_density_fn: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def log_density(self) -> float:
+        return self.log_density_fn()
 
 
 def _truncated_exp_inverse(u, z, y, mu: float):
@@ -310,7 +323,8 @@ def sample_conditional(
     offset on (0, h] along the normal from the z-face, times the in-plane
     invariant density drawn by rejection from a Gaussian centered at its
     mode (see _plane_density_sampler).  The reported log-density is
-    normalized to integrate to one over the region.
+    normalized to integrate to one over the region; it is computed when
+    the sample's log_density is first read, not with the draw.
     """
     if state.absorbed:
         raise ModelError("absorbed state has no region")
@@ -321,23 +335,23 @@ def sample_conditional(
             mu = float(drift.mu[0])
             u = float(uniforms(gen, ()))
             x = float(_truncated_exp_inverse(u, z, y, mu))
-            dens = math.exp(-2.0 * mu * x) / _interval_mass(z, y, mu)
-            return ConditionalSample(np.array([x]), math.log(dens))
+            return ConditionalSample(
+                np.array([x]), lambda: math.log(math.exp(-2.0 * mu * x) / _interval_mass(z, y, mu)))
         if isinstance(drift, ProductDrift) and drift.gamma1 is not None:
             xs, cdf, mass = _interval_table_sampler(drift, z, y)
             u = float(uniforms(gen, ()))
             x = float(np.interp(u, cdf, xs))
-            logd = -2.0 * float(drift.gamma1(np.asarray(x))) - math.log(mass)
-            return ConditionalSample(np.array([x]), logd)
+            return ConditionalSample(
+                np.array([x]), lambda: -2.0 * float(drift.gamma1(np.asarray(x))) - math.log(mass))
         raise ModelError("interval sampling needs a constant drift or a 1-d potential")
     if isinstance(state, WedgeState):
         pts, logd = _wedge_conditional_batch(state, gen, 1)
-        return ConditionalSample(pts[0], float(logd[0]))
+        return ConditionalSample(pts[0], lambda: float(logd[0]))
     if isinstance(state, SlabState):
         if not isinstance(drift, LogisticDrift):
             raise ModelError("slab sampling requires the logistic drift family")
-        pts, logd = _slab_conditional_batch(state, drift, gen, 1)
-        return ConditionalSample(pts[0], float(logd[0]))
+        pts, log_density = _slab_conditional_batch(state, drift, gen, 1)
+        return ConditionalSample(pts[0], lambda: float(log_density()[0]))
     raise ModelError(f"unknown dual state {type(state)}")
 
 
@@ -398,24 +412,33 @@ class PlaneDensity:
     log_envelope: float
     scale: float = 1.6
     dof: float = 4.0
+    # log_proposal's whitening map and normalizing constant, fixed per density
+    inv_chol_t: np.ndarray = field(init=False, repr=False, compare=False)
+    log_proposal_const: float = field(init=False, repr=False, compare=False)
 
-    def log_target(self, w: np.ndarray) -> np.ndarray:
-        x = w @ self.basis.T
-        return -2.0 * np.asarray(self.drift.gamma(x), dtype=float)
-
-    def log_proposal(self, w: np.ndarray) -> np.ndarray:
-        diff = (w - self.mode) @ np.linalg.inv(self.chol_cov).T
+    def __post_init__(self) -> None:
         k = self.basis.shape[1]
         nu = self.dof
         logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol_cov))))
-        q = np.sum(diff**2, axis=-1)
         const = (
             math.lgamma(0.5 * (nu + k))
             - math.lgamma(0.5 * nu)
             - 0.5 * k * math.log(nu * math.pi)
             - 0.5 * logdet
         )
-        return const - 0.5 * (nu + k) * np.log1p(q / nu)
+        object.__setattr__(self, "inv_chol_t", np.linalg.inv(self.chol_cov).T)
+        object.__setattr__(self, "log_proposal_const", const)
+
+    def log_target(self, w: np.ndarray) -> np.ndarray:
+        x = w @ self.basis.T
+        return -2.0 * np.asarray(self.drift.gamma(x), dtype=float)
+
+    def log_proposal(self, w: np.ndarray) -> np.ndarray:
+        diff = (w - self.mode) @ self.inv_chol_t
+        k = self.basis.shape[1]
+        nu = self.dof
+        q = np.sum(diff**2, axis=-1)
+        return self.log_proposal_const - 0.5 * (nu + k) * np.log1p(q / nu)
 
 
 def _plane_curvature(drift: LogisticDrift, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -586,8 +609,11 @@ def _slab_conditional_batch(state: SlabState, drift: LogisticDrift, gen, count: 
     offs = h * uniforms(gen, count)  # uniform on (0, h] from the z-face
     base = float(d @ state.z)
     pts = w @ pd.basis.T + (base + offs)[:, None] * d
-    logd = pd.log_target(w) - _plane_log_normalizer(pd) - math.log(h)
-    return pts, logd
+
+    def log_density():
+        return pd.log_target(w) - _plane_log_normalizer(pd) - math.log(h)
+
+    return pts, log_density
 
 
 # ---------------------------------------------------------------------------

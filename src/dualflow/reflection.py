@@ -30,6 +30,7 @@ from .core import (
     ConstantDrift,
     DriftField,
     ModelError,
+    NumericalError,
     SamplePath,
     TimeGrid,
     euler_backward_values,
@@ -173,7 +174,8 @@ def forward_flow(
     crossing test compares the implicit-scheme combination at the step's
     far endpoint with the surface at the step's near endpoint; on a
     crossing, sigma accrues twice the coordinate-1 increment.  The surface
-    is then advanced with the flipped reflected increment.
+    is then advanced with the flipped reflected increment; a failed
+    surface step names the step index and time.
     """
     grid = x_path.grid
     if noise.grid.N != grid.N or abs(noise.grid.T - grid.T) > 1e-12:
@@ -190,17 +192,20 @@ def forward_flow(
 
     sigma = np.zeros(grid.N + 1)
     surfaces = [y0]
-    for j in range(1, grid.N + 1):
-        cur = surfaces[-1]
-        d1 = inc[j - 1, 0]
-        b = drift.beta(X[j])
-        near_height = cur.height(X[j - 1, 1:])
-        crossing = X[j, 0] - b[0] * dt + abs(d1) > near_height
-        dsig = 2.0 * d1 if crossing else 0.0
-        sigma[j] = sigma[j - 1] + dsig
-        dxi = inc[j - 1].copy()
-        dxi[0] -= dsig
-        surfaces.append(step_surface(cur, drift, dt, flip_first(dxi)))
+    try:
+        for j in range(1, grid.N + 1):
+            cur = surfaces[-1]
+            d1 = inc[j - 1, 0]
+            b = drift.beta(X[j])
+            near_height = cur.height(X[j - 1, 1:])
+            crossing = X[j, 0] - b[0] * dt + abs(d1) > near_height
+            dsig = 2.0 * d1 if crossing else 0.0
+            sigma[j] = sigma[j - 1] + dsig
+            dxi = inc[j - 1].copy()
+            dxi[0] -= dsig
+            surfaces.append(step_surface(cur, drift, dt, flip_first(dxi)))
+    except NumericalError as err:
+        raise NumericalError(f"reflection flow failed at step {j} (t={j * dt:.6g}): {err}") from err
 
     return _flow_output(grid, noise, sigma, x_path,
                         surfaces=SurfaceTrajectory.stack(grid, surfaces))

@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     DriftField,
     ModelError,
+    NumericalError,
     SamplePath,
     TimeGrid,
     explicit_step,
@@ -143,8 +144,18 @@ def step_surface(
     else:
         anchor = implicit_step(surface.anchor, d, dt, drift)
     if surface.u is None:
-        return Surface(anchor, normal=surface.normal)
+        return _moved(surface, anchor)
     return Surface(anchor, u=_rotate(surface.u, -dt if backward else dt))
+
+
+def _moved(surface: Surface, anchor: np.ndarray) -> Surface:
+    """The surface at a new anchor, keeping its fixed normal unchecked:
+    the normal was validated when the first surface was built."""
+    if anchor.shape != surface.anchor.shape:
+        raise ModelError("normal and anchor must be vectors of equal length")
+    out = object.__new__(Surface)
+    out.__dict__.update(anchor=anchor, normal=surface.normal, u=None)
+    return out
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,8 @@ class SurfaceTrajectory:
         first = surfaces[0]
         rotating = first.u is not None
         if any((s.u is not None) != rotating
-               or not (rotating or np.array_equal(s.normal, first.normal)) for s in surfaces):
+               or not (rotating or s.normal is first.normal
+                       or np.array_equal(s.normal, first.normal)) for s in surfaces):
             raise ModelError("one trajectory needs one fixed normal or rotating lines throughout")
         anchors = np.stack([s.anchor for s in surfaces])
         if rotating:
@@ -204,12 +216,17 @@ def evolve_surface(
 
     Evolving over consecutive sub-grids and concatenating gives the same
     nodes as one pass, since each step consumes exactly one increment.
+    A failed anchor solve names the step index and time.
     """
     grid = flipped_noise.grid
     inc = flipped_noise.increments()
     out = [initial]
-    for k in range(grid.N):
-        out.append(step_surface(out[-1], drift, grid.dt, inc[k], backward=backward))
+    try:
+        for k in range(grid.N):
+            out.append(step_surface(out[-1], drift, grid.dt, inc[k], backward=backward))
+    except NumericalError as err:
+        raise NumericalError(
+            f"surface flow failed at step {k + 1} (t={(k + 1) * grid.dt:.6g}): {err}") from err
     return SurfaceTrajectory.stack(grid, out)
 
 

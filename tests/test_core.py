@@ -12,22 +12,27 @@ import dualflow
 from dualflow import (
     BilinearDrift,
     ConstantDrift,
+    IntervalState,
     LogisticDrift,
     ModelError,
     NumericalError,
     ProductDrift,
     RngSpec,
     SamplePath,
+    Surface,
     TimeGrid,
     euler_backward,
     euler_forward_implicit,
+    evolve_surface,
     explicit_step,
     flip_first,
+    forward_flow,
     gradient_drift,
     implicit_step,
     impute_noise,
     read_path_csv,
     reversed_noise,
+    run_coupling,
     sample_brownian,
     sample_brownian_batch,
     strong_solve,
@@ -249,17 +254,17 @@ def test_backward_scheme_divergence_detected():
 
 
 class _BlowUp(DriftField):
-    """Zero drift whose beta returns inf on its `at`-th call."""
+    """Zero drift whose beta returns `value` (inf by default) on its `at`-th call."""
 
     n = 1
     k_lipschitz = 0.0
 
-    def __init__(self, at: int):
-        self.at, self.calls = at, 0
+    def __init__(self, at: int, value: float = np.inf):
+        self.at, self.value, self.calls = at, value, 0
 
     def beta(self, x):
         self.calls += 1
-        return np.full_like(x, np.inf if self.calls == self.at else 0.0)
+        return np.full_like(x, self.value if self.calls == self.at else 0.0)
 
 
 def test_backward_scheme_divergence_names_step_and_time():
@@ -270,6 +275,113 @@ def test_backward_scheme_divergence_names_step_and_time():
     block = grid.block(4, 4)
     with pytest.raises(NumericalError, match=r"diverged at step 7 \(t=0\.875\)$"):
         euler_backward_values(block, np.zeros(1), np.zeros((5, 1)), _BlowUp(3))
+
+
+# Under the zero drift an implicit solve makes two beta calls (the
+# predictor and one converged iteration); a forward-flow step adds the
+# crossing test's call before its surface solve.  A nan from the chosen
+# call never clears, so that solve exhausts its iterations.
+_SOLVE_FAILED = r"implicit step failed to reach residual 1\.0e-13 \(last nan\)$"
+
+
+def test_implicit_failures_name_step_and_time():
+    grid = TimeGrid(1.0, 8)
+    zeros = SamplePath(grid, np.zeros(9))
+    with pytest.raises(NumericalError, match=r"^implicit scheme failed at step 5 \(t=0\.625\): "
+                       + _SOLVE_FAILED):
+        euler_forward_implicit(np.zeros(1), zeros, _BlowUp(9, np.nan))
+    with pytest.raises(NumericalError, match=r"^surface flow failed at step 3 \(t=0\.375\): "
+                       + _SOLVE_FAILED):
+        evolve_surface(Surface.level(0.0), zeros, _BlowUp(5, np.nan))
+    with pytest.raises(NumericalError, match=r"^reflection flow failed at step 4 \(t=0\.5\): "
+                       + _SOLVE_FAILED):
+        forward_flow(zeros, Surface.level(1.0), zeros, _BlowUp(11, np.nan))
+
+
+# a coupling run makes 8 explicit-scheme calls and one imputation call,
+# then 3 calls per reflection-flow step and 2 per lower-side step
+@pytest.mark.parametrize("at, where", [
+    (14, r"reflection flow failed at step 2 \(t=0\.25\)"),
+    (44, r"implicit scheme failed at step 6 \(t=0\.75\)"),
+], ids=["reflection-flow", "lower-side"])
+def test_coupling_failure_names_seed_stream_and_step(at, where):
+    with pytest.raises(NumericalError, match=r"^coupling \(seed 3, stream 7\): " + where + ": "
+                       + _SOLVE_FAILED):
+        run_coupling(IntervalState(-1.0, 1.0), _BlowUp(at, np.nan), TimeGrid(1.0, 8),
+                     RngSpec(3, 7), x0=np.zeros(1))
+
+
+def _implicit_step_reference(prev, dnoise, dt, drift, tol=1e-13, max_iter=100):
+    """implicit_step as first written, before the per-iteration overhead
+    was cut; the shipped solve must match it bit for bit."""
+    prev = np.asarray(prev, dtype=float)
+    c = prev + np.asarray(dnoise, dtype=float)
+    w = c + drift.beta(prev) * dt
+    alpha = 1.0
+    last = np.inf
+    for _ in range(max_iter):
+        target = c + drift.beta(w) * dt
+        res = float(np.max(np.abs(target - w)))
+        if res <= tol:
+            return target
+        if res >= last:
+            alpha = 0.5 * alpha
+        last = res
+        w = w + alpha * (target - w)
+    raise NumericalError(f"implicit step failed to reach residual {tol:.1e} (last {last:.3e})")
+
+
+class _Counted(DriftField):
+    """A drift that counts its beta calls."""
+
+    def __init__(self, inner: DriftField):
+        self.inner, self.calls = inner, 0
+        self.n, self.k_lipschitz = inner.n, inner.k_lipschitz
+
+    def beta(self, x):
+        self.calls += 1
+        return self.inner.beta(x)
+
+
+def _toy_logistic():
+    inputs = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
+    return LogisticDrift(inputs, np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+_SOLVE_DRIFTS = {
+    "bilinear": BilinearDrift(),
+    "toy-logistic": _toy_logistic(),
+    "logistic-3d": LogisticDrift(
+        np.array([[1.0, 0.5, -0.2], [0.3, -1.0, 0.8], [-0.7, 0.2, 0.4], [0.1, 0.9, -0.6]]),
+        np.array([1.0, 0.0, 1.0, 0.0])),
+    "product": ProductDrift(n=3, beta1=np.tanh, k_lipschitz=1.0, beta_rest=lambda r: 0.5 * r),
+    # plain iteration multiplies the error by -1.5 at dt = 0.5, so only
+    # the damping converges
+    "damped": ProductDrift(n=1, beta1=lambda x: -3.0 * x, k_lipschitz=3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SOLVE_DRIFTS))
+@pytest.mark.parametrize("rows", [(), (7,)], ids=["one-row", "batched"])
+def test_implicit_step_matches_reference_bits(name, rows):
+    drift = _SOLVE_DRIFTS[name]
+    dt = 0.5 if name == "damped" else 0.05
+    gen = RngSpec(4242, len(rows)).generator()
+    prev = normals(gen, (*rows, drift.n))
+    dnoise = normals(gen, (*rows, drift.n)) * math.sqrt(dt)
+    ref, lean = _Counted(drift), _Counted(drift)
+    want = _implicit_step_reference(prev, dnoise, dt, ref)
+    got = implicit_step(prev, dnoise, dt, lean)
+    assert got.tobytes() == want.tobytes()
+    assert lean.calls == ref.calls
+    if name == "damped":
+        assert np.allclose(got, (prev + dnoise) / 2.5, rtol=0.0, atol=1e-12)
+    # too few iterations: the same failure, word for word
+    with pytest.raises(NumericalError) as want_err:
+        _implicit_step_reference(prev, dnoise, dt, drift, max_iter=2)
+    with pytest.raises(NumericalError) as got_err:
+        implicit_step(prev, dnoise, dt, drift, max_iter=2)
+    assert str(got_err.value) == str(want_err.value)
 
 
 def test_grid_blocks_keep_the_grid_step_and_draws():
@@ -292,6 +404,20 @@ def test_schemes_invert_under_time_reversal(stream, dim):
     fwd = euler_forward_implicit(np.zeros(dim), w, drift)
     back = euler_backward(fwd.values[-1], reversed_noise(w), drift)
     assert np.max(np.abs(back.values - fwd.values[::-1])) < 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 4, 16])
+@pytest.mark.parametrize("name", ["constant", "bilinear", "toy-logistic"])
+def test_schemes_invert_on_coarse_grids(N, name):
+    # T = 0.2 keeps even the one-step grid inside every drift's step-size bound
+    drift = {"constant": ConstantDrift(0.5), "bilinear": BilinearDrift(),
+             "toy-logistic": _toy_logistic()}[name]
+    grid = TimeGrid(0.2, N)
+    for stream in range(5):
+        w = sample_brownian(grid, drift.n, RngSpec(1235, stream))
+        fwd = euler_forward_implicit(np.full(drift.n, 0.3), w, drift)
+        back = euler_backward(fwd.values[-1], reversed_noise(w), drift)
+        assert np.max(np.abs(back.values - fwd.values[::-1])) < 1e-10
 
 
 def test_impute_noise_inverts_forward_scheme():

@@ -27,6 +27,8 @@ from dualflow import (
     sample_conditional,
     truncated_exp_mean,
 )
+from dualflow import duals
+from dualflow.core import normals
 from dualflow.duals import (
     _plane_density_sampler,
     _wedge_conditional_batch,
@@ -219,6 +221,60 @@ def test_plane_sampler_keeps_a_raised_envelope_local():
     assert pd.log_envelope == -50.0
     second = _plane_density_sampler(pd, RngSpec(72, 0).generator(), 50)
     assert np.array_equal(first, second)
+
+
+def _log_proposal_reference(pd, w):
+    """PlaneDensity.log_proposal as first written: it inverted the Cholesky
+    factor and summed its log-diagonal on every call."""
+    diff = (w - pd.mode) @ np.linalg.inv(pd.chol_cov).T
+    k = pd.basis.shape[1]
+    nu = pd.dof
+    logdet = 2.0 * float(np.sum(np.log(np.diag(pd.chol_cov))))
+    q = np.sum(diff**2, axis=-1)
+    const = (
+        math.lgamma(0.5 * (nu + k))
+        - math.lgamma(0.5 * nu)
+        - 0.5 * k * math.log(nu * math.pi)
+        - 0.5 * logdet
+    )
+    return const - 0.5 * (nu + k) * np.log1p(q / nu)
+
+
+def test_log_proposal_keeps_its_bits():
+    inputs = np.array([[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [0, 1, 1], [0, -1, -1]])
+    plane = LogisticDrift(inputs, np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
+    for drift, normal in ((toy_logistic(), SLAB_NORMAL), (plane, np.array([1.0, 0.0, 0.0]))):
+        pd = plane_density(drift, normal)
+        k = pd.basis.shape[1]
+        w = pd.mode + normals(RngSpec(76, k).generator(), (40, k))
+        want = _log_proposal_reference(pd, w)
+        assert pd.log_proposal(w).tobytes() == want.tobytes()
+        # a replaced envelope keeps the precomputed factor of its source
+        moved = replace(pd, log_envelope=-50.0)
+        assert moved.log_proposal(w).tobytes() == want.tobytes()
+
+
+# sample_conditional(SLAB, toy_logistic(), RngSpec(71, s)).log_density for
+# s = 0, 1, 2, as computed when the slab density was still evaluated with
+# every draw
+_SLAB_LOG_DENSITIES = ("-0x1.17cb9cb85eebbp-1", "-0x1.ce0db97652746p-2",
+                       "-0x1.3a7ba890f9029p+0")
+
+
+def test_slab_log_density_is_lazy_and_keeps_its_bits(monkeypatch):
+    drift = toy_logistic()
+    state = SlabState(-0.4 * SLAB_NORMAL, 0.4 * SLAB_NORMAL, SLAB_NORMAL)
+    for s, want in enumerate(_SLAB_LOG_DENSITIES):
+        assert sample_conditional(state, drift, RngSpec(71, s)).log_density == float.fromhex(want)
+
+    def no_quadrature(pd):
+        raise AssertionError("the in-plane normalizer ran")
+
+    monkeypatch.setattr(duals, "_plane_log_normalizer", no_quadrature)
+    sample = sample_conditional(state, drift, RngSpec(71, 0))
+    assert state.contains(sample.point)
+    with pytest.raises(AssertionError, match="normalizer ran"):
+        sample.log_density
 
 
 def test_plane_sampler_fills_a_two_dimensional_span():
