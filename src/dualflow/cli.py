@@ -373,8 +373,13 @@ def cmd_dual(config: dict) -> int:
                     rec["zeta"] = float(state.zeta)
                 fp.write(json.dumps(rec) + "\n")
                 if j < grid.N:
-                    state = dual_step(state, inc[j], grid.dt, drift,
-                                      t_prev=float(grid.times[j]))
+                    try:
+                        state = dual_step(state, inc[j], grid.dt, drift,
+                                          t_prev=float(grid.times[j]))
+                    except NumericalError as err:
+                        raise NumericalError(
+                            f"dual (seed {config['seed']}, replica {r}): dual flow failed at "
+                            f"step {j + 1} (t={(j + 1) * grid.dt:.6g}): {err}") from err
     print(run_dir)
     return EXIT_OK
 

@@ -154,11 +154,14 @@ _TWO53 = float(2**53)
 class RngSpec:
     """Counter-based generator identity: (seed, stream) fixes every draw.
 
-    Streams with the same seed are independent, may be generated in any
-    order, and any one of them can be regenerated in isolation, so replica
-    loops are embarrassingly parallel.  Normal variates are produced by
-    applying the inverse normal CDF to 53-bit uniforms, which keeps the
-    draw count deterministic.
+    The stream is a Philox generator keyed by (seed, stream) mod 2**64
+    with its counter at zero.  Streams with the same seed are independent,
+    may be generated in any order, and any one of them can be regenerated
+    in isolation, so replica loops are embarrassingly parallel; the batch
+    layer (stream_increments) rekeys one Philox per stream instead of
+    building a generator, and reads the same words.  Normal variates are
+    produced by applying the inverse normal CDF to 53-bit uniforms, which
+    keeps the draw count deterministic.
     """
 
     seed: int
@@ -172,9 +175,20 @@ class RngSpec:
         return RngSpec(self.seed, stream)
 
 
+def _raw_uniforms(raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Uniforms on (0, 1) from the top 53 bits of raw 64-bit words.
+
+    This is integers(0, 2**53) without the call: for a power-of-two range
+    Lemire's bounded draw never rejects and returns exactly raw >> 11.
+    raw is shifted in place; out, if given, receives the uniforms.
+    """
+    raw >>= 11
+    return np.divide(np.add(raw, 0.5, out=out), _TWO53, out=out)
+
+
 def uniforms(gen: np.random.Generator, shape) -> np.ndarray:
     """Uniforms on the open interval (0, 1) from 53-bit integers."""
-    return (gen.integers(0, 2**53, size=shape).astype(float) + 0.5) / _TWO53
+    return _raw_uniforms(gen.bit_generator.random_raw(shape))
 
 
 def normals(gen: np.random.Generator, shape) -> np.ndarray:
@@ -203,25 +217,54 @@ def sample_brownian(grid: TimeGrid, dim: int, rng: RngSpec) -> SamplePath:
     return SamplePath(grid, partial_sums(brownian_increments(rng.generator(), grid, (dim,))))
 
 
+# words converted to normals at once, which bounds stream_increments'
+# temporaries to a few MB whatever the batch size
+_CONVERT_WORDS = 2**19
+
+
 def stream_increments(
     grid: TimeGrid, dim: int, seed: int, streams: Sequence[int], step_uniforms: bool = False
 ):
     """Per-stream Brownian increments, shape (N, m, dim), and crossing uniforms.
 
     Stream i draws from RngSpec(seed, streams[i]) alone, so each column is
-    a deterministic function of its id.  With step_uniforms, one uniform
-    per step, shape (N, m), is drawn from the same generator after the
-    increments; otherwise the second result is None.
+    a deterministic function of its id, bit for bit the draws of that
+    spec's generator.  With step_uniforms, one uniform per step, shape
+    (N, m), is drawn from the same stream after the increments; otherwise
+    the second result is None.
+
+    Both results are transposed views over per-stream rows: stream i's
+    draws fill row i of (m, N, dim) and (m, N) storage contiguously.  The
+    raw words are converted a bounded block of streams at a time, so the
+    only memory that grows with m is the result itself.
     """
     m = len(streams)
-    inc = np.empty((grid.N, m, dim))
-    uni = np.empty((grid.N, m)) if step_uniforms else None
-    for i, s in enumerate(streams):
-        gen = RngSpec(seed, s).generator()
-        inc[:, i, :] = brownian_increments(gen, grid, (dim,))
+    n_inc = grid.N * dim
+    width = n_inc + (grid.N if step_uniforms else 0)
+    inc = np.empty((m, grid.N, dim))
+    uni = np.empty((m, grid.N)) if step_uniforms else None
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = bitgen.state
+    key = state["state"]["key"]
+    key[0] = seed % 2**64
+    scale = math.sqrt(grid.dt)
+    block = max(1, _CONVERT_WORDS // width)
+    raw = np.empty((min(block, m), width), dtype=np.uint64)
+    buf = np.empty(raw.shape)
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        for r, s in enumerate(streams[lo:hi]):
+            # a fresh key with a zero counter is the stream's generator state
+            key[1] = s % 2**64
+            bitgen.state = state
+            raw[r] = bitgen.random_raw(width)
+        u = _raw_uniforms(raw[: hi - lo], out=buf[: hi - lo])
+        rows = inc[lo:hi].reshape(hi - lo, n_inc)
+        ndtri(u[:, :n_inc], out=rows)
+        rows *= scale
         if step_uniforms:
-            uni[:, i] = uniforms(gen, (grid.N,))
-    return inc, uni
+            uni[lo:hi] = u[:, n_inc:]
+    return inc.transpose(1, 0, 2), (uni.T if step_uniforms else None)
 
 
 def sample_brownian_batch(

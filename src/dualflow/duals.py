@@ -777,8 +777,13 @@ def primal_terminal_batch(
         hi = min(lo + chunk, len(streams))
         inc, _ = stream_increments(grid, n, seed, streams[lo:hi])
         if isinstance(drift, ConstantDrift):
-            # the stepwise scheme telescopes for a state-free drift
-            out[lo:hi] = x - drift.mu * grid.T + inc.sum(axis=0)
+            # the stepwise scheme telescopes for a state-free drift; the
+            # steps are added one at a time, in order, so the sum keeps its
+            # bits whatever the storage order or the chunk size
+            total = inc[0].copy()
+            for step in inc[1:]:
+                total += step
+            out[lo:hi] = x - drift.mu * grid.T + total
             continue
         cur = np.broadcast_to(x, (hi - lo, n)).copy()
         for j in range(grid.N):
@@ -829,19 +834,22 @@ def dual_terminal_batch(
             # the bridge draw catches maxima between the nodes
             mu = float(drift.mu[0])
             half = (y0[0] - z0[0]) / 2.0
-            omega = np.cumsum(inc[:, :, 0], axis=0)
-            prev = np.vstack([np.zeros((1, mc)), omega[:-1]])
+            # one row per stream: omega[:, j] is the node value after step
+            # j + 1 and prev[:, j] the one before it, a shifted slice of the
+            # same storage that starts at zero
+            nodes = np.zeros((mc, grid.N + 1))
+            np.cumsum(inc[:, :, 0].T, axis=1, out=nodes[:, 1:])
+            omega, prev = nodes[:, 1:], nodes[:, :-1]
             node_cross = omega >= half
             below = ~node_cross & (prev < half)
             pbridge = np.where(
                 below, np.exp(-2.0 * (half - prev) * (half - omega) / dt), 1.0
             )
-            cross = node_cross | (uni < pbridge)
-            alive = ~np.any(cross, axis=0)
-            first = np.argmax(cross, axis=0)
-            cols = np.arange(mc)
-            om_frozen = np.where(first > 0, omega[np.maximum(first - 1, 0), cols], 0.0)
-            om_term = np.where(alive, omega[-1], om_frozen)
+            cross = node_cross | (uni.T < pbridge)
+            alive = ~np.any(cross, axis=1)
+            first = np.argmax(cross, axis=1)
+            # a replica killed in step first + 1 freezes at node first
+            om_term = np.where(alive, omega[:, -1], nodes[np.arange(mc), first])
             t_term = np.where(alive, grid.T, first * dt)
             z_out[lo:hi, 0] = z0[0] + mu * t_term + om_term
             y_out[lo:hi, 0] = y0[0] + mu * t_term - om_term
@@ -852,25 +860,29 @@ def dual_terminal_batch(
         alive = np.ones(mc, dtype=bool)
         u = state.u if isinstance(state, WedgeState) else None
         g_prev = np.full(mc, state.gap())
-        for j in range(grid.N):
-            d = inc[j]
-            z_new = implicit_step(z, d, dt, drift)
-            y_new = implicit_step(y, flip_first(d), dt, drift)
-            if u is not None:
-                u = WedgeState.rotate(u, dt)
-                nvec = WedgeState.normal_of(u)
-            g = face_gap(nvec, z_new, y_new)
-            n1 = float(nvec[0])
-            # the y-z gap receives the flipped-minus-straight noise, whose
-            # variance along the normal is (2 n1)^2 dt per step
-            s2 = max(4.0 * n1 * n1 * dt, 1e-300)
-            pbridge = np.exp(-2.0 * np.maximum(g_prev, 0.0) * np.maximum(g, 0.0) / s2)
-            newly_dead = alive & ((g <= 0.0) | (uni[j] < pbridge))
-            keep = alive & ~newly_dead
-            z[keep] = z_new[keep]
-            y[keep] = y_new[keep]
-            g_prev = np.where(keep, g, g_prev)
-            alive = keep
+        try:
+            for j in range(grid.N):
+                d = inc[j]
+                z_new = implicit_step(z, d, dt, drift)
+                y_new = implicit_step(y, flip_first(d), dt, drift)
+                if u is not None:
+                    u = WedgeState.rotate(u, dt)
+                    nvec = WedgeState.normal_of(u)
+                g = face_gap(nvec, z_new, y_new)
+                n1 = float(nvec[0])
+                # the y-z gap receives the flipped-minus-straight noise, whose
+                # variance along the normal is (2 n1)^2 dt per step
+                s2 = max(4.0 * n1 * n1 * dt, 1e-300)
+                pbridge = np.exp(-2.0 * np.maximum(g_prev, 0.0) * np.maximum(g, 0.0) / s2)
+                newly_dead = alive & ((g <= 0.0) | (uni[j] < pbridge))
+                keep = alive & ~newly_dead
+                z[keep] = z_new[keep]
+                y[keep] = y_new[keep]
+                g_prev = np.where(keep, g, g_prev)
+                alive = keep
+        except NumericalError as err:
+            step = j + 1
+            raise NumericalError(f"dual flow failed at step {step} (t={step * dt:.6g}): {err}") from err
         z_out[lo:hi] = z
         y_out[lo:hi] = y
         alive_out[lo:hi] = alive
@@ -920,12 +932,15 @@ def liggett_identity_mc(
     lhs_streams = [base + 2 * i for i in range(paths)]
     rhs_streams = [base + 2 * i + 1 for i in range(paths)]
 
-    terminal = primal_terminal_batch(x, drift, grid, rng.seed, lhs_streams, chunk)
+    try:
+        terminal = primal_terminal_batch(x, drift, grid, rng.seed, lhs_streams, chunk)
+        duals = dual_terminal_batch(state, drift, grid, rng.seed, rhs_streams, chunk)
+    except NumericalError as err:
+        raise NumericalError(f"duality (seed {rng.seed}, stream block {rng.stream}): {err}") from err
     hits = contains_batch(state, terminal).astype(float)
     lhs = math.fsum(hits) / paths
     lhs_se = math.sqrt(max(lhs * (1.0 - lhs), 1e-300) / paths)
 
-    duals = dual_terminal_batch(state, drift, grid, rng.seed, rhs_streams, chunk)
     alive = duals["alive"]
     covered = np.zeros(paths)
     covered[alive] = covers(duals["normal"], duals["z"][alive], duals["y"][alive], x)

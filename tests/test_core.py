@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from dualflow import (
     gradient_drift,
     implicit_step,
     impute_noise,
+    liggett_identity_mc,
     read_path_csv,
     reversed_noise,
     run_coupling,
@@ -50,6 +52,8 @@ from dualflow.core import (
     write_path_binary,
     write_path_csv,
 )
+from dualflow import cli
+from dualflow.duals import dual_terminal_batch
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +313,31 @@ def test_coupling_failure_names_seed_stream_and_step(at, where):
                        + _SOLVE_FAILED):
         run_coupling(IntervalState(-1.0, 1.0), _BlowUp(at, np.nan), TimeGrid(1.0, 8),
                      RngSpec(3, 7), x0=np.zeros(1))
+
+
+# The dual flows make two zero-drift solves per step, four beta calls in
+# all; liggett_identity_mc runs the primal first, one call per step.
+_DUAL_STEP_3 = r"dual flow failed at step 3 \(t=0\.375\): " + _SOLVE_FAILED
+
+
+def test_dual_failures_name_step_and_time():
+    grid = TimeGrid(1.0, 8)
+    with pytest.raises(NumericalError, match="^" + _DUAL_STEP_3):
+        dual_terminal_batch(IntervalState(-1.0, 1.0), _BlowUp(9, np.nan), grid, 5, [0, 1, 2])
+    with pytest.raises(NumericalError, match=r"^duality \(seed 5, stream block 2\): " + _DUAL_STEP_3):
+        liggett_identity_mc(np.zeros(1), IntervalState(-1.0, 1.0), grid, 3,
+                            _BlowUp(8 + 9, np.nan), RngSpec(5, 2))
+
+
+def test_dual_command_failure_names_replica_and_step(tmp_path, monkeypatch, capsys):
+    # a wide interval never absorbs, so replica 0 makes all 8 steps' calls
+    monkeypatch.setattr(cli, "build_drift", lambda config: (_BlowUp(4 * 8 + 9, np.nan), None))
+    code = cli.main(["dual", "--seed", "4", "--replicas", "2", "--out", str(tmp_path),
+                     "--override", "grid.N=8", "--override", "grid.T=1.0", "--override",
+                     'dual.state={"family": "interval", "z": -50.0, "y": 50.0}'])
+    assert code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err.strip()
+    assert re.fullmatch(r"numeric failure: dual \(seed 4, replica 1\): " + _DUAL_STEP_3, err)
 
 
 def _implicit_step_reference(prev, dnoise, dt, drift, tol=1e-13, max_iter=100):

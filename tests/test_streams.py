@@ -1,0 +1,253 @@
+"""The per-stream noise layer keeps every bit of the generator-per-stream draws.
+
+`_stream_increments_reference` and `_uniforms_reference` are the stream
+layer as it was when each stream built its own `np.random.Generator`;
+the fast layer must reproduce them byte for byte.  The terminal digests
+below were recorded with that layer, so any change to the draws, to the
+order of a sum or to the chunking shows as a changed digest.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from scipy.special import ndtri
+
+from dualflow import (
+    BilinearDrift,
+    ConstantDrift,
+    IntervalState,
+    LogisticDrift,
+    RngSpec,
+    SlabState,
+    TimeGrid,
+    WedgeState,
+    liggett_identity_mc,
+)
+from dualflow import core
+from dualflow.core import stream_increments, uniforms
+from dualflow.duals import dual_terminal_batch, primal_terminal_batch
+
+
+_TWO53 = float(2**53)
+
+
+def _uniforms_reference(gen, shape):
+    return (gen.integers(0, 2**53, size=shape).astype(float) + 0.5) / _TWO53
+
+
+def _stream_increments_reference(grid, dim, seed, streams, step_uniforms=False):
+    m = len(streams)
+    inc = np.empty((grid.N, m, dim))
+    uni = np.empty((grid.N, m)) if step_uniforms else None
+    for i, s in enumerate(streams):
+        gen = RngSpec(seed, s).generator()
+        inc[:, i, :] = ndtri(_uniforms_reference(gen, (grid.N, dim))) * math.sqrt(grid.dt)
+        if step_uniforms:
+            uni[:, i] = _uniforms_reference(gen, (grid.N,))
+    return inc, uni
+
+
+_STREAMS = [0, 1, 2**32 + 7, (3 << 32) + 11, 2**63 + 5]
+
+
+def _liggett_streams(k, count, side):
+    """The ids liggett_identity_mc gives one side of RngSpec(seed, k)."""
+    return [(k << 32) + 2 * i + side for i in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 8801, 907559])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 37, 2000])
+def test_stream_increments_match_reference_bits(seed, dim, N):
+    grid = TimeGrid(1.0, N)
+    streams = _STREAMS + _liggett_streams(3, 2, 1)
+    for step_uniforms in (False, True):
+        inc, uni = stream_increments(grid, dim, seed, streams, step_uniforms)
+        ref_inc, ref_uni = _stream_increments_reference(grid, dim, seed, streams, step_uniforms)
+        assert inc.shape == ref_inc.shape and inc.tobytes() == ref_inc.tobytes()
+        if step_uniforms:
+            assert uni.shape == ref_uni.shape and uni.tobytes() == ref_uni.tobytes()
+        else:
+            assert uni is None
+
+
+def test_stream_increments_straddle_a_sub_block():
+    # enough streams that the conversion runs in more than one sub-block,
+    # with a width that does not divide the sub-block size
+    grid = TimeGrid(1.0, 2000)
+    width = grid.N * 2 + grid.N
+    per_block = max(1, core._CONVERT_WORDS // width)
+    streams = _liggett_streams(0, per_block + 3, 1)
+    inc, uni = stream_increments(grid, 2, 907559, streams, step_uniforms=True)
+    ref_inc, ref_uni = _stream_increments_reference(grid, 2, 907559, streams, True)
+    assert inc.tobytes() == ref_inc.tobytes()
+    assert uni.tobytes() == ref_uni.tobytes()
+
+
+def test_stream_increments_are_views_over_stream_rows():
+    inc, uni = stream_increments(TimeGrid(1.0, 5), 2, 0, [4, 5, 6], step_uniforms=True)
+    assert inc.shape == (5, 3, 2) and uni.shape == (5, 3)
+    assert inc.transpose(1, 0, 2).flags.c_contiguous
+    assert uni.T.flags.c_contiguous
+
+
+def test_stream_increments_reverse_with_their_streams():
+    grid = TimeGrid(1.0, 37)
+    streams = _STREAMS + list(range(2, 9))
+    inc, uni = stream_increments(grid, 2, 8801, streams, step_uniforms=True)
+    rinc, runi = stream_increments(grid, 2, 8801, streams[::-1], step_uniforms=True)
+    assert rinc.tobytes() == inc[:, ::-1].copy().tobytes()
+    assert runi.tobytes() == uni[:, ::-1].copy().tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4)])
+@pytest.mark.parametrize("seed", [0, 8801, 907559])
+def test_uniforms_match_reference_bits(shape, seed):
+    gen, ref = RngSpec(seed, 2**63 + 5).generator(), RngSpec(seed, 2**63 + 5).generator()
+    for _ in range(3):
+        u, r = uniforms(gen, shape), _uniforms_reference(ref, shape)
+        assert np.shape(u) == np.shape(r) and np.asarray(u).tobytes() == np.asarray(r).tobytes()
+    # later draws of other kinds see the same generator state
+    assert gen.integers(0, 2**53) == ref.integers(0, 2**53)
+
+
+# ---------------------------------------------------------------------------
+# terminal bytes of the batch estimators
+
+
+def _toy_logistic():
+    inputs = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])
+    return LogisticDrift(inputs, np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+_D = np.array([1.0, -1.0]) / math.sqrt(2.0)
+
+# (start, state, grid, drift, stream block k), the duality benchmark's inputs
+_FAMILIES = {
+    "interval": lambda: (np.array([0.0]), IntervalState(-1.0, 1.0), TimeGrid(1.0, 2000),
+                         ConstantDrift(0.5), 0),
+    "wedge": lambda: (np.array([0.2, 0.0]),
+                      WedgeState(np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.array([0.5, 0.0])),
+                      TimeGrid(0.5, 250), BilinearDrift(), 3),
+    "slab": lambda: (np.array([0.0, 0.0]), SlabState(-0.4 * _D, 0.4 * _D, _D),
+                     TimeGrid(0.5, 250), _toy_logistic(), 4),
+    "constant-2d": lambda: (np.array([0.1, -0.2]), None, TimeGrid(1.0, 300),
+                            ConstantDrift(np.array([0.5, -0.25])), 5),
+}
+
+_SEED = 907559
+_PATHS = 300
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _primal(name, paths=_PATHS, chunk=4096, streams=None):
+    x, _, grid, drift, k = _FAMILIES[name]()
+    streams = _liggett_streams(k, paths, 0) if streams is None else streams
+    return primal_terminal_batch(x, drift, grid, _SEED, streams, chunk)
+
+
+def _dual(name, paths=_PATHS, chunk=4096, streams=None):
+    _, state, grid, drift, k = _FAMILIES[name]()
+    streams = _liggett_streams(k, paths, 1) if streams is None else streams
+    out = dual_terminal_batch(state, drift, grid, _SEED, streams, chunk)
+    return out["z"], out["y"], out["alive"], out["normal"]
+
+
+_PRIMAL_DIGESTS = {
+    "interval": "a41b1dbe6e2e63a7",
+    "wedge": "2d29d07a20afc75a",
+    "slab": "e7b73e3a503fcca0",
+    "constant-2d": "8b07122a7b09aab0",
+}
+
+_DUAL_DIGESTS = {
+    "interval": "13ac49a79d75095a",
+    "wedge": "0cd0ba2eb0a28bac",
+    "slab": "a11a477d4e52707b",
+}
+
+# criterion 1's liggett_identity_mc at 4096 paths: lhs, lhs_se, rhs, rhs_se
+_CRITERION_01_4096 = "d7b8da4d93fb51fd"
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMAL_DIGESTS))
+def test_primal_terminal_bytes_unchanged(name):
+    assert _digest(_primal(name)) == _PRIMAL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(_DUAL_DIGESTS))
+def test_dual_terminal_bytes_unchanged(name):
+    assert _digest(*_dual(name)) == _DUAL_DIGESTS[name]
+
+
+def _estimate_hex(est):
+    return " ".join(float(v).hex() for v in (est.lhs, est.lhs_se, est.rhs, est.rhs_se))
+
+
+def test_criterion_01_estimate_unchanged_at_4096_paths():
+    est = liggett_identity_mc(np.array([0.0]), IntervalState(-1.0, 1.0), TimeGrid(1.0, 2000),
+                              4096, ConstantDrift(0.5), RngSpec(8801, 0))
+    assert hashlib.sha256(_estimate_hex(est).encode()).hexdigest()[:16] == _CRITERION_01_4096
+
+
+# ---------------------------------------------------------------------------
+# chunk and order independence
+
+
+def _assert_same_rows(a, b, exact):
+    if exact:
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+# Two kernels are not row-count invariant, so under them a replica's last
+# bits depend on the replicas that share its chunk: LogisticDrift.beta
+# (its batched matrix products) and the batched implicit solve, which
+# stops when the largest residual of its rows is below 1e-13.  Those
+# families are held to 1e-12, well above the few ulps seen.
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("name", sorted(_PRIMAL_DIGESTS))
+def test_primal_terminal_bytes_do_not_depend_on_chunk(name, chunk):
+    # a one-stream chunk of the 1-d constant drift is the case a reduction
+    # would sum pairwise; the steps must still be added in order
+    _assert_same_rows(_primal(name, chunk=chunk), _primal(name), exact=name != "slab")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("name", sorted(_DUAL_DIGESTS))
+def test_dual_terminal_bytes_do_not_depend_on_chunk(name, chunk):
+    # chunk 1 steps one replica at a time, so it runs on a prefix
+    paths = 40 if chunk == 1 else _PATHS
+    z, y, alive, normal = _dual(name, paths, chunk)
+    whole = _dual(name)
+    assert alive.tobytes() == whole[2][:paths].tobytes()
+    assert normal.tobytes() == whole[3].tobytes()
+    _assert_same_rows(z, whole[0][:paths], exact=name == "interval")
+    _assert_same_rows(y, whole[1][:paths], exact=name == "interval")
+
+
+@pytest.mark.parametrize("name", sorted(_DUAL_DIGESTS))
+def test_reversed_streams_reverse_the_rows(name):
+    *_, k = _FAMILIES[name]()
+    lhs, rhs = _liggett_streams(k, 60, 0), _liggett_streams(k, 60, 1)
+    assert _primal(name, streams=lhs[::-1]).tobytes() == _primal(name, streams=lhs)[::-1].tobytes()
+    fwd, rev = _dual(name, streams=rhs), _dual(name, streams=rhs[::-1])
+    for a, b in zip(fwd[:3], rev[:3]):
+        assert b.tobytes() == a[::-1].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_DUAL_DIGESTS))
+def test_identity_estimate_does_not_depend_on_chunk(name):
+    x, state, grid, drift, k = _FAMILIES[name]()
+    ests = [liggett_identity_mc(x, state, grid, 50, drift, RngSpec(_SEED, k), chunk=c)
+            for c in (1, 7, 4096)]
+    assert ests[0] == ests[1] == ests[2]
