@@ -299,6 +299,40 @@ class DriftField:
             raise ModelError(f"{type(self).__name__} does not expose a potential")
         return np.exp(-2.0 * g)
 
+    def solve_implicit(
+        self, prev: np.ndarray, c: np.ndarray, dt: float, tol: float = 1e-13, max_iter: int = 100
+    ) -> np.ndarray:
+        """Solve w = c + beta(w) dt by damped fixed-point iteration from
+        the explicit guess c + beta(prev) dt.
+
+        The step-size precondition makes the map a contraction, so plain
+        iteration converges geometrically; the damping only engages if the
+        residual ever fails to shrink.  ConstantDrift and BilinearDrift
+        override this with their closed-form solves.
+        """
+        beta = self.beta
+        w = c + beta(prev) * dt
+        alpha = 1.0
+        last = np.inf
+        for _ in range(max_iter):
+            target = c + beta(w) * dt
+            diff = target - w
+            res = float(abs(diff).max())
+            if res <= tol:
+                return target
+            if res >= last:
+                alpha = 0.5 * alpha
+            last = res
+            w = w + alpha * diff
+        raise NumericalError(f"implicit step failed to reach residual {tol:.1e} (last {last:.3e})")
+
+
+def _finite_solve(w: np.ndarray) -> np.ndarray:
+    """A closed-form implicit solve, refused when it is not finite."""
+    if not np.isfinite(w).all():
+        raise NumericalError("implicit step failed: the closed-form solve is not finite")
+    return w
+
 
 @dataclass(frozen=True)
 class ConstantDrift(DriftField):
@@ -327,6 +361,10 @@ class ConstantDrift(DriftField):
     def gamma(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.mu
 
+    def solve_implicit(self, prev, c, dt, tol=1e-13, max_iter=100) -> np.ndarray:
+        """w = c + mu dt: the bits of the fixed-point loop, with no iteration."""
+        return _finite_solve(c + self.mu * dt)
+
 
 @dataclass(frozen=True)
 class BilinearDrift(DriftField):
@@ -353,6 +391,15 @@ class BilinearDrift(DriftField):
         x = np.asarray(x, dtype=float)
         return x[..., 0] * x[..., 1]
 
+    def solve_implicit(self, prev, c, dt, tol=1e-13, max_iter=100) -> np.ndarray:
+        """w = c + dt (w_2, w_1) is linear: w = (c + dt (c_2, c_1)) / (1 - dt^2).
+
+        Elementwise, so a row's bits do not depend on the rows beside it.
+        """
+        if c.shape[-1] != 2:
+            raise ModelError(f"bilinear drift needs 2 coordinates, got {c.shape[-1]}")
+        return _finite_solve((c + dt * c[..., ::-1]) / (1.0 - dt * dt))
+
 
 @dataclass(frozen=True)
 class LogisticDrift(DriftField):
@@ -368,6 +415,8 @@ class LogisticDrift(DriftField):
 
     inputs: np.ndarray
     labels: np.ndarray
+    # duals.plane_density's result per (normal bytes, scale), built once
+    _planes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -518,29 +567,14 @@ def implicit_step(
     tol: float = 1e-13,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """Solve w = prev + beta(w) dt + increment by damped fixed-point iteration.
+    """Solve w = prev + beta(w) dt + increment.
 
-    The step-size precondition makes the map a contraction, so plain
-    iteration converges geometrically; the damping only engages if the
-    residual ever fails to shrink.
+    The drift chooses the method (DriftField.solve_implicit): a closed form
+    for constant and bilinear drifts, damped fixed-point iteration to
+    residual tol for every other drift.
     """
-    beta = drift.beta
     prev = np.asarray(prev, dtype=float)
-    c = prev + np.asarray(dnoise, dtype=float)
-    w = c + beta(prev) * dt
-    alpha = 1.0
-    last = np.inf
-    for _ in range(max_iter):
-        target = c + beta(w) * dt
-        diff = target - w
-        res = float(abs(diff).max())
-        if res <= tol:
-            return target
-        if res >= last:
-            alpha = 0.5 * alpha
-        last = res
-        w = w + alpha * diff
-    raise NumericalError(f"implicit step failed to reach residual {tol:.1e} (last {last:.3e})")
+    return drift.solve_implicit(prev, prev + np.asarray(dnoise, dtype=float), dt, tol, max_iter)
 
 
 def euler_backward_values(

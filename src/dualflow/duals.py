@@ -451,7 +451,21 @@ def _plane_curvature(drift: LogisticDrift, basis: np.ndarray, w: np.ndarray) -> 
 
 
 def plane_density(drift: LogisticDrift, normal: np.ndarray, scale: float = 1.6) -> PlaneDensity:
-    """The in-plane density on the orthogonal complement of the normal."""
+    """The in-plane density on the orthogonal complement of the normal.
+
+    It is built once per (drift, normal, scale) and kept on the drift, so
+    every later draw reuses the mode search, factorisation and envelope
+    probes.  Its arrays are read-only; a sampler that raises the envelope
+    keeps the raise inside its own call.
+    """
+    key = (np.asarray(normal, dtype=float).tobytes(), scale)
+    pd = drift._planes.get(key)
+    if pd is None:
+        pd = drift._planes[key] = _build_plane_density(drift, normal, scale)
+    return pd
+
+
+def _build_plane_density(drift: LogisticDrift, normal: np.ndarray, scale: float) -> PlaneDensity:
     basis = plane_basis(drift, normal)
     k = basis.shape[1]
     w = np.zeros(k)
@@ -483,6 +497,8 @@ def plane_density(drift: LogisticDrift, normal: np.ndarray, scale: float = 1.6) 
     probes = np.asarray(probes)
     ratios = pd.log_target(probes) - pd.log_proposal(probes)
     object.__setattr__(pd, "log_envelope", float(np.max(ratios)) + math.log(1.5))
+    for a in (pd.basis, pd.mode, pd.hessian, pd.chol_cov, pd.inv_chol_t):
+        a.flags.writeable = False
     return pd
 
 
@@ -923,7 +939,11 @@ def liggett_identity_mc(
     in the fixed region; the right side evolves the region with absorption
     and asks whether it still covers x.  Path i draws from streams
     (rng.stream << 32) + 2i and + 2i + 1, so both sides and all rng.stream
-    values are independent; compensated sums make chunking irrelevant.
+    values are independent.  Compensated sums make the estimate's
+    summation order irrelevant, and interval and wedge terminal bytes do
+    not depend on chunk; slab terminal bytes may, by a few ulps, because
+    the logistic drift and its fixed-point solve are not row-count
+    invariant.
     """
     if paths >= 2**31:
         raise ModelError(f"need fewer than 2**31 paths per stream block, got {paths}")

@@ -277,11 +277,11 @@ GOLDEN_RUNS = {
 GOLDEN_DIGESTS = {
     "simulate": "5983e33bdeb22966fefc61338f81fb5394dbe177fc65060125df048bc4079154",
     "dual-interval": "2ff9d6fbc8c3864a98188f1760035671d781389c9dacbad526829656bcb6cef7",
-    "dual-wedge": "79275780e41ef49b166fd54d436749d1caf3cb8a632ded329dd6ecd40b71d846",
+    "dual-wedge": "90bc915d42af20145d688896763f50d5f8b91bb667d148d0b81e652182ef19f6",
     "dual-slab": "70e8da430a6b5111a63dc584510b78affa681c8a5f34c3168c7d5302bb53c77c",
     "couple-interval": "2341853968c1b67b0a1ef9751e8e21ad6449b18a608bbe6b1f624b58f89d1d14",
     "couple-entrance": "7dfd33860e2b8680bd7aa4eb64d6e761020dad06eed08d3ef15b0a9b4e999ec3",
-    "couple-wedge": "34185389fb42b2c573941de385ba5dd32d0ed6b27c50230a8ff4f7dc78a38290",
+    "couple-wedge": "956b650c2b24a3c6f8c7306064a66cd4c4426162fe4a4728300973aa57a4094f",
     "couple-slab": "ea6b45c4f5d97c263fd1785948906e215df8b0959b6353244cde9a1afae58d71",
     "pitman": "e62839c7f4ee76a0d12859d061e66263053a1c2f9723ebee4f755cd78e928902",
     "posterior": "7a0ad9119a8f011ba44b52bbd1c59200d04127c9445bec8eb39a748c1cd2521d",

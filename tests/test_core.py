@@ -3,6 +3,7 @@
 import io
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -378,7 +379,8 @@ def _toy_logistic():
 
 
 _SOLVE_DRIFTS = {
-    "bilinear": BilinearDrift(),
+    "constant-1d": ConstantDrift(0.5),
+    "constant-2d": ConstantDrift(np.array([0.5, -1.25])),
     "toy-logistic": _toy_logistic(),
     "logistic-3d": LogisticDrift(
         np.array([[1.0, 0.5, -0.2], [0.3, -1.0, 0.8], [-0.7, 0.2, 0.4], [0.1, 0.9, -0.6]]),
@@ -394,9 +396,16 @@ _SOLVE_DRIFTS = {
 @pytest.mark.parametrize("rows", [(), (7,)], ids=["one-row", "batched"])
 def test_implicit_step_matches_reference_bits(name, rows):
     drift = _SOLVE_DRIFTS[name]
-    dt = 0.5 if name == "damped" else 0.05
     gen = RngSpec(4242, len(rows)).generator()
     prev = normals(gen, (*rows, drift.n))
+    if isinstance(drift, ConstantDrift):
+        # the closed form c + mu dt keeps the loop's bits, with no iteration
+        for dt in (1e-3, 0.05, 0.3):
+            dnoise = normals(gen, (*rows, drift.n)) * math.sqrt(dt)
+            want = _implicit_step_reference(prev, dnoise, dt, drift)
+            assert implicit_step(prev, dnoise, dt, drift).tobytes() == want.tobytes()
+        return
+    dt = 0.5 if name == "damped" else 0.05
     dnoise = normals(gen, (*rows, drift.n)) * math.sqrt(dt)
     ref, lean = _Counted(drift), _Counted(drift)
     want = _implicit_step_reference(prev, dnoise, dt, ref)
@@ -411,6 +420,53 @@ def test_implicit_step_matches_reference_bits(name, rows):
     with pytest.raises(NumericalError) as got_err:
         implicit_step(prev, dnoise, dt, drift, max_iter=2)
     assert str(got_err.value) == str(want_err.value)
+
+
+def _exact_affine_solve(drift, c, dt):
+    """w = c + dt beta(w) in exact rational arithmetic, one row at a time."""
+    dt = Fraction(dt)
+    rows = []
+    for row in np.atleast_2d(c):
+        c1 = [Fraction(float(v)) for v in row]
+        if isinstance(drift, ConstantDrift):
+            rows.append([v + dt * Fraction(float(m)) for v, m in zip(c1, drift.mu)])
+        else:
+            det = 1 - dt * dt
+            rows.append([(c1[0] + dt * c1[1]) / det, (c1[1] + dt * c1[0]) / det])
+    return np.array([[float(v) for v in row] for row in rows]).reshape(np.shape(c))
+
+
+_AFFINE_DRIFTS = {
+    "constant": lambda: ConstantDrift(np.array([0.5, -1.25])),
+    "bilinear": BilinearDrift,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_AFFINE_DRIFTS))
+@pytest.mark.parametrize("rows", [(), (7,)], ids=["one-row", "batched"])
+def test_affine_drifts_solve_in_closed_form(name, rows):
+    drift = _AFFINE_DRIFTS[name]()
+    dt = 0.05
+    gen = RngSpec(4243, len(rows)).generator()
+    prev = 3.0 * normals(gen, (*rows, 2))
+    dnoise = normals(gen, (*rows, 2)) * math.sqrt(dt)
+    # count beta calls through an instance attribute, as a tracer does
+    calls, beta = [], drift.beta
+    object.__setattr__(drift, "beta", lambda x: calls.append(1) or beta(x))
+    w = implicit_step(prev, dnoise, dt, drift)
+    assert calls == []
+    assert w.shape == prev.shape
+    c = prev + dnoise
+    assert np.all(np.abs(w - c - dt * drift.beta(w)) <= 1e-15 * (1.0 + np.abs(w)))
+    assert np.all(np.abs(w - _exact_affine_solve(drift, c, dt)) <= 1e-15 * (1.0 + np.abs(c).max()))
+    # a row's solve does not depend on the rows beside it
+    if rows:
+        alone = [implicit_step(p, d, dt, drift) for p, d in zip(prev, dnoise)]
+        assert np.stack(alone).tobytes() == w.tobytes()
+    bad = prev.copy()
+    bad[..., 0] = np.nan
+    with pytest.raises(NumericalError, match=r"^implicit step failed"):
+        implicit_step(bad, dnoise, dt, drift)
 
 
 def test_grid_blocks_keep_the_grid_step_and_draws():

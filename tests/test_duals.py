@@ -212,6 +212,23 @@ def test_slab_conditional_law():
     assert res.pvalue > 1e-3
 
 
+def test_slab_draws_build_the_plane_density_once(monkeypatch):
+    builds, basis = [], duals.plane_basis
+    monkeypatch.setattr(duals, "plane_basis", lambda *a: builds.append(1) or basis(*a))
+    d = SLAB_NORMAL
+    state, drift = SlabState(-0.4 * d, 0.4 * d, d), toy_logistic()
+    first = sample_conditional(state, drift, RngSpec(75, 0)).point
+    again = sample_conditional(state, drift, RngSpec(75, 0)).point
+    assert len(builds) == 1
+    assert again.tobytes() == first.tobytes()
+    # another drift object builds its own density, to the same bits
+    fresh = sample_conditional(state, toy_logistic(), RngSpec(75, 0)).point
+    assert len(builds) == 2 and fresh.tobytes() == first.tobytes()
+    # the kept density is shared, so its arrays refuse writes
+    with pytest.raises(ValueError):
+        plane_density(drift, d).mode[0] = 0.0
+
+
 def test_plane_sampler_keeps_a_raised_envelope_local():
     # an envelope far below the target forces a raise on the first batch
     pd = replace(plane_density(toy_logistic(), SLAB_NORMAL), log_envelope=-50.0)

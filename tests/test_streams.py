@@ -170,7 +170,7 @@ _PRIMAL_DIGESTS = {
 
 _DUAL_DIGESTS = {
     "interval": "13ac49a79d75095a",
-    "wedge": "0cd0ba2eb0a28bac",
+    "wedge": "5fd71db7c9a684ea",
     "slab": "a11a477d4e52707b",
 }
 
@@ -211,9 +211,10 @@ def _assert_same_rows(a, b, exact):
 
 # Two kernels are not row-count invariant, so under them a replica's last
 # bits depend on the replicas that share its chunk: LogisticDrift.beta
-# (its batched matrix products) and the batched implicit solve, which
-# stops when the largest residual of its rows is below 1e-13.  Those
-# families are held to 1e-12, well above the few ulps seen.
+# (its batched matrix products) and the batched fixed-point solve, which
+# stops when the largest residual of its rows is below 1e-13.  Only the
+# slab runs them (the constant and bilinear drifts solve in closed form,
+# row by row), so it alone is held to 1e-12, well above the few ulps seen.
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("name", sorted(_PRIMAL_DIGESTS))
 def test_primal_terminal_bytes_do_not_depend_on_chunk(name, chunk):
@@ -231,8 +232,8 @@ def test_dual_terminal_bytes_do_not_depend_on_chunk(name, chunk):
     whole = _dual(name)
     assert alive.tobytes() == whole[2][:paths].tobytes()
     assert normal.tobytes() == whole[3].tobytes()
-    _assert_same_rows(z, whole[0][:paths], exact=name == "interval")
-    _assert_same_rows(y, whole[1][:paths], exact=name == "interval")
+    _assert_same_rows(z, whole[0][:paths], exact=name != "slab")
+    _assert_same_rows(y, whole[1][:paths], exact=name != "slab")
 
 
 @pytest.mark.parametrize("name", sorted(_DUAL_DIGESTS))

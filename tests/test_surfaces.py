@@ -207,13 +207,14 @@ def test_surfaces_jsonl_round_trip():
 
 
 # the file format of a 3-node line and plane trajectory, as written before
-# the three surface families became one type
+# the three surface families became one type; the line's anchors are the
+# bilinear drift's closed-form implicit solve
 GOLDEN_LINE = (
     '{"t": 0.0, "variant": "line", "params": {"u": [1.0, 2.0], "anchor": [0.4, 0.1]}}\n'
     '{"t": 0.01, "variant": "line", "params": {"u": [1.02, 2.01], '
-    '"anchor": [0.450245024502451, 0.024502450245024003]}}\n'
+    '"anchor": [0.45024502450245024, 0.024502450245024506]}}\n'
     '{"t": 0.02, "variant": "line", "params": {"u": [1.0401, 2.0202], '
-    '"anchor": [0.42163221222612385, 0.13871877236728522]}}\n'
+    '"anchor": [0.42163221222612307, 0.13871877236728572]}}\n'
 )
 GOLDEN_PLANE = (
     '{"t": 0.0, "variant": "plane", "params": {"normal": [0.7071067811865475, '
