@@ -310,20 +310,21 @@ class DriftField:
         residual ever fails to shrink.  ConstantDrift and BilinearDrift
         override this with their closed-form solves.
         """
-        beta = self.beta
+        beta, peak = self.beta, np.maximum.reduce
         w = c + beta(prev) * dt
         alpha = 1.0
         last = np.inf
         for _ in range(max_iter):
             target = c + beta(w) * dt
             diff = target - w
-            res = float(abs(diff).max())
+            res = float(peak(abs(diff), axis=None))
             if res <= tol:
                 return target
             if res >= last:
                 alpha = 0.5 * alpha
             last = res
-            w = w + alpha * diff
+            # 1.0 * diff is diff, so the undamped update skips the product
+            w = w + diff if alpha == 1.0 else w + alpha * diff
         raise NumericalError(f"implicit step failed to reach residual {tol:.1e} (last {last:.3e})")
 
 
@@ -585,20 +586,27 @@ def euler_backward_values(
 ) -> np.ndarray:
     """Explicit scheme from an anchor point, batched over middle axes.
 
-    grid may be a GridBlock, whose run starts at x_start; a divergence
-    names the step index and time on the whole grid.
+    Each step is written in place into its row, with the operations of
+    cur - beta(cur) dt + increment in that order.  Finiteness is checked
+    once per call, after the last step: a divergence names the first
+    non-finite step, by index and time on the whole grid when grid is a
+    GridBlock (whose run starts at x_start), and the steps after it run
+    on non-finite values first.
     """
     dt = grid.dt
     beta = drift.beta
+    mul, sub, add = np.multiply, np.subtract, np.add
     dnoise = np.diff(noise_values, axis=0)
     out = np.empty_like(noise_values)
     out[0] = x_start
-    for k in range(1, grid.N + 1):
-        cur = out[k - 1]
-        out[k] = cur - beta(cur) * dt + dnoise[k - 1]
-        if not np.isfinite(out[k]).all():
-            step = grid.first + k
-            raise NumericalError(f"explicit scheme diverged at step {step} (t={step * dt:.6g})")
+    for cur, row, dn in zip(out[: grid.N], out[1 : grid.N + 1], dnoise):
+        mul(beta(cur), dt, out=row)
+        sub(cur, row, out=row)
+        add(row, dn, out=row)
+    finite = np.isfinite(out[1 : grid.N + 1])
+    if not finite.all():
+        step = grid.first + 1 + int(np.argmin(finite.reshape(grid.N, -1).all(axis=1)))
+        raise NumericalError(f"explicit scheme diverged at step {step} (t={step * dt:.6g})")
     return out
 
 

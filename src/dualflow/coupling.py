@@ -443,10 +443,19 @@ def mc_region_sampler(
     with that time, not with the horizon; only an attempt that never
     covers runs the whole horizon.  A numerical failure names the
     attempt's (seed, stream).
+
+    ModelError is raised unless the region is an increasing pair, count
+    and max_attempts are at least 1, dt is positive and finite, and the
+    drift is 1-d constant or logistic; a logistic drift also needs h1 to
+    be None or a degenerate SlabState (gap 0).
     """
     lo, hi = float(region[0]), float(region[1])
     if not lo < hi:
         raise ModelError(f"region must be an increasing pair, got ({lo}, {hi})")
+    if not (count >= 1 and max_attempts >= 1):
+        raise ModelError(f"count and max_attempts must be >= 1, got {count} and {max_attempts}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ModelError(f"time step must be positive and finite, got dt={dt}")
     grid = TimeGrid(horizon, max(int(round(horizon / dt)), 1))
 
     if isinstance(drift, ConstantDrift) and drift.n == 1:
@@ -461,7 +470,7 @@ def mc_region_sampler(
             anchor = 0.5 * (lo + hi)
             d, _ = span_normal(drift.inputs)
             h1 = SlabState(anchor * d, anchor * d, d)
-        if not isinstance(h1, SlabState):
+        if not isinstance(h1, SlabState) or h1.gap() != 0.0:
             raise ModelError("slab region sampling needs a degenerate slab start")
         meta_start = {"anchor_offset": float(h1.normal @ h1.y), "normal": h1.normal.tolist()}
         pd = plane_density(drift, h1.normal)
@@ -548,18 +557,19 @@ def _slab_region_attempt(lo, hi, start, grid, spec, pd):
         X = euler_backward_values(block, x, wiener, drift)
         omega = _sums_from(om_end, _impute_increments(X, block.dt, drift))
         om_inc = np.diff(omega, axis=0)
-        # over two or more rows, as one row can round differently
-        pX = X @ d
-        for i in range(block.N):
-            po = float(om_inc[i] @ d)
-            po1 = float(om_inc[i][0])
+        # over two or more rows, as one row can round differently; po
+        # stays one row at a time, as a batched product rounds differently
+        # (a row's .dot and @ run the same BLAS dot, and .dot calls it sooner)
+        pX = (X @ d).tolist()
+        for i, (inc, po1) in enumerate(zip(om_inc, om_inc[:, 0].tolist())):
+            po = float(inc.dot(d))
             crossing = pX[i] + d1 * (po1 + abs(po1)) > pA
             dsig = 2.0 * po1 if crossing else 0.0
             pA = pA + po + d1 * (dsig - 2.0 * po1)
             pZ = pZ + po - d1 * dsig
             if pZ < lo and hi <= pA:
                 j = first + i + 1
-                return X[i + 1].copy(), float(grid.times[j]), bool(lo < pX[i + 1] <= hi)
+                return X[i + 1].copy(), float(grid.times[j]), lo < pX[i + 1] <= hi
         x, w_end, om_end = X[-1], wiener[-1], omega[-1]
     return None
 

@@ -232,6 +232,16 @@ def test_verify_rejects_unknown_suite(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", ["posterior.dt=0", "posterior.dt=-0.002",
+                                      "posterior.count=0", "posterior.max_attempts=0"])
+def test_posterior_rejects_bad_sampler_arguments(tmp_path, capsys, override):
+    code = main(["posterior", "--out", str(tmp_path), "--override", "model.family=logistic",
+                 "--override", override])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("model error: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_dir_collision_suffix(tmp_path):
     out = tmp_path / "runs"
     for _ in range(2):

@@ -469,6 +469,78 @@ def test_affine_drifts_solve_in_closed_form(name, rows):
         implicit_step(bad, dnoise, dt, drift)
 
 
+def _euler_backward_reference(grid, x_start, noise_values, drift):
+    """euler_backward_values as written before its steps moved in place
+    and its finiteness check moved to the end of the call; the shipped
+    kernel must match it bit for bit and message for message."""
+    dt = grid.dt
+    beta = drift.beta
+    dnoise = np.diff(noise_values, axis=0)
+    out = np.empty_like(noise_values)
+    out[0] = x_start
+    for k in range(1, grid.N + 1):
+        cur = out[k - 1]
+        out[k] = cur - beta(cur) * dt + dnoise[k - 1]
+        if not np.isfinite(out[k]).all():
+            step = grid.first + k
+            raise NumericalError(f"explicit scheme diverged at step {step} (t={step * dt:.6g})")
+    return out
+
+
+_EXPLICIT_DRIFTS = {
+    "constant": ConstantDrift(np.array([0.5, -1.25])),
+    "bilinear": BilinearDrift(),
+    "bundled-logistic": cli.build_drift({"model": {"family": "logistic", "data": None}})[0],
+    "logistic-3d": _SOLVE_DRIFTS["logistic-3d"],
+    "product": _SOLVE_DRIFTS["product"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXPLICIT_DRIFTS))
+@pytest.mark.parametrize("rows", [(), (7,)], ids=["one-row", "batched"])
+@pytest.mark.parametrize("span", ["grid", "block"])
+def test_explicit_scheme_matches_reference_bits(name, rows, span):
+    drift = _EXPLICIT_DRIFTS[name]
+    grid = TimeGrid(2.0, 400)
+    if span == "block":
+        grid = grid.block(130, 64)
+    gen = RngSpec(4244, len(rows)).generator()
+    x0 = normals(gen, (*rows, drift.n))
+    noise = np.cumsum(normals(gen, (grid.N + 1, *rows, drift.n)) * math.sqrt(grid.dt), axis=0)
+    want = _euler_backward_reference(grid, x0, noise, drift)
+    got = euler_backward_values(grid, x0, noise, drift)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# the divergence lands mid-block: step 1000 of a 4000-step grid is step 40
+# of the block after node 960
+_STEP_1000 = r"^explicit scheme diverged at step 1000 \(t=2\)$"
+
+
+# the steps after the divergence run on before it is named, and warn no
+# more than the reference, which stops at it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("rows", [(), (7,)], ids=["one-row", "batched"])
+def test_explicit_divergence_inside_a_block_names_its_step(value, rows):
+    block = TimeGrid(8.0, 4000).block(960, 64)
+    for kernel in (_euler_backward_reference, euler_backward_values):
+        with pytest.raises(NumericalError, match=_STEP_1000):
+            kernel(block, np.zeros((*rows, 1)), np.zeros((65, *rows, 1)), _BlowUp(40, value))
+
+
+# an infinite increment is followed by its negative, so the shipped kernel,
+# which runs the block out before it looks, computes inf - inf once
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_explicit_divergence_of_one_replica_names_its_step(value):
+    block = TimeGrid(8.0, 4000).block(960, 64)
+    noise = np.zeros((65, 7, 2))
+    noise[40, 3, 1] = value
+    for kernel in (_euler_backward_reference, euler_backward_values):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=_STEP_1000):
+            kernel(block, np.zeros((7, 2)), noise, ConstantDrift(np.array([0.5, -1.0])))
+
+
 def test_grid_blocks_keep_the_grid_step_and_draws():
     grid = TimeGrid(1.0, 500)
     blocks = [grid.block(first, 64) for first in range(0, grid.N, 64)]

@@ -1,5 +1,6 @@
 """Linked couplings, entrance laws, path transforms, reclocking, region MC."""
 
+import hashlib
 import io
 import math
 
@@ -310,6 +311,20 @@ def test_region_sampler_validation():
         mc_region_sampler((0.5, -0.5), None, ConstantDrift(0.3), RngSpec(0, 0))
     with pytest.raises(ModelError):
         mc_region_sampler((-0.5, 0.5), None, BilinearDrift(), RngSpec(0, 0))
+    for dt in (0.0, -0.002, math.inf, math.nan):
+        with pytest.raises(ModelError, match=r"^time step must be positive and finite"):
+            mc_region_sampler((-0.5, 0.5), None, ConstantDrift(0.3), RngSpec(0, 0), dt=dt)
+    for count, max_attempts in ((0, 10), (-1, 10), (5, 0)):
+        with pytest.raises(ModelError, match=r"^count and max_attempts must be >= 1"):
+            mc_region_sampler((-0.5, 0.5), None, ConstantDrift(0.3), RngSpec(0, 0),
+                              count=count, max_attempts=max_attempts)
+
+
+def test_region_sampler_rejects_a_slab_start_with_a_gap(bundled_slab):
+    drift, h1, _ = bundled_slab
+    wide = SlabState(h1.z - 0.1 * h1.normal, h1.y, h1.normal)
+    with pytest.raises(ModelError, match=r"^slab region sampling needs a degenerate slab start$"):
+        mc_region_sampler((-0.6, 0.6), wide, drift, RngSpec(8808, 0), count=1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +399,25 @@ def test_region_sampler_samples_do_not_depend_on_count(bundled_slab):
     assert many.accepted == 15
     assert many.samples[:5].tobytes() == few.samples.tobytes()
     assert many.stop_times[:5].tobytes() == few.stop_times.tobytes()
+
+
+# sha256 of samples, stop times, attempts and covered (int64) for count 40
+# on the bundled slab, recorded before the explicit kernel and the attempt
+# loop were made cheaper
+_SAMPLER_DIGESTS = {
+    8808: "3a35889d814b04ba2190d3a1c0d93c2ec808f1c98a6da73a1d248eb5d7830e4a",
+    907559: "4652abab351fd41edd9a064e06bcb624b4c156f33aed9edb52963a2901044db6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_SAMPLER_DIGESTS))
+def test_region_sampler_bits_are_pinned(bundled_slab, seed):
+    out = mc_region_sampler((-0.6, 0.6), None, bundled_slab[0], RngSpec(seed, 0), count=40)
+    h = hashlib.sha256()
+    h.update(out.samples.tobytes())
+    h.update(out.stop_times.tobytes())
+    h.update(np.array([out.attempts, out.covered], dtype=np.int64).tobytes())
+    assert h.hexdigest() == _SAMPLER_DIGESTS[seed]
 
 
 def test_region_attempt_divergence_names_step_and_stream(bundled_slab, monkeypatch):
