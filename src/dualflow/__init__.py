@@ -28,14 +28,11 @@ from .core import (
     euler_forward_implicit,
     explicit_step,
     flip_first,
-    gradient_drift,
     implicit_step,
     read_path_csv,
     reversed_noise,
     sample_brownian,
     sample_brownian_batch,
-    strong_solve,
-    transition_density_constant_drift,
     write_path_csv,
 )
 from .surfaces import (
@@ -48,7 +45,6 @@ from .reflection import (
     FlowOutput,
     ReflectionOutput,
     backward_flow,
-    complementarity_report,
     flow_constant_1d,
     flow_from_path,
     flow_trigger_1d,
@@ -83,7 +79,6 @@ from .verify import (
     TestReport,
     ks_test,
     reflection_probabilities,
-    run_all_suites,
     suite_duality,
     suite_flow_wiener,
     suite_reversal,
@@ -115,7 +110,6 @@ __all__ = [
     "WedgeState",
     "backward_flow",
     "bessel_time_change",
-    "complementarity_report",
     "contains_batch",
     "dual_drift",
     "dual_step",
@@ -128,7 +122,6 @@ __all__ = [
     "flow_from_path",
     "flow_trigger_1d",
     "forward_flow",
-    "gradient_drift",
     "implicit_step",
     "impute_noise",
     "intertwining_residual",
@@ -140,7 +133,6 @@ __all__ = [
     "read_path_csv",
     "reflection_probabilities",
     "reversed_noise",
-    "run_all_suites",
     "run_coupling",
     "run_entrance_coupling",
     "sample_brownian",
@@ -148,11 +140,9 @@ __all__ = [
     "sample_conditional",
     "solve_skorohod_1d",
     "step_surface",
-    "strong_solve",
     "suite_duality",
     "suite_flow_wiener",
     "suite_reversal",
-    "transition_density_constant_drift",
     "truncated_exp_mean",
     "write_path_csv",
 ]

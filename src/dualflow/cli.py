@@ -388,19 +388,17 @@ def cmd_couple(config: dict) -> int:
     drift, d = build_drift(config)
     grid = TimeGrid(float(config["grid"]["T"]), int(config["grid"]["N"]))
     section = config["couple"]
+    if section.get("entrance"):
+        run, start = run_entrance_coupling, section.get("start", 0.0)
+        if isinstance(start, dict):
+            start = build_state(start, d)
+    else:
+        run, start = run_coupling, build_state(section["state"], d)
+        if start.n != drift.n:
+            raise ConfigError("coupling state and model dimensions differ")
     run_dir = new_run_dir(config, "couple")
     for r in range(config["replicas"]):
-        rng = RngSpec(config["seed"], r)
-        if section.get("entrance"):
-            start = section.get("start", 0.0)
-            if isinstance(start, dict):
-                start = build_state(start, d)
-            traj = run_entrance_coupling(start, drift, grid, rng)
-        else:
-            state0 = build_state(section["state"], d)
-            if state0.n != drift.n:
-                raise ConfigError("coupling state and model dimensions differ")
-            traj = run_coupling(state0, drift, grid, rng)
+        traj = run(start, drift, grid, RngSpec(config["seed"], r))
         with open(run_dir / f"coupling-{r}.jsonl", "w") as fp:
             write_coupling_jsonl(fp, traj)
     print(run_dir)

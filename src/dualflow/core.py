@@ -19,10 +19,7 @@ coordinate axis, and every drift field broadcasts over them.
 
 from __future__ import annotations
 
-import hashlib
-import io
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -62,9 +59,6 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.N + 1)
-
-    def refined(self, factor: int) -> "TimeGrid":
-        return TimeGrid(self.T, self.N * int(factor))
 
     @property
     def first(self) -> int:
@@ -111,24 +105,11 @@ class SamplePath:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def at(self, t: float) -> np.ndarray:
-        """Piecewise-linear interpolation; exact at grid nodes."""
-        dt = self.grid.dt
-        s = float(t)
-        if s < -1e-12 or s > self.grid.T * (1 + 1e-12):
-            raise ValueError(f"t={t} outside [0, {self.grid.T}]")
-        j = min(int(s / dt), self.grid.N - 1)
-        frac = s / dt - j
-        return (1.0 - frac) * self.values[j] + frac * self.values[j + 1]
-
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
 
     def reversed(self) -> "SamplePath":
         return SamplePath(self.grid, self.values[::-1].copy())
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=-1)))
 
 
 def flip_first(values: np.ndarray) -> np.ndarray:
@@ -170,9 +151,6 @@ class RngSpec:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def spawn(self, stream: int) -> "RngSpec":
-        return RngSpec(self.seed, stream)
 
 
 def _raw_uniforms(raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -292,12 +270,6 @@ class DriftField:
 
     def gamma(self, x: np.ndarray) -> Optional[np.ndarray]:
         return None
-
-    def nu(self, x: np.ndarray) -> np.ndarray:
-        g = self.gamma(x)
-        if g is None:
-            raise ModelError(f"{type(self).__name__} does not expose a potential")
-        return np.exp(-2.0 * g)
 
     def solve_implicit(
         self, prev: np.ndarray, c: np.ndarray, dt: float, tol: float = 1e-13, max_iter: int = 100
@@ -497,51 +469,6 @@ class ProductDrift(DriftField):
         return g
 
 
-@dataclass(frozen=True)
-class NumericGradientDrift(DriftField):
-    """Drift obtained by central differences of a supplied potential."""
-
-    potential: Callable[[np.ndarray], np.ndarray]
-    n: int
-    k_lipschitz: float = 1.0
-
-    def beta(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        h = 1e-5 * (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
-        out = np.empty_like(x)
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = 1.0
-            hi = h * e
-            out[..., i] = (
-                np.asarray(self.potential(x + hi), dtype=float)
-                - np.asarray(self.potential(x - hi), dtype=float)
-            ) / (2.0 * h[..., 0])
-        return out
-
-    def gamma(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.potential(np.asarray(x, dtype=float)), dtype=float)
-
-
-def gradient_drift(
-    potential: Callable[[np.ndarray], np.ndarray], dim: int, k_lipschitz: float = 1.0
-) -> NumericGradientDrift:
-    """Wrap a scalar potential as a drift field via central differences.
-
-    The potential is probed at a handful of points; a non-finite value is an
-    invalid model and is rejected here rather than deep inside a simulation.
-    """
-    drift = NumericGradientDrift(potential, dim, k_lipschitz)
-    probes = [np.zeros(dim), np.ones(dim), -0.5 * np.ones(dim)]
-    for p in probes:
-        val = np.asarray(potential(p), dtype=float)
-        if not np.all(np.isfinite(val)):
-            raise ModelError(f"potential is not finite at probe {p}")
-        if not np.all(np.isfinite(drift.beta(p))):
-            raise ModelError(f"potential gradient is not finite at probe {p}")
-    return drift
-
-
 # ---------------------------------------------------------------------------
 # scheme kernels
 
@@ -590,8 +517,9 @@ def euler_backward_values(
     cur - beta(cur) dt + increment in that order.  Finiteness is checked
     once per call, after the last step: a divergence names the first
     non-finite step, by index and time on the whole grid when grid is a
-    GridBlock (whose run starts at x_start), and the steps after it run
-    on non-finite values first.
+    GridBlock (whose run starts at x_start).  The steps after it run on
+    non-finite values first, with floating-point warnings off, so the
+    divergence is reported by the check alone.
     """
     dt = grid.dt
     beta = drift.beta
@@ -599,10 +527,11 @@ def euler_backward_values(
     dnoise = np.diff(noise_values, axis=0)
     out = np.empty_like(noise_values)
     out[0] = x_start
-    for cur, row, dn in zip(out[: grid.N], out[1 : grid.N + 1], dnoise):
-        mul(beta(cur), dt, out=row)
-        sub(cur, row, out=row)
-        add(row, dn, out=row)
+    with np.errstate(all="ignore"):
+        for cur, row, dn in zip(out[: grid.N], out[1 : grid.N + 1], dnoise):
+            mul(beta(cur), dt, out=row)
+            sub(cur, row, out=row)
+            add(row, dn, out=row)
     finite = np.isfinite(out[1 : grid.N + 1])
     if not finite.all():
         step = grid.first + 1 + int(np.argmin(finite.reshape(grid.N, -1).all(axis=1)))
@@ -649,86 +578,8 @@ def euler_forward_implicit(x_start: np.ndarray, noise: SamplePath, drift: DriftF
     return SamplePath(noise.grid, vals)
 
 
-def _bridge_refine(noise: SamplePath, refine: int, rng: Optional[RngSpec]) -> SamplePath:
-    """Brownian-bridge interpolation of the noise increments onto a finer grid."""
-    if refine == 1:
-        return noise
-    grid = noise.grid
-    fine = grid.refined(refine)
-    if rng is None:
-        # derive a generator from the noise content so the refinement is a
-        # pure function of its inputs
-        digest = hashlib.sha256(noise.values.tobytes()).digest()
-        seed = int.from_bytes(digest[:8], "little")
-        rng = RngSpec(seed, refine)
-    gen = rng.generator()
-    coarse = noise.values
-    n = coarse.shape[1]
-    vals = np.empty((fine.N + 1, n))
-    vals[::refine] = coarse
-    dt_f = fine.dt
-    for j in range(grid.N):
-        left = coarse[j]
-        right = coarse[j + 1]
-        cur = left
-        for r in range(1, refine):
-            remaining = (refine - r) * dt_f
-            mean = cur + (right - cur) * dt_f / (dt_f + remaining)
-            sd = np.sqrt(dt_f * remaining / (dt_f + remaining))
-            cur = mean + sd * normals(gen, (n,))
-            vals[j * refine + r] = cur
-    return SamplePath(fine, vals)
-
-
-def strong_solve(
-    x_start: np.ndarray,
-    noise: SamplePath,
-    drift: DriftField,
-    refine: int = 8,
-    rng: Optional[RngSpec] = None,
-) -> SamplePath:
-    """Refined explicit solve, downsampled back to the original grid.
-
-    The driving increments are bridged onto a grid `refine` times finer,
-    the explicit scheme is run there, and the result is read off at the
-    original nodes.  With refine=1 this is euler_backward exactly.  The
-    bridge needs auxiliary randomness; by default it is derived
-    deterministically from the noise content, so equal inputs give
-    bit-identical output.
-    """
-    if refine < 1:
-        raise ValueError(f"refine must be >= 1, got {refine}")
-    fine_noise = _bridge_refine(noise, refine, rng)
-    fine_path = euler_backward(x_start, fine_noise, drift)
-    vals = fine_path.values[::refine].copy()
-    return SamplePath(noise.grid, vals)
-
-
-def transition_density_constant_drift(t, x, y, mu) -> np.ndarray:
-    """Density of X(t) at y for dX = -mu dt + dW started at x (one dimension)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("time must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.exp(-((y - x + mu * t) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
-
-
-def uniform_bound(x_start: np.ndarray, noise: SamplePath, drift: DriftField) -> float:
-    """A priori sup-norm envelope for the explicit scheme on this noise."""
-    x0 = np.atleast_1d(np.asarray(x_start, dtype=float))
-    T = noise.grid.T
-    b0 = float(np.linalg.norm(drift.beta(np.zeros(noise.dim))))
-    return float(
-        np.exp(drift.k_lipschitz * T)
-        * (np.linalg.norm(x0) + b0 * T + 2.0 * noise.sup_norm())
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization
-
-_MAGIC = b"DFPATH01"
 
 
 def write_path_csv(fp, path: SamplePath) -> None:
@@ -748,26 +599,3 @@ def read_path_csv(fp) -> SamplePath:
     t = arr[:, 0]
     grid = TimeGrid(float(t[-1]), len(t) - 1)
     return SamplePath(grid, arr[:, 1:])
-
-
-def write_path_binary(fp, path: SamplePath, seed: int = 0) -> None:
-    """Little-endian record: magic, n, N, T, seed, then the node values."""
-    fp.write(_MAGIC)
-    fp.write(struct.pack("<qqdq", path.dim, path.grid.N, path.grid.T, seed))
-    fp.write(np.ascontiguousarray(path.values, dtype="<f8").tobytes())
-
-
-def read_path_binary(fp) -> tuple[SamplePath, int]:
-    magic = fp.read(len(_MAGIC))
-    if magic != _MAGIC:
-        raise ValueError("not a path record")
-    n, N, T, seed = struct.unpack("<qqdq", fp.read(32))
-    raw = fp.read(8 * (N + 1) * n)
-    vals = np.frombuffer(raw, dtype="<f8").reshape(N + 1, n).astype(float)
-    return SamplePath(TimeGrid(T, N), vals), seed
-
-
-def path_csv_string(path: SamplePath) -> str:
-    buf = io.StringIO()
-    write_path_csv(buf, path)
-    return buf.getvalue()

@@ -67,6 +67,12 @@ def covers(normal: np.ndarray, z: np.ndarray, y: np.ndarray, x: np.ndarray) -> n
     return (face_gap(normal, x, y) >= 0.0) & (face_gap(normal, z, x) > 0.0)
 
 
+def _check_finite(z, y) -> None:
+    """Refuse a non-finite face anchor, which every later step would carry."""
+    if not (np.isfinite(z).all() and np.isfinite(y).all()):
+        raise ModelError(f"z and y must be finite, got z={z}, y={y}")
+
+
 class _FacePair:
     """Geometry shared by the dual regions.
 
@@ -108,6 +114,7 @@ class IntervalState(_FacePair):
         # endpoints are plain floats; one-element arrays are unwrapped
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float).item())
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float).item())
+        _check_finite(self.z, self.y)
         if not self.absorbed and self.z > self.y:
             raise ModelError(f"need z <= y, got z={self.z}, y={self.y}")
 
@@ -138,6 +145,7 @@ class WedgeState(_FacePair):
         y = np.asarray(self.y, dtype=float)
         if z.shape != (2,) or y.shape != (2,):
             raise ModelError("z and y must be 2-vectors")
+        _check_finite(z, y)
         if not self.absorbed and self.normal_of(u) @ (y - z) < 0.0:
             raise ModelError("y-line must not lie below the z-line")
         object.__setattr__(self, "u", u)
@@ -173,6 +181,7 @@ class SlabState(_FacePair):
         d = _check_unit_normal(self.normal)
         if z.shape != d.shape or y.shape != d.shape:
             raise ModelError("z, y, normal must be vectors of equal length")
+        _check_finite(z, y)
         if not self.absorbed and d @ (y - z) < 0.0:
             raise ModelError("y-face must not lie below the z-face")
         object.__setattr__(self, "z", z)

@@ -15,8 +15,7 @@ compensator, and surfaces node by node to solver precision.
 A deliberate asymmetry in the crossing test: the backward flow compares
 against the surface at the step's far endpoint, the forward flow against
 the surface at the step's near endpoint.  Both read the same surface
-instant under time reversal, which is what makes the inversion exact; see
-compare_trigger_variants for the symmetric variant that breaks it.
+instant under time reversal, which is what makes the inversion exact.
 """
 
 from __future__ import annotations
@@ -293,71 +292,3 @@ def _level_flow(level0, mu, omega, times, outside, sigma_in) -> dict:
     drift_term = mu * times[:, None]
     levels = np.where(outside, level0 + drift_term + omega, level0 + drift_term - omega + sigma_in)
     return {"sigma": sigma, "xi": xi, "levels": levels, "outside": outside}
-
-
-def complementarity_report(flow: FlowOutput) -> dict:
-    """Discrete complementarity of a flow and its step-scale tolerance.
-
-    The sum pairs the post-step gap below the surface with the sigma
-    increment on each step; the tolerance scales with the surface Lipschitz
-    budget, the noise modulus at step scale, and the total compensation.
-    It is reported, not asserted, and should shrink as the grid refines.
-    """
-    if flow.surfaces is None:
-        raise ValueError("flow carries no surface trajectory")
-    X = flow.trajectory.values
-    surfaces = list(flow.surfaces)
-    gaps = np.array([s.height(x[1:]) - x[0] for s, x in zip(surfaces, X)])
-    dsig = np.diff(flow.sigma.values[:, 0])
-    comp = float(np.sum(gaps[1:] * dsig))
-    noise_vals = flow.reflected_noise.values.copy()
-    noise_vals[:, 0] += flow.sigma.values[:, 0]
-    modulus = float(np.max(np.linalg.norm(np.diff(noise_vals, axis=0), axis=-1)))
-    k_surf = max(s.lipschitz for s in surfaces)
-    tol = 2.0 * max(k_surf, 1.0) * modulus * float(flow.sigma.values[-1, 0])
-    return {"complementarity": comp, "tolerance": tol}
-
-
-def compare_trigger_variants(
-    x_path: SamplePath, y0: Surface, drift: DriftField
-) -> dict:
-    """Contrast the near-endpoint crossing test with a far-endpoint variant.
-
-    The shipped forward flow tests against the surface at the step's near
-    endpoint; the variant advances a lookahead surface with the unreflected
-    flipped increment and tests at the far endpoint.  Under time reversal
-    only the near-endpoint rule reproduces the backward flow exactly, so a
-    nonzero difference here is expected and quantifies the discretization
-    gap between the two conventions.
-    """
-    noise = impute_noise(x_path, drift)
-    base = forward_flow(x_path, y0, noise, drift)
-
-    grid = x_path.grid
-    dt = grid.dt
-    inc = noise.increments()
-    X = x_path.values
-    if not y0.contains(X[0]):
-        return {"sup_sigma_diff": 0.0, "crossings": 0, "crossings_variant": 0}
-    sigma = np.zeros(grid.N + 1)
-    cur = y0
-    crossings = 0
-    for j in range(1, grid.N + 1):
-        d1 = inc[j - 1, 0]
-        b = drift.beta(X[j])
-        lookahead = step_surface(cur, drift, dt, flip_first(inc[j - 1]))
-        far_height = lookahead.height(X[j, 1:])
-        crossing = X[j, 0] - b[0] * dt + abs(d1) > far_height
-        dsig = 2.0 * d1 if crossing else 0.0
-        crossings += int(crossing)
-        sigma[j] = sigma[j - 1] + dsig
-        dflip = inc[j - 1].copy()
-        dflip[0] = dsig - dflip[0]
-        cur = step_surface(cur, drift, dt, dflip)
-    base_sigma = base.sigma.values[:, 0]
-    base_crossings = int(np.sum(np.diff(base_sigma) != 0.0))
-    return {
-        "sup_sigma_diff": float(np.max(np.abs(sigma - base_sigma))),
-        "crossings": base_crossings,
-        "crossings_variant": crossings,
-    }

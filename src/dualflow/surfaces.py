@@ -42,17 +42,17 @@ def _rotate(u: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _check_direction(u) -> np.ndarray:
-    """A strip or line direction: a 2-vector in the cone |u_1| < u_2."""
+    """A strip or line direction: a finite 2-vector in the cone |u_1| < u_2."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (2,) or not u[1] > abs(u[0]):
-        raise ModelError(f"need a 2-vector u with |u_1| < u_2, got u={u.tolist()}")
+    if u.shape != (2,) or not abs(u[0]) < u[1] < np.inf:
+        raise ModelError(f"need a finite 2-vector u with |u_1| < u_2, got u={u.tolist()}")
     return u
 
 
 def _check_unit_normal(d) -> np.ndarray:
     """A fixed face normal: a unit vector with positive first entry."""
     d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or abs(np.linalg.norm(d) - 1.0) > 1e-12 or not d[0] > 0.0:
+    if d.ndim != 1 or not abs(np.linalg.norm(d) - 1.0) <= 1e-12 or not d[0] > 0.0:
         raise ModelError("normal must be a unit vector with positive first entry")
     return d
 
@@ -88,10 +88,6 @@ class Surface:
     @property
     def n(self) -> int:
         return self.anchor.shape[0]
-
-    @property
-    def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.normal[1:]) / self.normal[0])
 
     @property
     def variant(self) -> str:

@@ -1,9 +1,9 @@
 """Statistical verification harness.
 
-Closed-form probability oracles, KS and chi-square wrappers, and the
-packaged suites: region-hitting duality against the reflection-principle
-formula, Wiener law of the reflection flow's output noise, and the
-time-reversal identity under the invariant weight.  Every suite is
+Closed-form probability oracles, KS wrappers, and the packaged suites:
+region-hitting duality against the reflection-principle formula, Wiener
+law of the reflection flow's output noise, and the time-reversal identity
+under the invariant weight.  Every suite is
 deterministic given its seed, emits machine-readable reports, and uses
 the documented tolerance 3*SE + 2*dt for identity checks against closed
 forms (the stepwise schemes carry O(dt) weak bias).
@@ -171,24 +171,6 @@ def ks_two_sample(
     res = stats.ks_2samp(a, b, mode="asymp")
     return report_p(name, res.statistic, res.pvalue, threshold,
                     a.size + b.size, seeds or {})
-
-
-def chi_square_uniform(
-    pit: np.ndarray,
-    bins: int = 20,
-    name: str = "chi_square_uniform",
-    threshold: float = 0.01,
-    seeds: Optional[dict] = None,
-) -> TestReport:
-    """Chi-square test of probability-integral-transform values on [0, 1]."""
-    pit = np.asarray(pit, dtype=float).ravel()
-    if pit.size < 5 * bins:
-        raise ModelError(f"need at least {5 * bins} values for {bins} bins")
-    counts, _ = np.histogram(pit, bins=bins, range=(0.0, 1.0))
-    expected = pit.size / bins
-    statistic = float(np.sum((counts - expected) ** 2) / expected)
-    p = float(stats.chi2.sf(statistic, bins - 1))
-    return report_p(name, statistic, p, threshold, pit.size, seeds or {})
 
 
 def reflection_probabilities(T: float, x: float, z: float, y: float, mu: float) -> dict:
@@ -437,8 +419,3 @@ SUITES = {
     "flow_wiener": suite_flow_wiener,
     "reversal": suite_reversal,
 }
-
-
-def run_all_suites(seed: int = 0) -> dict:
-    """All suites keyed by name, with deterministic report order."""
-    return {name: suite(seed) for name, suite in SUITES.items()}

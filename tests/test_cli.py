@@ -1,6 +1,7 @@
 """Command-line driver: config plumbing, data ingestion, subcommand runs."""
 
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualflow import LogisticDrift, ModelError, read_path_csv
+from dualflow import (
+    BilinearDrift,
+    LogisticDrift,
+    ModelError,
+    RngSpec,
+    TimeGrid,
+    read_path_csv,
+    run_coupling,
+)
 from dualflow.cli import (
     DEFAULTS,
     EXIT_CONFIG,
@@ -20,7 +29,7 @@ from dualflow.cli import (
     main,
     read_coupling_csv,
 )
-from dualflow.coupling import read_coupling_jsonl
+from dualflow.coupling import read_coupling_jsonl, write_coupling_jsonl
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +251,15 @@ def test_posterior_rejects_bad_sampler_arguments(tmp_path, capsys, override):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command,override", [("couple", "couple.state.y=inf"),
+                                              ("dual", "dual.state.z=nan")])
+def test_non_finite_state_is_refused_before_the_run(tmp_path, capsys, command, override):
+    code = main([command, "--out", str(tmp_path), "--override", override])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("model error: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_dir_collision_suffix(tmp_path):
     out = tmp_path / "runs"
     for _ in range(2):
@@ -316,3 +334,32 @@ def golden_digests(root: Path) -> dict:
 
 def test_cli_artifacts_are_byte_stable(tmp_path):
     assert golden_digests(tmp_path) == GOLDEN_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# replicas: replica r's file is a function of (config, seed, r) alone
+
+
+def replica_runs(tmp_path, name: str) -> dict:
+    runs = {}
+    for m in (1, 3):
+        out = tmp_path / f"replicas-{m}"
+        assert main(GOLDEN_RUNS[name] + ["--replicas", str(m), "--out", str(out)]) == EXIT_OK
+        runs[m] = next(out.iterdir())
+    return runs
+
+
+@pytest.mark.parametrize("name,artifact", [("couple-wedge", "coupling-0.jsonl"),
+                                           ("dual-slab", "dual-0.jsonl")])
+def test_replica_file_does_not_depend_on_the_replica_count(tmp_path, name, artifact):
+    runs = replica_runs(tmp_path, name)
+    assert (runs[3] / artifact).read_bytes() == (runs[1] / artifact).read_bytes()
+
+
+def test_couple_replica_file_is_the_run_of_its_stream(tmp_path):
+    runs = replica_runs(tmp_path, "couple-wedge")
+    traj = run_coupling(build_state(json.loads(_WEDGE)), BilinearDrift(), TimeGrid(1.0, 40),
+                        RngSpec(5, 2))
+    buf = io.StringIO()
+    write_coupling_jsonl(buf, traj)
+    assert (runs[3] / "coupling-2.jsonl").read_bytes() == buf.getvalue().encode()

@@ -82,6 +82,21 @@ def test_slab_state_geometry():
         SlabState(np.zeros(2), np.ones(2), np.array([1.0, 1.0]))  # not unit
 
 
+@pytest.mark.parametrize("make", [
+    lambda: IntervalState(0.0, math.inf),
+    lambda: IntervalState(math.nan, math.nan),
+    lambda: IntervalState(math.nan, 0.0, absorbed=True),
+    lambda: WedgeState(np.array([1.0, 2.0]), np.array([math.nan, 0.0]), np.array([1.0, 0.0])),
+    lambda: WedgeState(np.array([1.0, math.inf]), np.zeros(2), np.array([1.0, 0.0])),
+    lambda: SlabState(np.array([math.nan, 0.0]), 0.4 * SLAB_NORMAL, SLAB_NORMAL),
+    lambda: SlabState(np.zeros(2), np.array([0.0, math.inf]), SLAB_NORMAL, absorbed=True),
+], ids=["interval-inf", "interval-nan", "interval-absorbed-nan", "wedge-nan-anchor",
+        "wedge-inf-direction", "slab-nan-anchor", "slab-absorbed-inf"])
+def test_states_refuse_non_finite_values(make):
+    with pytest.raises(ModelError):
+        make()
+
+
 def test_contains_batch_matches_scalar():
     pts = np.linspace(-2.0, 2.0, 9)
     s = IntervalState(-1.0, 1.0)

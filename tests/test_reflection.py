@@ -26,7 +26,6 @@ from dualflow import (
     sample_brownian,
     solve_skorohod_1d,
 )
-from dualflow.reflection import compare_trigger_variants, complementarity_report
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +152,6 @@ def test_trigger_and_record_forms_differ_pathwise():
     assert np.allclose(trig["sigma"][:, 0], [0.0, 2.0, 2.0, 5.0], atol=0.0)
 
 
-def test_compare_trigger_variants_reports_gap():
-    mu = 0.5
-    grid = TimeGrid(1.0, 200)
-    w = sample_brownian(grid, 1, RngSpec(64, 3))
-    x_path = SamplePath(grid, 0.0 + mu * grid.times + w.values[:, 0])
-    out = compare_trigger_variants(x_path, Surface.level(0.1), ConstantDrift(mu))
-    assert out["crossings"] >= 0
-    assert out["sup_sigma_diff"] >= 0.0
-    # outside start short-circuits
-    x_out = SamplePath(grid, 1.0 + mu * grid.times + w.values[:, 0])
-    out2 = compare_trigger_variants(x_out, Surface.level(0.1), ConstantDrift(mu))
-    assert out2["sup_sigma_diff"] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # forward/backward flow inversion
 
@@ -234,11 +219,3 @@ def test_two_dimensional_flow_runs_and_reflects():
     assert np.all(np.diff(flow.sigma.values[:, 0]) >= 0.0)
     # reflected noise differs from the raw noise only in coordinate 1
     assert np.allclose(flow.reflected_noise.values[:, 1], omega.values[:, 1], atol=0.0)
-
-
-def test_complementarity_report_keys_and_scale():
-    _, _, _, flow = one_d_flow(3)
-    rep = complementarity_report(flow)
-    assert set(rep) == {"complementarity", "tolerance"}
-    assert np.isfinite(rep["complementarity"]) and np.isfinite(rep["tolerance"])
-    assert abs(rep["complementarity"]) <= rep["tolerance"] + 1e-12

@@ -37,7 +37,6 @@ def toy_logistic():
 def test_level_surface_geometry():
     s = Surface.level(0.7)
     assert s.n == 1
-    assert s.lipschitz == 0.0
     assert s.height() == 0.7
     assert s.contains(np.array([0.7]))
     assert not s.contains(np.array([0.700001]))
@@ -48,7 +47,6 @@ def test_line_surface_geometry():
     s = Surface(np.array([0.4, 0.0]), u=np.array([1.0, 2.0]))
     # graph over x2 with slope u1/u2 through the anchor
     assert s.height(np.array([2.0])) == pytest.approx(0.4 + 0.5 * 2.0)
-    assert s.lipschitz == pytest.approx(0.5)
     assert s.contains(np.array([1.4, 2.0]))
     assert not s.contains(np.array([1.41, 2.0]))
     assert s.variant == "line"
@@ -59,6 +57,8 @@ def test_line_surface_needs_interior_cone_direction():
         Surface(np.zeros(2), u=np.array([2.0, 1.0]))
     with pytest.raises(ModelError):
         Surface(np.zeros(2), u=np.array([1.0, -2.0]))
+    with pytest.raises(ModelError):
+        Surface(np.zeros(2), u=np.array([1.0, np.inf]))
 
 
 def test_plane_surface_geometry():
@@ -68,7 +68,6 @@ def test_plane_surface_geometry():
     x2 = 1.0
     h = s.height(np.array([x2]))
     assert d @ np.array([h, x2]) == pytest.approx(d @ s.anchor)
-    assert s.lipschitz == pytest.approx(1.0)
     assert s.variant == "plane"
 
 
@@ -77,6 +76,8 @@ def test_plane_surface_validation():
         Surface(np.zeros(2), normal=np.array([1.0, 1.0]))  # not unit
     with pytest.raises(ModelError):
         Surface(np.zeros(2), normal=np.array([-1.0, 0.0]))  # d1 <= 0
+    with pytest.raises(ModelError):
+        Surface(np.zeros(2), normal=np.array([1.0, np.nan]))
 
 
 # ---------------------------------------------------------------------------

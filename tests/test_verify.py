@@ -19,7 +19,6 @@ from dualflow import (
 )
 from dualflow.core import uniforms
 from dualflow.verify import (
-    chi_square_uniform,
     flow_noise_terminal_1d,
     ks_two_sample,
     report_p,
@@ -84,14 +83,6 @@ def test_ks_two_sample_null():
     assert rep.passed
     with pytest.raises(ModelError):
         ks_two_sample(np.arange(5.0), np.arange(30.0))
-
-
-def test_chi_square_uniform_null_and_size_guard():
-    u = uniforms(RngSpec(91, 2).generator(), (4000,))
-    rep = chi_square_uniform(u)
-    assert rep.passed
-    with pytest.raises(ModelError):
-        chi_square_uniform(u[:40])
 
 
 def test_reflection_probability_oracle():
