@@ -56,6 +56,7 @@ from .duals import (
     dual_step,
     plane_density,
     span_normal,
+    _check_slab_drift,
     _plane_density_sampler,
 )
 from .verify import (
@@ -354,6 +355,7 @@ def cmd_dual(config: dict) -> int:
     state0 = build_state(config["dual"]["state"], d)
     if state0.n != drift.n:
         raise ConfigError("dual state and model live in different dimensions")
+    _check_slab_drift(state0, drift)
     run_dir = new_run_dir(config, "dual")
     for r in range(config["replicas"]):
         noise = sample_brownian(grid, drift.n, RngSpec(config["seed"], r))
@@ -392,10 +394,15 @@ def cmd_couple(config: dict) -> int:
         run, start = run_entrance_coupling, section.get("start", 0.0)
         if isinstance(start, dict):
             start = build_state(start, d)
+        elif isinstance(start, (int, float)) and not isinstance(start, bool):
+            start = IntervalState(float(start), float(start))
+        else:
+            raise ConfigError(f"couple.start must be a number or a state, got {start!r}")
     else:
         run, start = run_coupling, build_state(section["state"], d)
-        if start.n != drift.n:
-            raise ConfigError("coupling state and model dimensions differ")
+    if start.n != drift.n:
+        raise ConfigError("coupling state and model dimensions differ")
+    _check_slab_drift(start, drift)
     run_dir = new_run_dir(config, "couple")
     for r in range(config["replicas"]):
         traj = run(start, drift, grid, RngSpec(config["seed"], r))

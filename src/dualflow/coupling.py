@@ -115,10 +115,11 @@ def run_coupling(
     unless given.  The primal runs with the explicit scheme driven by
     fresh noise; its driving noise is imputed so the path is exactly
     implicit-consistent; the upper side is the reflection flow's surface;
-    the lower side is the implicit flow of the reflected noise.  For a
-    constant-drift interval every ingredient has a node-space closed form
-    and that form is used, making grid identities exact to float dust.
-    A numerical failure names the run's (seed, stream).
+    the lower side is the implicit flow of the reflected noise, or for a
+    slab its closed-form slide along the normal.  For a constant-drift
+    interval every ingredient has a node-space closed form and that form
+    is used, making grid identities exact to float dust.  A numerical
+    failure names the run's (seed, stream).
     """
     if state0.absorbed:
         raise ModelError("cannot couple from an absorbed state")
@@ -193,11 +194,24 @@ def _general_coupling(
     x0: np.ndarray,
     wiener: SamplePath,
 ) -> CouplingTrajectory:
+    """Coupling through the stepwise reflection flow.
+
+    The upper face is the surface the flow evolves.  A slab's lower face
+    moves along its normal d in closed form, by d . dxi per step (its
+    drift is orthogonal to d, which the flow's surface steps check), so a
+    slab run solves no implicit step; any other lower side is the
+    implicit flow of the reflected noise xi.
+    """
     x_path = euler_backward(x0, wiener, drift)
     omega = impute_noise(x_path, drift)
     flow = forward_flow(x_path, state0.upper_face(), omega, drift)
     xi = flow.reflected_noise
-    z_path = euler_forward_implicit(np.atleast_1d(state0.z), xi, drift)
+    if isinstance(state0, SlabState):
+        d = state0.normal
+        along = partial_sums(xi.increments() @ d)
+        z_path = SamplePath(grid, state0.z + along[:, None] * d)
+    else:
+        z_path = euler_forward_implicit(np.atleast_1d(state0.z), xi, drift)
     surfaces = flow.surfaces
 
     return CouplingTrajectory(
@@ -231,8 +245,9 @@ def run_entrance_coupling(
     tilted Gaussian along the line.  For a slab the two faces coincide and
     the primal point is the face's in-plane invariant draw.  The region
     indicator is false at time zero by construction (the point sits on the
-    boundary).  Only the closed-form interval gap surely leaves zero at
-    once and stays positive; strip and slab gaps can touch zero again.
+    boundary).  The gap then leaves zero at once and stays positive: the
+    interval's in closed form, the strip's and slab's because the flow
+    triggers a reflection only on a positive coordinate-1 increment.
     """
     gen = rng.generator()
     if isinstance(start, (int, float)):

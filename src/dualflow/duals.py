@@ -41,7 +41,15 @@ from .core import (
     stream_increments,
     uniforms,
 )
-from .surfaces import Surface, _check_direction, _check_unit_normal, _normal_of, _rotate
+from .surfaces import (
+    Surface,
+    _check_direction,
+    _check_unit_normal,
+    _check_untilted,
+    _normal_of,
+    _rotate,
+    _slide,
+)
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
 
@@ -190,6 +198,14 @@ class SlabState(_FacePair):
 
 
 DualState = Union[IntervalState, WedgeState, SlabState]
+
+
+def _check_slab_drift(state: DualState, drift: DriftField) -> None:
+    """Refuse a drift tilted against a slab's normal at either face; only
+    an orthogonal one lets the faces slide along the normal."""
+    if isinstance(state, SlabState):
+        _check_untilted(drift, state.z, state.normal)
+        _check_untilted(drift, state.y, state.normal)
 
 
 def contains_batch(state: DualState, x: np.ndarray) -> np.ndarray:
@@ -652,21 +668,31 @@ def dual_step(
     drift: DriftField,
     t_prev: float = 0.0,
 ) -> DualState:
-    """One implicit step of the dual region flow.
+    """One step of the dual region flow.
 
-    The z-side anchor consumes the noise increment as given; the y-side
-    consumes it with coordinate 1 negated.  A wedge direction advances by
-    one deterministic Euler substep.  If the updated region degenerates,
-    the state absorbs, with the hitting time placed by linear interpolation
+    The z-face consumes the noise increment as given; the y-face consumes
+    it with coordinate 1 negated.  Slab faces need a drift orthogonal to
+    their normal d (a tilted drift is refused) and move along d by
+    d . increment in closed form, so the gap moves by -2 d_1 times the
+    coordinate-1 increment, the rule under which dual_terminal_batch's
+    slab survival is exact at every grid resolution.  Interval and wedge
+    anchors take one implicit step, and a wedge direction advances by one
+    deterministic Euler substep.  If the updated region degenerates, the
+    state absorbs, with the hitting time placed by linear interpolation
     of the defining functional across the step.
     """
     if state.absorbed:
         return state
     d = np.atleast_1d(np.asarray(dnoise, dtype=float))
-    z_new = implicit_step(np.atleast_1d(state.z), d, dt, drift)
-    y_new = implicit_step(np.atleast_1d(state.y), flip_first(d), dt, drift)
     frame = {}
     normal = state.normal
+    if isinstance(state, SlabState):
+        _check_slab_drift(state, drift)
+        z_new = _slide(state.z, normal, d)
+        y_new = _slide(state.y, normal, flip_first(d))
+    else:
+        z_new = implicit_step(np.atleast_1d(state.z), d, dt, drift)
+        y_new = implicit_step(np.atleast_1d(state.y), flip_first(d), dt, drift)
     if isinstance(state, WedgeState):
         frame["u"] = WedgeState.rotate(state.u, dt)
         normal = WedgeState.normal_of(frame["u"])
@@ -833,11 +859,18 @@ def dual_terminal_batch(
     resolved inside each step, not just at the nodes:
     a replica whose gap is positive at both endpoints is still killed with
     the bridge crossing probability exp(-2 g_prev g / s2), where s2 is the
-    step variance of the gap along the current normal.  For the constant
-    drift interval pair the gap is an exact Brownian functional, so the
-    corrected survival law is exact at every grid resolution; in general
-    the correction removes the leading root-dt under-detection of
-    absorption.
+    step variance of the gap along the current normal.
+
+    Two families move along a fixed normal n in closed form: an interval
+    under constant drift mu, and a slab, whose drift must be orthogonal
+    to its normal d (a tilted drift is refused).  Their faces' offsets
+    along n are mu t + n . W (z-face) and mu t + n . W - 2 n_1 W_1
+    (y-face), with mu = 0 for the slab, so the gap g0 - 2 n_1 W_1 is the
+    driftless interval gap in the coordinate n . x and absorption is the
+    running-maximum event W_1 >= g0 / (2 n_1).  Their corrected survival
+    law is exact at every grid resolution, and no implicit step is
+    solved.  For the other models the correction removes the leading
+    root-dt under-detection of absorption.
     """
     m = len(streams)
     n = state.n
@@ -849,22 +882,30 @@ def dual_terminal_batch(
     alive_out = np.empty(m, dtype=bool)
     u = None
     nvec = state.normal
+    # the faces' drift rate along a fixed normal, where it is a constant
+    rate = None
+    if isinstance(state, SlabState):
+        _check_slab_drift(state, drift)
+        rate = 0.0
+    elif isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
+        rate = float(drift.mu[0])
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         inc, uni = stream_increments(grid, n, seed, streams[lo:hi], step_uniforms=True)
         mc = hi - lo
-        if isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
-            # implicit steps are exact for constant drift, so the pair is
-            # (z, y) + mu t +/- omega and absorption is a running-max event;
-            # the bridge draw catches maxima between the nodes
-            mu = float(drift.mu[0])
-            half = (y0[0] - z0[0]) / 2.0
-            # one row per stream: omega[:, j] is the node value after step
-            # j + 1 and prev[:, j] the one before it, a shifted slice of the
-            # same storage that starts at zero
-            nodes = np.zeros((mc, grid.N + 1))
-            np.cumsum(inc[:, :, 0].T, axis=1, out=nodes[:, 1:])
-            omega, prev = nodes[:, 1:], nodes[:, :-1]
+        if rate is not None:
+            # the faces close on their own: absorption is a running-max
+            # event of W_1 at half the gap over n_1, and the bridge draw
+            # catches maxima between the nodes
+            n1 = float(nvec[0])
+            half = state.gap() / (2.0 * n1)
+            # one row per stream: nodes[i, :, j] is coordinate i of the
+            # noise after j steps, and omega and prev are shifted slices of
+            # coordinate 1's row, which starts at zero
+            nodes = np.zeros((n, mc, grid.N + 1))
+            for i in range(n):
+                np.cumsum(inc[:, :, i].T, axis=1, out=nodes[i, :, 1:])
+            omega, prev = nodes[0, :, 1:], nodes[0, :, :-1]
             node_cross = omega >= half
             below = ~node_cross & (prev < half)
             pbridge = np.where(
@@ -874,10 +915,15 @@ def dual_terminal_batch(
             alive = ~np.any(cross, axis=1)
             first = np.argmax(cross, axis=1)
             # a replica killed in step first + 1 freezes at node first
-            om_term = np.where(alive, omega[:, -1], nodes[np.arange(mc), first])
+            w_term = nodes[:, np.arange(mc), np.where(alive, grid.N, first)]
             t_term = np.where(alive, grid.T, first * dt)
-            z_out[lo:hi, 0] = z0[0] + mu * t_term + om_term
-            y_out[lo:hi, 0] = y0[0] + mu * t_term - om_term
+            # n . W coordinate by coordinate, so no row count changes a bit
+            along = w_term[0] * nvec[0]
+            for i in range(1, n):
+                along += w_term[i] * nvec[i]
+            drifted = (rate * t_term)[:, None] * nvec
+            z_out[lo:hi] = z0 + drifted + along[:, None] * nvec
+            y_out[lo:hi] = y0 + drifted + (along - 2.0 * n1 * w_term[0])[:, None] * nvec
             alive_out[lo:hi] = alive
             continue
         z = np.broadcast_to(z0, (mc, n)).copy()
@@ -949,10 +995,9 @@ def liggett_identity_mc(
     and asks whether it still covers x.  Path i draws from streams
     (rng.stream << 32) + 2i and + 2i + 1, so both sides and all rng.stream
     values are independent.  Compensated sums make the estimate's
-    summation order irrelevant, and interval and wedge terminal bytes do
-    not depend on chunk; slab terminal bytes may, by a few ulps, because
-    the logistic drift and its fixed-point solve are not row-count
-    invariant.
+    summation order irrelevant, and no dual terminal byte depends on
+    chunk; the slab's primal terminal bytes may, by a few ulps, because
+    the logistic drift is not row-count invariant.
     """
     if paths >= 2**31:
         raise ModelError(f"need fewer than 2**31 paths per stream block, got {paths}")

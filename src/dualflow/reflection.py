@@ -171,10 +171,11 @@ def forward_flow(
     The path and its noise are taken as given and must be consistent with
     the implicit scheme (impute_noise arranges this for any path).  The
     crossing test compares the implicit-scheme combination at the step's
-    far endpoint with the surface at the step's near endpoint; on a
-    crossing, sigma accrues twice the coordinate-1 increment.  The surface
-    is then advanced with the flipped reflected increment; a failed
-    surface step names the step index and time.
+    far endpoint with the surface at the step's near endpoint, and fires
+    only on a positive coordinate-1 increment; on a crossing, sigma
+    accrues twice that increment.  The surface is then advanced with the
+    flipped reflected increment; a failed surface step names the step
+    index and time.
     """
     grid = x_path.grid
     if noise.grid.N != grid.N or abs(noise.grid.T - grid.T) > 1e-12:
@@ -197,7 +198,10 @@ def forward_flow(
             d1 = inc[j - 1, 0]
             b = drift.beta(X[j])
             near_height = cur.height(X[j - 1, 1:])
-            crossing = X[j, 0] - b[0] * dt + abs(d1) > near_height
+            # a tie at the surface is decided by rounding; only an upward
+            # increment can cross it, and reflecting a downward one would
+            # pull the gap down
+            crossing = d1 > 0.0 and X[j, 0] - b[0] * dt + abs(d1) > near_height
             dsig = 2.0 * d1 if crossing else 0.0
             sigma[j] = sigma[j - 1] + dsig
             dxi = inc[j - 1].copy()

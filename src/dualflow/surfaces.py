@@ -9,12 +9,14 @@ direction u whose normal (u_2, -u_1) rotates as the surface steps (a line).
 The anchor evolves under the same dynamics as the paths the surface
 interacts with, driven by the noise with its first coordinate negated (the
 "flipped" noise), so that an upper boundary and a lower path can share one
-Brownian source.
+Brownian source.  A hyperplane keeps only what moves the face: its anchor
+slides along the fixed normal, in closed form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -121,20 +123,19 @@ def step_surface(
 ) -> Surface:
     """Advance a surface one step, driven by a flipped-noise increment.
 
-    Forward steps move the anchor with drift +beta by the implicit
-    inverse-flow step and a rotating direction by one deterministic Euler
-    substep.  Backward steps use the explicit scheme with drift -beta and
-    the reversed substep; the anchor step then inverts the forward step
-    exactly, the direction substep to second order in dt.
+    A hyperplane with a fixed normal n in two or more dimensions needs a
+    drift orthogonal to n (a tilted drift is refused); its anchor then
+    moves along n by n . increment, in closed form and in both
+    directions, so the backward step inverts the forward one exactly.
+    A level or a line moves its anchor forward by the implicit step with
+    drift +beta and backward by the explicit step with drift -beta, which
+    inverts it exactly; a line's direction takes one deterministic Euler
+    substep, reversed backward, which inverts to second order in dt.
     """
-    if surface.u is None and surface.n > 1:
-        # the normal stays fixed only if the drift has no component along it
-        b = drift.beta(surface.anchor)
-        if abs(float(surface.normal @ b)) > 1e-8 * (1.0 + float(np.linalg.norm(b))):
-            raise ModelError(
-                "drift is tilted against the hyperplane normal; the surface would not stay planar"
-            )
     d = np.atleast_1d(np.asarray(dnoise_flipped, dtype=float))
+    if surface.u is None and surface.n > 1:
+        _check_untilted(drift, surface.anchor, surface.normal)
+        return _moved(surface, _slide(surface.anchor, surface.normal, d))
     if backward:
         anchor = explicit_step(surface.anchor, dt, d, drift)
     else:
@@ -142,6 +143,25 @@ def step_surface(
     if surface.u is None:
         return _moved(surface, anchor)
     return Surface(anchor, u=_rotate(surface.u, -dt if backward else dt))
+
+
+def _check_untilted(drift: DriftField, anchor: np.ndarray, normal: np.ndarray) -> None:
+    """Refuse a drift with a component along a fixed normal at the anchor.
+
+    Only an orthogonal drift keeps a face with that normal planar, and
+    moves it along the normal by the noise alone.
+    """
+    b = drift.beta(anchor)
+    if abs(float(normal @ b)) > 1e-8 * (1.0 + math.sqrt(float(b @ b))):
+        raise ModelError(
+            "drift is tilted against the hyperplane normal; the surface would not stay planar"
+        )
+
+
+def _slide(anchor: np.ndarray, normal: np.ndarray, dnoise: np.ndarray) -> np.ndarray:
+    """The anchor of a face with a fixed normal n and a drift orthogonal to
+    n, one step on: it moves along n by n . dnoise."""
+    return anchor + float(normal @ dnoise) * normal
 
 
 def _moved(surface: Surface, anchor: np.ndarray) -> Surface:

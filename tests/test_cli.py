@@ -260,6 +260,28 @@ def test_non_finite_state_is_refused_before_the_run(tmp_path, capsys, command, o
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("start", ["inf", "1e999"])
+def test_bad_entrance_start_is_refused_before_the_run(tmp_path, capsys, start):
+    # "inf" is not JSON and stays a string; 1e999 parses to an infinite float
+    code = main(["couple", "--out", str(tmp_path), "--override", "couple.entrance=true",
+                 "--override", f"couple.start={start}", "--override", "grid.N=8"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(("config error: ", "model error: "))
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["couple", "dual"])
+def test_tilted_slab_is_refused_before_the_run(tmp_path, capsys, command):
+    # the logistic drift lies in the span of (1, 1), so the normal e_1 is tilted
+    tilted = json.dumps({"family": "slab", "z_offset": -0.4, "y_offset": 0.4,
+                         "normal": [1.0, 0.0]})
+    code = main([command, "--out", str(tmp_path), "--override", "model.family=logistic",
+                 "--override", f"{command}.state={tilted}", "--override", "grid.N=8"])
+    assert code == EXIT_CONFIG
+    assert "tilted" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_dir_collision_suffix(tmp_path):
     out = tmp_path / "runs"
     for _ in range(2):
@@ -306,11 +328,11 @@ GOLDEN_DIGESTS = {
     "simulate": "5983e33bdeb22966fefc61338f81fb5394dbe177fc65060125df048bc4079154",
     "dual-interval": "2ff9d6fbc8c3864a98188f1760035671d781389c9dacbad526829656bcb6cef7",
     "dual-wedge": "90bc915d42af20145d688896763f50d5f8b91bb667d148d0b81e652182ef19f6",
-    "dual-slab": "70e8da430a6b5111a63dc584510b78affa681c8a5f34c3168c7d5302bb53c77c",
+    "dual-slab": "9ae83cb41e4b9cf2a84e9a569f475fa7180d51e177f0ad13ac69dd4f803bae76",
     "couple-interval": "2341853968c1b67b0a1ef9751e8e21ad6449b18a608bbe6b1f624b58f89d1d14",
     "couple-entrance": "7dfd33860e2b8680bd7aa4eb64d6e761020dad06eed08d3ef15b0a9b4e999ec3",
     "couple-wedge": "956b650c2b24a3c6f8c7306064a66cd4c4426162fe4a4728300973aa57a4094f",
-    "couple-slab": "ea6b45c4f5d97c263fd1785948906e215df8b0959b6353244cde9a1afae58d71",
+    "couple-slab": "36c9b66be5b1f604ed3b532c5014608970fca8d7ab33dd93f3374de228fcaf7d",
     "pitman": "e62839c7f4ee76a0d12859d061e66263053a1c2f9723ebee4f755cd78e928902",
     "posterior": "7a0ad9119a8f011ba44b52bbd1c59200d04127c9445bec8eb39a748c1cd2521d",
     "posterior-short": "002ffab934160f1057af79310a66a8a7f5b24d5dc5a6fd1e58125a97735d299c",

@@ -8,7 +8,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtr
 
 import dualflow
 from dualflow import (

@@ -27,7 +27,6 @@ from dualflow import (
     pitman_construct,
     run_coupling,
     run_entrance_coupling,
-    truncated_exp_mean,
 )
 from dualflow import coupling, duals
 from dualflow.cli import build_drift
@@ -218,6 +217,28 @@ def test_slab_entrance_leaves_boundary():
 
     with pytest.raises(ModelError):
         run_entrance_coupling(state0, ConstantDrift(np.zeros(2)), grid, RngSpec(87, 1))
+
+
+# The entrance start sits on the upper face, so every early crossing test
+# is a tie that rounding decides; without the flow's trigger guard a tie
+# that reflects a downward increment pulled these gaps to <= 0 in 10, 13
+# and 9 of 300 slab runs and in 13 and 7 of 100 strip runs.
+@pytest.mark.parametrize("N", [100, 200, 400])
+def test_slab_entrance_gap_stays_positive_on_a_ladder(N):
+    d = SLAB_NORMAL
+    drift, grid = toy_logistic(), TimeGrid(1.0, N)
+    for s in range(300):
+        traj = run_entrance_coupling(SlabState(0.1 * d, 0.1 * d, d), drift, grid, RngSpec(5, s))
+        assert np.all(traj.gap()[1:] > 0.0), s
+
+
+@pytest.mark.parametrize("N", [100, 200])
+def test_strip_entrance_gap_stays_positive_on_a_ladder(N):
+    u, anchor = np.array([1.0, 2.0]), np.array([0.3, 0.1])
+    drift, grid = BilinearDrift(), TimeGrid(1.0, N)
+    for s in range(100):
+        traj = run_entrance_coupling(WedgeState(u, anchor, anchor), drift, grid, RngSpec(5, s))
+        assert np.all(traj.gap()[1:] > 0.0), s
 
 
 # ---------------------------------------------------------------------------

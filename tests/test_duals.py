@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtr
 
 from dualflow import (
     ConstantDrift,
@@ -28,7 +29,7 @@ from dualflow import (
     truncated_exp_mean,
 )
 from dualflow import duals
-from dualflow.core import normals
+from dualflow.core import normals, stream_increments
 from dualflow.duals import (
     _plane_density_sampler,
     _wedge_conditional_batch,
@@ -457,6 +458,49 @@ def test_dual_terminal_batch_fast_and_generic_agree():
     assert np.allclose(fast["y"][alive], gen["y"][alive], atol=1e-9)
     # survival must not be certain nor impossible in this regime
     assert 0 < int(alive.sum()) < len(streams)
+
+
+@pytest.mark.parametrize("N", [1, 4, 16])
+def test_slab_survival_is_exact_at_every_resolution(N):
+    # the slab gap is g0 - 2 d_1 W_1, so with the bridge draw the survival
+    # is the reflection-principle P(max W_1 < h) = 2 Phi(h / sqrt(T)) - 1,
+    # h = g0 / (2 d_1), on every grid
+    d = SLAB_NORMAL
+    state, T, m = SlabState(-0.4 * d, 0.4 * d, d), 0.5, 20000
+    out = dual_terminal_batch(state, toy_logistic(), TimeGrid(T, N), 8821, list(range(m)))
+    h = state.gap() / (2.0 * d[0])
+    p = 2.0 * float(ndtr(h / math.sqrt(T))) - 1.0
+    se = math.sqrt(p * (1.0 - p) / m)
+    assert abs(float(np.mean(out["alive"])) - p) <= 3.0 * se
+
+
+def test_slab_faces_move_along_the_normal_in_step_and_batch():
+    d = SLAB_NORMAL
+    state, drift, grid = SlabState(-0.4 * d, 0.4 * d, d), toy_logistic(), TimeGrid(0.5, 50)
+    streams = list(range(40))
+    out = dual_terminal_batch(state, drift, grid, 8822, streams)
+    inc, _ = stream_increments(grid, 2, 8822, streams)
+    assert 0 < int(out["alive"].sum()) < len(streams)
+    for i in np.flatnonzero(out["alive"]):
+        stepped = state
+        for j in range(grid.N):
+            stepped = dual_step(stepped, inc[j, i], grid.dt, drift)
+        # a batch survivor never degenerates at a node, and the anchors of
+        # both routes lie on the normal's line through the start anchors
+        assert not stepped.absorbed
+        for a, b, a0 in ((stepped.z, out["z"][i], state.z), (stepped.y, out["y"][i], state.y)):
+            assert float(d @ (a - b)) == pytest.approx(0.0, abs=1e-12)
+            for v in (a, b):
+                assert np.allclose(v - a0, float(d @ (v - a0)) * d, rtol=0.0, atol=1e-12)
+
+
+def test_slab_dual_refuses_a_tilted_drift():
+    e1 = np.array([1.0, 0.0])
+    state, tilted = SlabState(-0.4 * e1, 0.4 * e1, e1), ConstantDrift(np.array([1.0, 0.0]))
+    with pytest.raises(ModelError, match="tilted"):
+        dual_terminal_batch(state, tilted, TimeGrid(0.5, 10), 8823, [0, 1])
+    with pytest.raises(ModelError, match="tilted"):
+        dual_step(state, np.array([0.1, 0.0]), 0.05, tilted)
 
 
 def test_liggett_identity_estimate_reproducible():

@@ -171,7 +171,7 @@ _PRIMAL_DIGESTS = {
 _DUAL_DIGESTS = {
     "interval": "13ac49a79d75095a",
     "wedge": "5fd71db7c9a684ea",
-    "slab": "a11a477d4e52707b",
+    "slab": "be9d9b5a480fcfe4",
 }
 
 # criterion 1's liggett_identity_mc at 4096 paths: lhs, lhs_se, rhs, rhs_se
@@ -209,12 +209,13 @@ def _assert_same_rows(a, b, exact):
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
 
 
-# Two kernels are not row-count invariant, so under them a replica's last
-# bits depend on the replicas that share its chunk: LogisticDrift.beta
-# (its batched matrix products) and the batched fixed-point solve, which
-# stops when the largest residual of its rows is below 1e-13.  Only the
-# slab runs them (the constant and bilinear drifts solve in closed form,
-# row by row), so it alone is held to 1e-12, well above the few ulps seen.
+# LogisticDrift.beta (its batched matrix products) is not row-count
+# invariant, so under it a replica's last bits depend on the replicas that
+# share its chunk.  Only the slab primal runs it (the constant and bilinear
+# drifts step row by row), so it alone is held to 1e-12, well above the few
+# ulps seen.  No dual runs a row-count-variant kernel: the interval and
+# slab faces move in closed form and the bilinear implicit step is
+# elementwise, so every dual is held to its bytes.
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("name", sorted(_PRIMAL_DIGESTS))
 def test_primal_terminal_bytes_do_not_depend_on_chunk(name, chunk):
@@ -232,8 +233,8 @@ def test_dual_terminal_bytes_do_not_depend_on_chunk(name, chunk):
     whole = _dual(name)
     assert alive.tobytes() == whole[2][:paths].tobytes()
     assert normal.tobytes() == whole[3].tobytes()
-    _assert_same_rows(z, whole[0][:paths], exact=name != "slab")
-    _assert_same_rows(y, whole[1][:paths], exact=name != "slab")
+    assert z.tobytes() == whole[0][:paths].tobytes()
+    assert y.tobytes() == whole[1][:paths].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_DUAL_DIGESTS))

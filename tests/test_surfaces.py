@@ -209,7 +209,8 @@ def test_surfaces_jsonl_round_trip():
 
 # the file format of a 3-node line and plane trajectory, as written before
 # the three surface families became one type; the line's anchors are the
-# bilinear drift's closed-form implicit solve
+# bilinear drift's closed-form implicit solve, and the plane's anchor
+# moves along its normal by the normal's share of each increment
 GOLDEN_LINE = (
     '{"t": 0.0, "variant": "line", "params": {"u": [1.0, 2.0], "anchor": [0.4, 0.1]}}\n'
     '{"t": 0.01, "variant": "line", "params": {"u": [1.02, 2.01], '
@@ -221,9 +222,9 @@ GOLDEN_PLANE = (
     '{"t": 0.0, "variant": "plane", "params": {"normal": [0.7071067811865475, '
     '-0.7071067811865475], "anchor": [0.3, 0.0]}}\n'
     '{"t": 0.01, "variant": "plane", "params": {"normal": [0.7071067811865475, '
-    '-0.7071067811865475], "anchor": [0.35135516329623984, -0.07864483670376013]}}\n'
+    '-0.7071067811865475], "anchor": [0.365, -0.06499999999999999]}}\n'
     '{"t": 0.02, "variant": "plane", "params": {"normal": [0.7071067811865475, '
-    '-0.7071067811865475], "anchor": [0.3231177402070264, 0.03311774020702644]}}\n'
+    '-0.7071067811865475], "anchor": [0.295, 0.0050000000000000044]}}\n'
 )
 
 

@@ -1,7 +1,6 @@
 """Report records, statistical helpers, and the verification suites."""
 
 import io
-import math
 
 import numpy as np
 import pytest
