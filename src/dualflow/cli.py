@@ -402,6 +402,9 @@ def cmd_couple(config: dict) -> int:
         run, start = run_coupling, build_state(section["state"], d)
     if start.n != drift.n:
         raise ConfigError("coupling state and model dimensions differ")
+    if isinstance(start, SlabState) and not isinstance(drift, LogisticDrift):
+        # a slab coupling draws its primal start from the logistic plane density
+        raise ModelError("slab sampling requires the logistic drift family")
     _check_slab_drift(start, drift)
     run_dir = new_run_dir(config, "couple")
     for r in range(config["replicas"]):

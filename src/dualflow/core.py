@@ -35,6 +35,18 @@ class NumericalError(RuntimeError):
     """A scheme or solver left its validity envelope."""
 
 
+class SchemeDivergence(NumericalError):
+    """The explicit scheme reached a non-finite value at a grid step.
+
+    values is the scheme's output; a batch row stays non-finite from its
+    own first bad step on, so rows stepped together can be told apart.
+    """
+
+    def __init__(self, step: int, dt: float, values: Optional[np.ndarray] = None):
+        super().__init__(f"explicit scheme diverged at step {step} (t={step * dt:.6g})")
+        self.values = values
+
+
 # ---------------------------------------------------------------------------
 # time grid and sample paths
 
@@ -271,6 +283,10 @@ class DriftField:
     def gamma(self, x: np.ndarray) -> Optional[np.ndarray]:
         return None
 
+    def orthogonal_to(self, normal: np.ndarray) -> bool:
+        """True only if beta has no component along the normal anywhere."""
+        return False
+
     def solve_implicit(
         self, prev: np.ndarray, c: np.ndarray, dt: float, tol: float = 1e-13, max_iter: int = 100
     ) -> np.ndarray:
@@ -390,6 +406,8 @@ class LogisticDrift(DriftField):
     labels: np.ndarray
     # duals.plane_density's result per (normal bytes, scale), built once
     _planes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # orthogonal_to's answer per normal bytes
+    _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -415,6 +433,15 @@ class LogisticDrift(DriftField):
         x = np.asarray(x, dtype=float)
         z = x @ self.inputs.T
         return 0.5 * (expit(z) - self.labels) @ self.inputs
+
+    def orthogonal_to(self, normal: np.ndarray) -> bool:
+        """beta combines the input rows with weights in [-1/2, 1/2], so it
+        has no component along a normal whose products with the rows sum
+        to at most 1e-8 in absolute value.  Cached per normal."""
+        key = np.asarray(normal, dtype=float).tobytes()
+        if key not in self._flat:
+            self._flat[key] = float(np.abs(self.inputs @ normal).sum()) <= 1e-8
+        return self._flat[key]
 
     def gamma(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -515,9 +542,10 @@ def euler_backward_values(
 
     Each step is written in place into its row, with the operations of
     cur - beta(cur) dt + increment in that order.  Finiteness is checked
-    once per call, after the last step: a divergence names the first
-    non-finite step, by index and time on the whole grid when grid is a
-    GridBlock (whose run starts at x_start).  The steps after it run on
+    once per call, after the last step: a divergence raises
+    SchemeDivergence, which names the first non-finite step, by index and
+    time on the whole grid when grid is a GridBlock (whose run starts at
+    x_start), and carries the output.  The steps after it run on
     non-finite values first, with floating-point warnings off, so the
     divergence is reported by the check alone.
     """
@@ -535,7 +563,7 @@ def euler_backward_values(
     finite = np.isfinite(out[1 : grid.N + 1])
     if not finite.all():
         step = grid.first + 1 + int(np.argmin(finite.reshape(grid.N, -1).all(axis=1)))
-        raise NumericalError(f"explicit scheme diverged at step {step} (t={step * dt:.6g})")
+        raise SchemeDivergence(step, dt, out)
     return out
 
 

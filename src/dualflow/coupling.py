@@ -20,6 +20,7 @@ conditioned to lie in the region, has exactly the restricted law.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .core import (
     NumericalError,
     RngSpec,
     SamplePath,
+    SchemeDivergence,
     TimeGrid,
     brownian_increments,
     euler_backward,
@@ -453,11 +455,21 @@ def mc_region_sampler(
     stopping time exceeds the horizon are discarded; if the attempt budget
     runs out before `count` acceptances, partial results return with the
     truncated flag set.  Attempt k draws from stream rng.stream + k alone,
-    so the first samples do not depend on `count`.  A slab attempt runs
-    in blocks of steps and ends at its stopping time, so its cost scales
-    with that time, not with the horizon; only an attempt that never
-    covers runs the whole horizon.  A numerical failure names the
-    attempt's (seed, stream).
+    so the first samples do not depend on `count`.
+
+    Slab attempts run in waves of _WAVE consecutive streams, the rows of
+    one array: each 64-step block is one explicit-scheme call and one
+    noise imputation for the wave, while each attempt keeps its own
+    generator and draw order (plane point, then noise block by block).
+    A wave stops once every attempt up to the count-th acceptance, in
+    stream order, has resolved; later attempts are dropped, uncounted.
+    Waves keep their full width whatever the budget and never compact
+    rows, so an attempt's bits do not depend on count or max_attempts;
+    on data whose products are not exact (the bundled +-1 data's are),
+    its last bits may depend on its position in its wave, as a batched
+    beta can round differently from a one-row one.  A numerical failure
+    names the (seed, stream) of the first attempt, in stream order, that
+    one attempt at a time would have failed on.
 
     ModelError is raised unless the region is an increasing pair, count
     and max_attempts are at least 1, dt is positive and finite, and the
@@ -476,9 +488,7 @@ def mc_region_sampler(
     if isinstance(drift, ConstantDrift) and drift.n == 1:
         start = float(h1) if h1 is not None else 0.5 * (lo + hi)
         meta_start = start
-
-        def attempt(spec):
-            return _interval_region_attempt(lo, hi, start, drift, grid, spec)
+        outcomes = _interval_region_attempts(lo, hi, start, drift, grid, rng)
 
     elif isinstance(drift, LogisticDrift):
         if h1 is None:
@@ -488,10 +498,7 @@ def mc_region_sampler(
         if not isinstance(h1, SlabState) or h1.gap() != 0.0:
             raise ModelError("slab region sampling needs a degenerate slab start")
         meta_start = {"anchor_offset": float(h1.normal @ h1.y), "normal": h1.normal.tolist()}
-        pd = plane_density(drift, h1.normal)
-
-        def attempt(spec):
-            return _slab_region_attempt(lo, hi, h1, grid, spec, pd)
+        outcomes = _slab_region_attempts(lo, hi, h1, grid, rng, plane_density(drift, h1.normal))
 
     else:
         raise ModelError("region sampling supports 1-d constant drift or logistic slabs")
@@ -500,22 +507,16 @@ def mc_region_sampler(
     stop_times = []
     attempts = 0
     covered = 0
-    while len(samples) < count and attempts < max_attempts:
-        spec = RngSpec(rng.seed, rng.stream + attempts)
+    for hit in outcomes:
         attempts += 1
-        try:
-            hit = attempt(spec)
-        except NumericalError as err:
-            raise NumericalError(
-                f"region attempt (seed {spec.seed}, stream {spec.stream}): {err}"
-            ) from err
-        if hit is None:
-            continue
-        covered += 1
-        point, t_stop, accept = hit
-        if accept:
-            samples.append(point)
-            stop_times.append(t_stop)
+        if hit is not None:
+            covered += 1
+            point, t_stop, accept = hit
+            if accept:
+                samples.append(point)
+                stop_times.append(t_stop)
+        if len(samples) == count or attempts == max_attempts:
+            break
     truncated = len(samples) < count
     return RegionSamples(
         samples=np.asarray(samples) if samples else np.empty((0, drift.n)),
@@ -535,63 +536,121 @@ def mc_region_sampler(
     )
 
 
-def _interval_region_attempt(lo, hi, start, drift, grid, spec):
-    traj = run_entrance_coupling(start, drift, grid, spec)
-    cover = (traj.z_path.values[:, 0] < lo) & (hi <= traj.y_path.values[:, 0])
-    if not np.any(cover):
-        return None
-    j = int(np.argmax(cover))
-    x_t = float(traj.primal.values[j, 0])
-    return np.array([x_t]), float(grid.times[j]), bool(lo < x_t <= hi)
+def _attempt_error(spec: RngSpec, err: NumericalError) -> NumericalError:
+    return NumericalError(f"region attempt (seed {spec.seed}, stream {spec.stream}): {err}")
 
 
-_BLOCK = 64  # steps a slab attempt simulates before it checks for a cover
+def _interval_region_attempts(lo, hi, start, drift, grid, rng):
+    """Outcomes of the interval attempts, one at a time in stream order."""
+    for stream in itertools.count(rng.stream):
+        spec = RngSpec(rng.seed, stream)
+        try:
+            traj = run_entrance_coupling(start, drift, grid, spec)
+        except NumericalError as err:
+            raise _attempt_error(spec, err) from err
+        cover = (traj.z_path.values[:, 0] < lo) & (hi <= traj.y_path.values[:, 0])
+        j = int(np.argmax(cover))
+        x_t = float(traj.primal.values[j, 0])
+        yield (np.array([x_t]), float(grid.times[j]), bool(lo < x_t <= hi)) if cover[j] else None
 
 
-def _slab_region_attempt(lo, hi, start, grid, spec, pd):
+_BLOCK = 64  # steps a slab wave simulates before it scans for covers
+_WAVE = 32  # slab attempts stepped together, as the rows of one array
+_PENDING = object()  # outcome of an attempt that has not resolved yet
+
+
+def _slab_region_attempts(lo, hi, start, grid, rng, pd):
+    """Outcomes of the slab attempts in stream order, _WAVE attempts at a time."""
+    for stream0 in itertools.count(rng.stream, _WAVE):
+        specs = [RngSpec(rng.seed, stream0 + r) for r in range(_WAVE)]
+        yield from _slab_wave(lo, hi, start, grid, specs, pd)
+
+
+def _slab_wave(lo, hi, start, grid, specs, pd):
+    """Run one attempt per spec as the rows of one array, and yield each
+    outcome in order once it and every one before it have resolved.  A
+    resolved row draws no more noise and is no longer scanned."""
     d = start.normal
     drift = pd.drift
-    gen = spec.generator()
-    w0 = _plane_density_sampler(pd, gen, 1)[0]
-    x = pd.basis @ w0 + float(d @ start.y) * d
-
-    # projections onto the normal close on their own: the drift is
-    # orthogonal to it, the far-endpoint crossing test projects to
-    # pX + d1*(do1 + |do1|) > pA, the face moves with the flipped
+    n = drift.n
+    rows = len(specs)
+    gens = [spec.generator() for spec in specs]
+    offset = float(d @ start.y)
+    outcome = [_PENDING] * rows
+    x = np.zeros((rows, n))
+    for r, gen in enumerate(gens):
+        try:
+            x[r] = pd.basis @ _plane_density_sampler(pd, gen, 1)[0] + offset * d
+        except NumericalError as err:
+            outcome[r] = _attempt_error(specs[r], err)
+    times = grid.times
+    # each row's projections onto the normal close on their own: the
+    # drift is orthogonal to it, the far-endpoint crossing test projects
+    # to pX + d1*(do1 + |do1|) > pA, the face moves with the flipped
     # reflected increment and the lower side with the reflected one.
-    # The attempt runs block by block and stops at the first covering
-    # node; the Wiener and imputed-noise sums carry across blocks, so
-    # every value is the one a full-horizon run would compute
+    # The Wiener and imputed-noise sums carry across blocks, so every
+    # value is the one a full-horizon run of the row would compute
     d1 = float(d[0])
-    pA = float(d @ start.y)
-    pZ = pA
-    w_end = om_end = np.zeros(drift.n)
+    pA = [offset] * rows
+    pZ = [offset] * rows
+    w_end = om_end = np.zeros((rows, n))
+    nxt = 0  # the first row whose outcome is not yet yielded
     for first in range(0, grid.N, _BLOCK):
         block = grid.block(first, _BLOCK)
-        wiener = _sums_from(w_end, brownian_increments(gen, block, (drift.n,)))
-        X = euler_backward_values(block, x, wiener, drift)
+        live = [r for r in range(rows) if outcome[r] is _PENDING]
+        inc = np.zeros((block.N, rows, n))
+        for r in live:
+            inc[:, r] = brownian_increments(gens[r], block, (n,))
+        wiener = _sums_from(w_end, inc)
+        try:
+            X = euler_backward_values(block, x, wiener, drift)
+        except SchemeDivergence as err:
+            X = err.values
+            bad = ~np.isfinite(X[1:]).all(axis=-1)
+            for r in np.flatnonzero(bad.any(axis=0)).tolist():
+                if outcome[r] is _PENDING:
+                    step = first + 1 + int(np.argmax(bad[:, r]))
+                    outcome[r] = _attempt_error(specs[r], SchemeDivergence(step, block.dt))
+                X[:, r] = 0.0  # the row is resolved; keep its arithmetic finite
         omega = _sums_from(om_end, _impute_increments(X, block.dt, drift))
         om_inc = np.diff(omega, axis=0)
-        # over two or more rows, as one row can round differently; po
-        # stays one row at a time, as a batched product rounds differently
-        # (a row's .dot and @ run the same BLAS dot, and .dot calls it sooner)
-        pX = (X @ d).tolist()
-        for i, (inc, po1) in enumerate(zip(om_inc, om_inc[:, 0].tolist())):
-            po = float(inc.dot(d))
-            crossing = pX[i] + d1 * (po1 + abs(po1)) > pA
-            dsig = 2.0 * po1 if crossing else 0.0
-            pA = pA + po + d1 * (dsig - 2.0 * po1)
-            pZ = pZ + po - d1 * dsig
-            if pZ < lo and hi <= pA:
-                j = first + i + 1
-                return X[i + 1].copy(), float(grid.times[j]), lo < pX[i + 1] <= hi
+        for r in live:
+            if outcome[r] is not _PENDING:
+                continue
+            Xr, inc_r = X[:, r], om_inc[:, r]
+            # over two or more rows, as one row can round differently; po
+            # stays one row at a time, as a batched product rounds differently
+            # (a row's .dot and @ run the same BLAS dot, and .dot calls it sooner)
+            pX = (Xr @ d).tolist()
+            pa, pz = pA[r], pZ[r]
+            for i, (step_inc, po1) in enumerate(zip(inc_r, inc_r[:, 0].tolist())):
+                po = float(step_inc.dot(d))
+                crossing = pX[i] + d1 * (po1 + abs(po1)) > pa
+                dsig = 2.0 * po1 if crossing else 0.0
+                pa = pa + po + d1 * (dsig - 2.0 * po1)
+                pz = pz + po - d1 * dsig
+                if pz < lo and hi <= pa:
+                    outcome[r] = (Xr[i + 1].copy(), float(times[first + i + 1]),
+                                  lo < pX[i + 1] <= hi)
+                    break
+            pA[r], pZ[r] = pa, pz
+        if first + block.N == grid.N:
+            # the horizon: a row still pending never covers
+            outcome = [None if o is _PENDING else o for o in outcome]
+        while nxt < rows and outcome[nxt] is not _PENDING:
+            hit = outcome[nxt]
+            nxt += 1
+            if isinstance(hit, NumericalError):
+                raise hit
+            yield hit
+        if nxt == rows:
+            return
         x, w_end, om_end = X[-1], wiener[-1], omega[-1]
-    return None
 
 
 def _sums_from(carry: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """Running sums of the increments after carry, with carry as row 0."""
-    return np.cumsum(np.vstack((carry, increments)), axis=0)
+    return np.cumsum(np.concatenate((carry[None], increments)), axis=0)
 
 
 # ---------------------------------------------------------------------------

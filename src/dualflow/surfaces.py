@@ -149,8 +149,12 @@ def _check_untilted(drift: DriftField, anchor: np.ndarray, normal: np.ndarray) -
     """Refuse a drift with a component along a fixed normal at the anchor.
 
     Only an orthogonal drift keeps a face with that normal planar, and
-    moves it along the normal by the noise alone.
+    moves it along the normal by the noise alone.  A drift that is
+    orthogonal to the normal everywhere (DriftField.orthogonal_to) passes
+    without evaluating beta.
     """
+    if drift.orthogonal_to(normal):
+        return
     b = drift.beta(anchor)
     if abs(float(normal @ b)) > 1e-8 * (1.0 + math.sqrt(float(b @ b))):
         raise ModelError(

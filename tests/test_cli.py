@@ -282,6 +282,23 @@ def test_tilted_slab_is_refused_before_the_run(tmp_path, capsys, command):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("entrance", ["false", "true"])
+def test_slab_under_a_non_logistic_model_is_refused_before_the_run(tmp_path, capsys, entrance):
+    # the bilinear drift is orthogonal to e_1 at these faces, so the tilt check passes it
+    slab = json.dumps({"family": "slab", "z_offset": -0.4, "y_offset": 0.4, "normal": [1, 0]})
+    degenerate = json.dumps({"family": "slab", "z_offset": 0.0, "y_offset": 0.0,
+                             "normal": [1, 0]})
+    key = "couple.start" if entrance == "true" else "couple.state"
+    code = main(["couple", "--out", str(tmp_path), "--override", "model.family=bilinear",
+                 "--override", f"couple.entrance={entrance}",
+                 "--override", f"{key}={degenerate if entrance == 'true' else slab}",
+                 "--override", "grid.N=8"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "model error: slab sampling requires the logistic drift family\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_dir_collision_suffix(tmp_path):
     out = tmp_path / "runs"
     for _ in range(2):

@@ -31,7 +31,7 @@ from dualflow import (
 from dualflow import coupling, duals
 from dualflow.cli import build_drift
 from dualflow.core import brownian_increments, partial_sums
-from dualflow.coupling import _slab_region_attempt, read_coupling_jsonl, write_coupling_jsonl
+from dualflow.coupling import _slab_region_attempts, read_coupling_jsonl, write_coupling_jsonl
 from dualflow.duals import _plane_density_sampler, plane_density, span_normal
 
 
@@ -271,6 +271,22 @@ def test_reclock_slab_rate():
                        atol=1e-12)
 
 
+def test_reclocked_slab_entrance_gap_is_chi3_at_time_one():
+    # the reclocked gap is a three-dimensional Bessel process from 0; with
+    # T = 0.5 the reclocked time 4 d_1^2 T is 1 at the horizon, where the
+    # gap has the chi(3) law
+    d = SLAB_NORMAL
+    drift, grid = toy_logistic(), TimeGrid(0.5, 400)
+    gaps = []
+    for i in range(1000):
+        traj = run_entrance_coupling(SlabState(0.1 * d, 0.1 * d, d), drift, grid,
+                                     RngSpec(8804, 1000 + i))
+        diag = bessel_time_change(traj, drift)
+        assert diag.R_path.values[-1, 0] == pytest.approx(1.0, abs=1e-12)
+        gaps.append(diag.H_path.values[-1, 0])
+    assert stats.kstest(gaps, stats.chi(3).cdf).pvalue > 0.01
+
+
 def test_reclock_truncation_flag():
     drift = ConstantDrift(0.0)
     grid = TimeGrid(0.1, 100)  # R_total = 0.4 < 1
@@ -392,17 +408,17 @@ def bundled_slab():
 
 
 # 500 and 449 steps are not multiples of the 64-step block; 449 leaves a
-# one-step final block
+# one-step final block.  Stream s is outcome s of the waves run from stream 0
 @pytest.mark.parametrize("horizon, steps, streams", [(8.0, 4000, 200), (1.0, 500, 300),
                                                      (1.0, 449, 100)])
 def test_slab_attempt_matches_full_horizon_bits(bundled_slab, horizon, steps, streams):
     _, h1, pd = bundled_slab
     grid = TimeGrid(horizon, steps)
     never = 0
-    for s in range(streams):
+    waves = _slab_region_attempts(-0.6, 0.6, h1, grid, RngSpec(8808, 0), pd)
+    for s, got in zip(range(streams), waves):
         spec = RngSpec(8808, s)
         want = _full_horizon_slab_attempt(-0.6, 0.6, h1, grid, spec, pd)
-        got = _slab_region_attempt(-0.6, 0.6, h1, grid, spec, pd)
         if want is None:
             never += 1
             assert got is None, s
@@ -441,26 +457,86 @@ def test_region_sampler_bits_are_pinned(bundled_slab, seed):
     assert h.hexdigest() == _SAMPLER_DIGESTS[seed]
 
 
-def test_region_attempt_divergence_names_step_and_stream(bundled_slab, monkeypatch):
-    drift, h1, pd = bundled_slab
-    grid = TimeGrid(8.0, 4000)
-    # stream 5 first covers at t = 2.724, past the failing step 1000
-    assert _slab_region_attempt(-0.6, 0.6, h1, grid, RngSpec(8808, 5), pd)[1] > 2.0
+def _diverging_beta(monkeypatch, faults):
+    """Make the explicit scheme's k-th step return inf in wave row r, for
+    each (k, r) in faults.  The scheme steps a wave's rows as one (rows, n)
+    array; the noise imputation calls beta on a 3-d block."""
     beta = LogisticDrift.beta
     explicit_steps = [0]
 
     def blowup(self, x):
         out = beta(self, x)
-        if np.ndim(x) == 1:  # the explicit scheme steps one point at a time
+        if np.ndim(x) == 2:
             explicit_steps[0] += 1
-            if explicit_steps[0] == 1000:
-                return np.full_like(out, np.inf)
+            for k, r in faults:
+                if explicit_steps[0] == k:
+                    out[r] = np.inf
         return out
 
-    monkeypatch.setattr(coupling, "plane_density", lambda drift, normal: pd)
     monkeypatch.setattr(LogisticDrift, "beta", blowup)
+
+
+def test_region_attempt_divergence_names_step_and_stream(bundled_slab, monkeypatch):
+    drift, h1, pd = bundled_slab
+    grid = TimeGrid(8.0, 4000)
+    # stream 5 first covers at t = 2.724, past the failing step 1000
+    assert next(_slab_region_attempts(-0.6, 0.6, h1, grid, RngSpec(8808, 5), pd))[1] > 2.0
+    monkeypatch.setattr(coupling, "plane_density", lambda drift, normal: pd)
+    # stream 5 is row 0 of the first wave
+    _diverging_beta(monkeypatch, [(1000, 0)])
     with pytest.raises(NumericalError) as err:
         mc_region_sampler((-0.6, 0.6), h1, drift, RngSpec(8808, 5), count=1)
     assert str(err.value) == (
         "region attempt (seed 8808, stream 5): explicit scheme diverged at step 1000 (t=2)"
     )
+
+
+def test_region_attempt_divergence_names_the_first_attempt_in_stream_order(
+        bundled_slab, monkeypatch):
+    drift, h1, pd = bundled_slab
+    monkeypatch.setattr(coupling, "plane_density", lambda drift, normal: pd)
+    # streams 0 and 1 are accepted at steps 149 and 251; stream 2 covers at
+    # step 193.  One attempt at a time, stream 1 fails at step 150 before
+    # stream 2 is run, though stream 2 diverges sooner in the wave
+    _diverging_beta(monkeypatch, [(100, 2), (150, 1)])
+    with pytest.raises(NumericalError) as err:
+        mc_region_sampler((-0.6, 0.6), h1, drift, RngSpec(8808, 0), count=5)
+    assert str(err.value) == (
+        "region attempt (seed 8808, stream 1): explicit scheme diverged at step 150 (t=0.3)"
+    )
+
+
+def test_region_attempt_divergence_that_one_attempt_at_a_time_never_runs_is_ignored(
+        bundled_slab, monkeypatch):
+    drift, h1, pd = bundled_slab
+    clean = mc_region_sampler((-0.6, 0.6), h1, drift, RngSpec(8808, 0), count=5)
+    assert clean.attempts == 7
+    monkeypatch.setattr(coupling, "plane_density", lambda drift, normal: pd)
+    # stream 6 has covered at step 107 but waits in the wave for stream 5,
+    # which covers at step 1362; the fifth acceptance is stream 6's, so one
+    # attempt at a time would not run stream 7
+    _diverging_beta(monkeypatch, [(500, 6), (1000, 7)])
+    out = mc_region_sampler((-0.6, 0.6), h1, drift, RngSpec(8808, 0), count=5)
+    assert out.samples.tobytes() == clean.samples.tobytes()
+    assert (out.attempts, out.covered) == (clean.attempts, clean.covered)
+
+
+def _sampled(drift, **kwargs):
+    out = mc_region_sampler((-0.6, 0.6), None, drift, RngSpec(8808, 0), **kwargs)
+    return (out.samples.tobytes(), out.stop_times.tobytes(), out.attempts, out.covered,
+            out.truncated)
+
+
+@pytest.mark.parametrize("width", [1, 7])
+def test_region_sampler_bits_do_not_depend_on_the_wave_width(bundled_slab, monkeypatch, width):
+    want = _sampled(bundled_slab[0], count=40)
+    monkeypatch.setattr(coupling, "_WAVE", width)
+    assert _sampled(bundled_slab[0], count=40) == want
+
+
+@pytest.mark.parametrize("max_attempts", [5, 37])
+def test_region_sampler_budget_need_not_fill_a_wave(bundled_slab, monkeypatch, max_attempts):
+    got = _sampled(bundled_slab[0], count=40, max_attempts=max_attempts)
+    assert got[2] == max_attempts and got[4]
+    monkeypatch.setattr(coupling, "_WAVE", 1)
+    assert _sampled(bundled_slab[0], count=40, max_attempts=max_attempts) == got

@@ -474,6 +474,19 @@ def test_slab_survival_is_exact_at_every_resolution(N):
     assert abs(float(np.mean(out["alive"])) - p) <= 3.0 * se
 
 
+@pytest.mark.parametrize("N", [1, 4, 16])
+def test_interval_survival_is_exact_at_every_resolution(N):
+    # a constant drift moves both endpoints alike, so the gap is g0 - 2 W_1
+    # and with the bridge draw the survival is P(max W_1 < g0 / 2) =
+    # 2 Phi(g0 / (2 sqrt(T))) - 1 on every grid
+    state, T, m = IntervalState(-1.0, 1.0), 0.5, 20000
+    out = dual_terminal_batch(state, ConstantDrift(0.5), TimeGrid(T, N), 8821, list(range(m)))
+    g0 = state.y - state.z
+    p = 2.0 * float(ndtr(g0 / (2.0 * math.sqrt(T)))) - 1.0
+    se = math.sqrt(p * (1.0 - p) / m)
+    assert abs(float(np.mean(out["alive"])) - p) <= 3.0 * se
+
+
 def test_slab_faces_move_along_the_normal_in_step_and_batch():
     d = SLAB_NORMAL
     state, drift, grid = SlabState(-0.4 * d, 0.4 * d, d), toy_logistic(), TimeGrid(0.5, 50)
