@@ -459,17 +459,25 @@ def mc_region_sampler(
 
     Slab attempts run in waves of _WAVE consecutive streams, the rows of
     one array: each 64-step block is one explicit-scheme call and one
-    noise imputation for the wave, while each attempt keeps its own
-    generator and draw order (plane point, then noise block by block).
-    A wave stops once every attempt up to the count-th acceptance, in
-    stream order, has resolved; later attempts are dropped, uncounted.
-    Waves keep their full width whatever the budget and never compact
-    rows, so an attempt's bits do not depend on count or max_attempts;
-    on data whose products are not exact (the bundled +-1 data's are),
-    its last bits may depend on its position in its wave, as a batched
-    beta can round differently from a one-row one.  A numerical failure
-    names the (seed, stream) of the first attempt, in stream order, that
-    one attempt at a time would have failed on.
+    noise imputation for the wave's pending attempts, while each attempt
+    keeps its own generator and draw order (plane point, then noise block
+    by block).  A resolved attempt leaves the array: it draws no more
+    noise and is no longer stepped.  The drift is orthogonal to the slab
+    normal d, so an attempt's cover scan runs in face coordinates along
+    d, two floats per attempt (the upper face's offset above the
+    primal's, and d1 times the compensator).  Like the reflection flow,
+    it crosses only on an upward coordinate-1 increment, so an attempt
+    stops at the first cover of its entrance coupling.  A wave stops once
+    every attempt up to the count-th acceptance, in stream order, has
+    resolved; later attempts are dropped, uncounted.  Waves keep their
+    full width whatever the budget, and the rows a block steps depend on
+    the wave's own streams alone, so an attempt's bits do not depend on
+    count or max_attempts.  On data whose products are not exact (the
+    bundled +-1 data's are), its last bits may depend on the other rows
+    stepped with it, as a batched beta can round differently from a
+    one-row one.  A numerical failure names the (seed, stream) of the
+    first attempt, in stream order, that one attempt at a time would have
+    failed on.
 
     ModelError is raised unless the region is an increasing pair, count
     and max_attempts are at least 1, dt is positive and finite, and the
@@ -568,8 +576,17 @@ def _slab_region_attempts(lo, hi, start, grid, rng, pd):
 
 def _slab_wave(lo, hi, start, grid, specs, pd):
     """Run one attempt per spec as the rows of one array, and yield each
-    outcome in order once it and every one before it have resolved.  A
-    resolved row draws no more noise and is no longer scanned."""
+    outcome in order once it and every one before it have resolved.
+
+    A block steps only the rows still pending, so a resolved row draws no
+    more noise and is no longer stepped or scanned.  The drift is
+    orthogonal to the normal d, so a row's scan closes in face
+    coordinates: u = pA - pX, the upper face's offset above the primal's
+    (u0 at the start), and s = d1 sigma.  With t = 2 d1 do1, a step
+    crosses only on an upward increment that would cross the face
+    (do1 > 0 and u < t, the flow's guard) and then adds t to s, or else
+    moves u by -t; the lower face's offset is pX + u0 - s.
+    """
     d = start.normal
     drift = pd.drift
     n = drift.n
@@ -584,56 +601,36 @@ def _slab_wave(lo, hi, start, grid, specs, pd):
         except NumericalError as err:
             outcome[r] = _attempt_error(specs[r], err)
     times = grid.times
-    # each row's projections onto the normal close on their own: the
-    # drift is orthogonal to it, the far-endpoint crossing test projects
-    # to pX + d1*(do1 + |do1|) > pA, the face moves with the flipped
-    # reflected increment and the lower side with the reflected one.
-    # The Wiener and imputed-noise sums carry across blocks, so every
-    # value is the one a full-horizon run of the row would compute
     d1 = float(d[0])
-    pA = [offset] * rows
-    pZ = [offset] * rows
-    w_end = om_end = np.zeros((rows, n))
+    u0 = (offset - x @ d).tolist()
+    u, s = list(u0), [0.0] * rows
+    live = [r for r in range(rows) if outcome[r] is _PENDING]
+    x = x[live]
+    w_end = np.zeros_like(x)  # the Wiener sums carry across blocks
     nxt = 0  # the first row whose outcome is not yet yielded
     for first in range(0, grid.N, _BLOCK):
         block = grid.block(first, _BLOCK)
-        live = [r for r in range(rows) if outcome[r] is _PENDING]
-        inc = np.zeros((block.N, rows, n))
-        for r in live:
-            inc[:, r] = brownian_increments(gens[r], block, (n,))
-        wiener = _sums_from(w_end, inc)
+        inc = np.empty((block.N, len(live), n))
+        for k, r in enumerate(live):
+            inc[:, k] = brownian_increments(gens[r], block, (n,))
+        wiener = np.cumsum(np.concatenate((w_end[None], inc)), axis=0)
         try:
             X = euler_backward_values(block, x, wiener, drift)
         except SchemeDivergence as err:
             X = err.values
             bad = ~np.isfinite(X[1:]).all(axis=-1)
-            for r in np.flatnonzero(bad.any(axis=0)).tolist():
-                if outcome[r] is _PENDING:
-                    step = first + 1 + int(np.argmax(bad[:, r]))
-                    outcome[r] = _attempt_error(specs[r], SchemeDivergence(step, block.dt))
-                X[:, r] = 0.0  # the row is resolved; keep its arithmetic finite
-        omega = _sums_from(om_end, _impute_increments(X, block.dt, drift))
-        om_inc = np.diff(omega, axis=0)
-        for r in live:
+            for k in np.flatnonzero(bad.any(axis=0)).tolist():
+                step = first + 1 + int(np.argmax(bad[:, k]))
+                outcome[live[k]] = _attempt_error(specs[live[k]], SchemeDivergence(step, block.dt))
+                X[:, k] = 0.0  # the row is resolved; keep its arithmetic finite
+        pX = (X @ d).T.tolist()
+        t = ((2.0 * d1) * _impute_increments(X, block.dt, drift)[..., 0]).T.tolist()
+        for k, r in enumerate(live):
             if outcome[r] is not _PENDING:
                 continue
-            Xr, inc_r = X[:, r], om_inc[:, r]
-            # over two or more rows, as one row can round differently; po
-            # stays one row at a time, as a batched product rounds differently
-            # (a row's .dot and @ run the same BLAS dot, and .dot calls it sooner)
-            pX = (Xr @ d).tolist()
-            pa, pz = pA[r], pZ[r]
-            for i, (step_inc, po1) in enumerate(zip(inc_r, inc_r[:, 0].tolist())):
-                po = float(step_inc.dot(d))
-                crossing = pX[i] + d1 * (po1 + abs(po1)) > pa
-                dsig = 2.0 * po1 if crossing else 0.0
-                pa = pa + po + d1 * (dsig - 2.0 * po1)
-                pz = pz + po - d1 * dsig
-                if pz < lo and hi <= pa:
-                    outcome[r] = (Xr[i + 1].copy(), float(times[first + i + 1]),
-                                  lo < pX[i + 1] <= hi)
-                    break
-            pA[r], pZ[r] = pa, pz
+            j, u[r], s[r] = _first_cover(lo, hi, pX[k], t[k], u[r], s[r], u0[r])
+            if j is not None:
+                outcome[r] = (X[j, k].copy(), float(times[first + j]), lo < pX[k][j] <= hi)
         if first + block.N == grid.N:
             # the horizon: a row still pending never covers
             outcome = [None if o is _PENDING else o for o in outcome]
@@ -645,12 +642,25 @@ def _slab_wave(lo, hi, start, grid, specs, pd):
             yield hit
         if nxt == rows:
             return
-        x, w_end, om_end = X[-1], wiener[-1], omega[-1]
+        keep = [k for k, r in enumerate(live) if outcome[r] is _PENDING]
+        live = [live[k] for k in keep]
+        x, w_end = X[-1, keep], wiener[-1, keep]
 
 
-def _sums_from(carry: np.ndarray, increments: np.ndarray) -> np.ndarray:
-    """Running sums of the increments after carry, with carry as row 0."""
-    return np.cumsum(np.concatenate((carry[None], increments)), axis=0)
+def _first_cover(lo, hi, pX, t, u, s, u0):
+    """Scan a row's steps in face coordinates from (u, s), given the
+    primal's offsets pX per node and t = 2 d1 do1 per step.  Return the
+    first node at which the faces' offsets pX + u0 - s and pX + u cover
+    (lo, hi), or None, with the (u, s) reached."""
+    for i, ti in enumerate(t):
+        if ti > 0.0 and u < ti:
+            s += ti
+        else:
+            u -= ti
+        p = pX[i + 1]
+        if p + u0 - s < lo and hi <= p + u:
+            return i + 1, u, s
+    return None, u, s
 
 
 # ---------------------------------------------------------------------------

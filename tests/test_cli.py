@@ -332,7 +332,7 @@ GOLDEN_RUNS = {
     "pitman": ["pitman", "--seed", "2"] + _SMALL,
     "posterior": ["posterior", "--seed", "8808", "--override", "model.family=logistic",
                   "--override", "posterior.count=20"],
-    # 36 attempts, 8 of which never cover within the short horizon
+    # 32 attempts, 7 of which never cover within the short horizon
     "posterior-short": ["posterior", "--seed", "8808", "--override", "model.family=logistic",
                         "--override", "posterior.horizon=1.0",
                         "--override", "posterior.count=20",
@@ -351,8 +351,8 @@ GOLDEN_DIGESTS = {
     "couple-wedge": "956b650c2b24a3c6f8c7306064a66cd4c4426162fe4a4728300973aa57a4094f",
     "couple-slab": "36c9b66be5b1f604ed3b532c5014608970fca8d7ab33dd93f3374de228fcaf7d",
     "pitman": "e62839c7f4ee76a0d12859d061e66263053a1c2f9723ebee4f755cd78e928902",
-    "posterior": "7a0ad9119a8f011ba44b52bbd1c59200d04127c9445bec8eb39a748c1cd2521d",
-    "posterior-short": "002ffab934160f1057af79310a66a8a7f5b24d5dc5a6fd1e58125a97735d299c",
+    "posterior": "5f500972b268a07b4ca126089dfdead1c7dda587db0e0640820100eeedb3e097",
+    "posterior-short": "18429656a1dd0b205ae82f10fe6f653474c892d1c0a489d13a8e69db01b9a835",
 }
 
 

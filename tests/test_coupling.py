@@ -3,9 +3,11 @@
 import hashlib
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from dualflow import (
@@ -179,6 +181,18 @@ def test_interval_entrance_matches_pitman_gap():
         assert np.max(np.abs(v - half_gap)) < 1e-12
         assert np.all(traj.gap()[1:] > 0.0)
         assert traj.gap()[0] == 0.0
+
+
+# the 2M - W identity at every node of coarse grids, the closed form's
+# exactness claim (ROADMAP item 5)
+@pytest.mark.parametrize("mu", [0.0, 0.5, -0.7])
+@pytest.mark.parametrize("N", [1, 4, 16])
+def test_interval_entrance_half_gap_is_pitman_on_coarse_grids(N, mu):
+    drift, grid = ConstantDrift(mu), TimeGrid(1.0, N)
+    for s in range(200):
+        traj = run_entrance_coupling(0.0, drift, grid, RngSpec(8831, s))
+        v = pitman_construct(traj.wiener, mu).values[:, 0]
+        assert np.max(np.abs(0.5 * traj.gap() - v)) <= 1e-10, s
 
 
 def test_wedge_entrance_leaves_boundary():
@@ -370,7 +384,8 @@ def test_region_sampler_rejects_a_slab_start_with_a_gap(bundled_slab):
 
 def _full_horizon_slab_attempt(lo, hi, start, grid, spec, pd):
     """The slab attempt before early stopping: simulate the whole horizon,
-    then scan it for the first covering node."""
+    then scan it for the first covering node, projecting each step onto d
+    and crossing only on an upward increment, as the reflection flow does."""
     d = start.normal
     drift = pd.drift
     gen = spec.generator()
@@ -390,7 +405,7 @@ def _full_horizon_slab_attempt(lo, hi, start, grid, spec, pd):
     for j in range(1, grid.N + 1):
         po = float(om_inc[j - 1] @ d)
         po1 = float(om_inc[j - 1][0])
-        crossing = pX[j - 1] + d1 * (po1 + abs(po1)) > pA
+        crossing = po1 > 0.0 and pX[j - 1] + d1 * (po1 + abs(po1)) > pA
         dsig = 2.0 * po1 if crossing else 0.0
         pA = pA + po + d1 * (dsig - 2.0 * po1)
         pZ = pZ + po - d1 * dsig
@@ -428,6 +443,54 @@ def test_slab_attempt_matches_full_horizon_bits(bundled_slab, horizon, steps, st
         assert never > 0
 
 
+def test_slab_region_attempt_is_the_first_cover_of_its_entrance_coupling(bundled_slab):
+    # attempt s is the entrance coupling of RngSpec(8808, s) stopped at its
+    # first node where the dual slab covers the region; the coupling snaps
+    # its start onto the face by a few ulps and the sampler does not
+    drift, h1, pd = bundled_slab
+    d, grid, lo, hi = h1.normal, TimeGrid(2.0, 1000), -0.6, 0.6
+    waves = _slab_region_attempts(lo, hi, h1, grid, RngSpec(8808, 0), pd)
+    for s, got in zip(range(200), waves):
+        traj = run_entrance_coupling(h1, drift, grid, RngSpec(8808, s))
+        cover = (traj.z_path.values @ d < lo) & (hi <= traj.y_path.values @ d)
+        if not cover.any():
+            assert got is None, s
+            continue
+        j = int(np.argmax(cover))
+        x = traj.primal.values[j]
+        assert got is not None and got[1] == grid.times[j], s
+        assert got[2] == (lo < float(x @ d) <= hi), s
+        assert np.max(np.abs(got[0] - x)) <= 1e-12, s
+
+
+def _eighths(lo, hi):
+    # a coarse lattice, so that steps often tie with the faces and the region
+    return st.integers(lo, hi).map(lambda k: Fraction(k, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d1=_eighths(1, 8), u0=_eighths(-2, 2), px0=_eighths(-8, 8), lo=_eighths(-8, 8),
+       width=_eighths(1, 8), steps=st.lists(st.tuples(_eighths(-4, 4), _eighths(-4, 4)),
+                                            min_size=1, max_size=40))
+def test_slab_scan_in_face_coordinates_is_the_guarded_recursion(d1, u0, px0, lo, width, steps):
+    # in exact arithmetic, step by step: the guarded recursion on the faces'
+    # offsets pa and pz along d, with the primal's offset moving by dp (the
+    # drift is orthogonal to d), and the sampler's (u, s) scan
+    hi = lo + width
+    pa = pz = px0 + u0
+    px, u, s = px0, u0, Fraction(0)
+    for dp, po1 in steps:
+        crossing = po1 > 0 and px + d1 * (po1 + abs(po1)) > pa
+        dsig = 2 * po1 if crossing else 0
+        pa, pz = pa + dp + d1 * (dsig - 2 * po1), pz + dp - d1 * dsig
+        j, u, s_next = coupling._first_cover(lo, hi, [px, px + dp], [2 * d1 * po1], u, s, u0)
+        px += dp
+        assert (s_next != s) == crossing
+        s = s_next
+        assert pa == px + u and pz == px + u0 - s
+        assert (j == 1) == (pz < lo and hi <= pa)
+
+
 def test_region_sampler_samples_do_not_depend_on_count(bundled_slab):
     drift = bundled_slab[0]
     few = mc_region_sampler((-0.6, 0.6), None, drift, RngSpec(8808, 0), count=5, horizon=1.0)
@@ -439,11 +502,11 @@ def test_region_sampler_samples_do_not_depend_on_count(bundled_slab):
 
 
 # sha256 of samples, stop times, attempts and covered (int64) for count 40
-# on the bundled slab, recorded before the explicit kernel and the attempt
-# loop were made cheaper
+# on the bundled slab, recorded when the scan took the flow's crossing guard
+# (the face-coordinate scan and the live rows keep these bits)
 _SAMPLER_DIGESTS = {
-    8808: "3a35889d814b04ba2190d3a1c0d93c2ec808f1c98a6da73a1d248eb5d7830e4a",
-    907559: "4652abab351fd41edd9a064e06bcb624b4c156f33aed9edb52963a2901044db6",
+    8808: "0a012ed46a096c3585c262db0a41043352e275751eb8c507e2e502eee56fb0e2",
+    907559: "d54c220795e3a1f05e74dcf3a1c23fa0246f63cdddf9ecb3805aeefd6cd923d5",
 }
 
 
@@ -458,21 +521,39 @@ def test_region_sampler_bits_are_pinned(bundled_slab, seed):
 
 
 def _diverging_beta(monkeypatch, faults):
-    """Make the explicit scheme's k-th step return inf in wave row r, for
-    each (k, r) in faults.  The scheme steps a wave's rows as one (rows, n)
-    array; the noise imputation calls beta on a 3-d block."""
-    beta = LogisticDrift.beta
+    """Make the explicit scheme's k-th step return inf in the row of stream
+    s, for each (k, s) in faults.  The scheme steps the wave's pending
+    attempts as the rows of one (rows, n) array, in the order they drew
+    the block's noise; the noise imputation calls beta on a 3-d block."""
+    beta, generator, draw = LogisticDrift.beta, RngSpec.generator, coupling.brownian_increments
+    stream_of = {}  # id of an attempt's generator -> its stream
+    rows = []  # the streams of the block's rows, in draw order
+    last = [None]  # the block the rows drew for
     explicit_steps = [0]
+
+    def spec_generator(self):
+        gen = generator(self)
+        stream_of[id(gen)] = self.stream
+        return gen
+
+    def block_draw(gen, block, shape=()):
+        if block is not last[0]:
+            last[0] = block
+            rows.clear()
+        rows.append(stream_of[id(gen)])
+        return draw(gen, block, shape)
 
     def blowup(self, x):
         out = beta(self, x)
         if np.ndim(x) == 2:
             explicit_steps[0] += 1
-            for k, r in faults:
-                if explicit_steps[0] == k:
-                    out[r] = np.inf
+            for k, stream in faults:
+                if explicit_steps[0] == k and stream in rows:
+                    out[rows.index(stream)] = np.inf
         return out
 
+    monkeypatch.setattr(RngSpec, "generator", spec_generator)
+    monkeypatch.setattr(coupling, "brownian_increments", block_draw)
     monkeypatch.setattr(LogisticDrift, "beta", blowup)
 
 
@@ -482,8 +563,7 @@ def test_region_attempt_divergence_names_step_and_stream(bundled_slab, monkeypat
     # stream 5 first covers at t = 2.724, past the failing step 1000
     assert next(_slab_region_attempts(-0.6, 0.6, h1, grid, RngSpec(8808, 5), pd))[1] > 2.0
     monkeypatch.setattr(coupling, "plane_density", lambda drift, normal: pd)
-    # stream 5 is row 0 of the first wave
-    _diverging_beta(monkeypatch, [(1000, 0)])
+    _diverging_beta(monkeypatch, [(1000, 5)])
     with pytest.raises(NumericalError) as err:
         mc_region_sampler((-0.6, 0.6), h1, drift, RngSpec(8808, 5), count=1)
     assert str(err.value) == (
@@ -512,8 +592,9 @@ def test_region_attempt_divergence_that_one_attempt_at_a_time_never_runs_is_igno
     clean = mc_region_sampler((-0.6, 0.6), h1, drift, RngSpec(8808, 0), count=5)
     assert clean.attempts == 7
     monkeypatch.setattr(coupling, "plane_density", lambda drift, normal: pd)
-    # stream 6 has covered at step 107 but waits in the wave for stream 5,
-    # which covers at step 1362; the fifth acceptance is stream 6's, so one
+    # stream 6 has covered at step 107, so it is no longer stepped, and it
+    # waits in the wave for stream 5, which covers at step 1362; stream 7
+    # diverges at step 1000, but the fifth acceptance is stream 6's, so one
     # attempt at a time would not run stream 7
     _diverging_beta(monkeypatch, [(500, 6), (1000, 7)])
     out = mc_region_sampler((-0.6, 0.6), h1, drift, RngSpec(8808, 0), count=5)
