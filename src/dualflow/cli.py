@@ -45,7 +45,6 @@ from .coupling import (
     read_coupling_jsonl,
     run_coupling,
     run_entrance_coupling,
-    trajectory_from_columns,
     write_coupling_jsonl,
     write_region_csv,
 )
@@ -576,34 +575,6 @@ def write_coupling_csv(fp, traj: CouplingTrajectory) -> None:
     fp.write(",".join(cols) + "\n")
     for row in rows:
         fp.write(",".join(row) + "\n")
-
-
-def read_coupling_csv(fp) -> CouplingTrajectory:
-    first = fp.readline()
-    if not first.startswith("# "):
-        raise ValueError("coupling CSV must start with its metadata comment")
-    head = json.loads(first[2:])
-    header = fp.readline().strip().split(",")
-    data = [line.strip().split(",") for line in fp if line.strip()]
-    at = {name: i for i, name in enumerate(header)}
-
-    def block(prefix):
-        if prefix in at:
-            idx = [at[prefix]]
-        else:
-            idx = []
-            i = 1
-            while f"{prefix}_{i}" in at:
-                idx.append(at[f"{prefix}_{i}"])
-                i += 1
-        if not idx:
-            raise ValueError(f"no columns for {prefix}")
-        return np.array([[float(r[i]) for i in idx] for r in data])
-
-    u_path = block("u") if "u_1" in at else None
-    gamma = [r[at["gamma"]] == "1" for r in data]
-    names = {"x": "X", "z": "Z", "y": "Y", "w": "W"}
-    return trajectory_from_columns(head, lambda key: block(names.get(key, key)), gamma, u_path)
 
 
 def emit_plot_data(run_dir) -> list:

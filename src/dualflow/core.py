@@ -271,6 +271,11 @@ def sample_brownian_batch(
 # drift fields
 
 
+# the fixed-point solve stops at this residual, or fails after _MAX_ITER iterations
+_TOL = 1e-13
+_MAX_ITER = 100
+
+
 class DriftField:
     """Drift beta with a Lipschitz bound and, when available, a potential."""
 
@@ -287,11 +292,9 @@ class DriftField:
         """True only if beta has no component along the normal anywhere."""
         return False
 
-    def solve_implicit(
-        self, prev: np.ndarray, c: np.ndarray, dt: float, tol: float = 1e-13, max_iter: int = 100
-    ) -> np.ndarray:
+    def solve_implicit(self, prev: np.ndarray, c: np.ndarray, dt: float) -> np.ndarray:
         """Solve w = c + beta(w) dt by damped fixed-point iteration from
-        the explicit guess c + beta(prev) dt.
+        the explicit guess c + beta(prev) dt, to residual _TOL.
 
         The step-size precondition makes the map a contraction, so plain
         iteration converges geometrically; the damping only engages if the
@@ -302,18 +305,18 @@ class DriftField:
         w = c + beta(prev) * dt
         alpha = 1.0
         last = np.inf
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             target = c + beta(w) * dt
             diff = target - w
             res = float(peak(abs(diff), axis=None))
-            if res <= tol:
+            if res <= _TOL:
                 return target
             if res >= last:
                 alpha = 0.5 * alpha
             last = res
             # 1.0 * diff is diff, so the undamped update skips the product
             w = w + diff if alpha == 1.0 else w + alpha * diff
-        raise NumericalError(f"implicit step failed to reach residual {tol:.1e} (last {last:.3e})")
+        raise NumericalError(f"implicit step failed to reach residual {_TOL:.1e} (last {last:.3e})")
 
 
 def _finite_solve(w: np.ndarray) -> np.ndarray:
@@ -350,7 +353,7 @@ class ConstantDrift(DriftField):
     def gamma(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.mu
 
-    def solve_implicit(self, prev, c, dt, tol=1e-13, max_iter=100) -> np.ndarray:
+    def solve_implicit(self, prev, c, dt) -> np.ndarray:
         """w = c + mu dt: the bits of the fixed-point loop, with no iteration."""
         return _finite_solve(c + self.mu * dt)
 
@@ -380,7 +383,7 @@ class BilinearDrift(DriftField):
         x = np.asarray(x, dtype=float)
         return x[..., 0] * x[..., 1]
 
-    def solve_implicit(self, prev, c, dt, tol=1e-13, max_iter=100) -> np.ndarray:
+    def solve_implicit(self, prev, c, dt) -> np.ndarray:
         """w = c + dt (w_2, w_1) is linear: w = (c + dt (c_2, c_1)) / (1 - dt^2).
 
         Elementwise, so a row's bits do not depend on the rows beside it.
@@ -404,7 +407,7 @@ class LogisticDrift(DriftField):
 
     inputs: np.ndarray
     labels: np.ndarray
-    # duals.plane_density's result per (normal bytes, scale), built once
+    # duals.plane_density's result per normal bytes, built once
     _planes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # orthogonal_to's answer per normal bytes
     _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -519,17 +522,15 @@ def implicit_step(
     dnoise: np.ndarray,
     dt: float,
     drift: DriftField,
-    tol: float = 1e-13,
-    max_iter: int = 100,
 ) -> np.ndarray:
     """Solve w = prev + beta(w) dt + increment.
 
     The drift chooses the method (DriftField.solve_implicit): a closed form
     for constant and bilinear drifts, damped fixed-point iteration to
-    residual tol for every other drift.
+    residual _TOL for every other drift.
     """
     prev = np.asarray(prev, dtype=float)
-    return drift.solve_implicit(prev, prev + np.asarray(dnoise, dtype=float), dt, tol, max_iter)
+    return drift.solve_implicit(prev, prev + np.asarray(dnoise, dtype=float), dt)
 
 
 def euler_backward_values(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import ndtri
 
 from .core import (
     ConstantDrift,
@@ -243,71 +244,66 @@ def run_entrance_coupling(
     For an interval the start is a point x with the pair beginning at
     (x, x).  For a strip the start is a degenerate state whose two lines
     coincide, and the primal point is drawn on that line from the
-    invariant density restricted to it, via a numeric inverse CDF of the
-    tilted Gaussian along the line.  For a slab the two faces coincide and
-    the primal point is the face's in-plane invariant draw.  The region
-    indicator is false at time zero by construction (the point sits on the
-    boundary).  The gap then leaves zero at once and stays positive: the
-    interval's in closed form, the strip's and slab's because the flow
-    triggers a reflection only on a positive coordinate-1 increment.
+    invariant density restricted to it, a Gaussian along the line.  For a
+    slab the two faces coincide and the primal point is the face's
+    in-plane invariant draw.  The region indicator is false at time zero
+    by construction (the point sits on the boundary).  The gap then leaves
+    zero at once and stays positive: the interval's in closed form, the
+    strip's and slab's because the flow triggers a reflection only on a
+    positive coordinate-1 increment.  A numerical failure names the run's
+    (seed, stream).
     """
     gen = rng.generator()
-    if isinstance(start, (int, float)):
-        state0 = IntervalState(float(start), float(start))
-        x0 = np.array([float(start)])
-    elif isinstance(start, IntervalState):
-        if start.y != start.z:
-            raise ModelError("entrance interval must be degenerate (z == y)")
-        state0 = start
-        x0 = np.array([start.z])
-    elif isinstance(start, (WedgeState, SlabState)) and abs(start.gap()) > 1e-12:
-        raise ModelError(f"entrance {start.family} must have coincident faces")
-    elif isinstance(start, WedgeState):
-        state0 = start
-        x0 = _entrance_point_on_line(start, gen)
-    elif isinstance(start, SlabState):
-        if not isinstance(drift, LogisticDrift):
-            raise ModelError("slab entrance requires the logistic drift family")
-        state0 = start
-        pd = plane_density(drift, start.normal)
-        w = _plane_density_sampler(pd, gen, 1)[0]
-        x0 = pd.basis @ w + float(start.normal @ start.y) * start.normal
-    else:
-        raise ModelError(f"unsupported entrance start {type(start)}")
+    try:
+        if isinstance(start, (int, float)):
+            state0 = IntervalState(float(start), float(start))
+            x0 = np.array([float(start)])
+        elif isinstance(start, IntervalState):
+            if start.y != start.z:
+                raise ModelError("entrance interval must be degenerate (z == y)")
+            state0 = start
+            x0 = np.array([start.z])
+        elif isinstance(start, (WedgeState, SlabState)) and abs(start.gap()) > 1e-12:
+            raise ModelError(f"entrance {start.family} must have coincident faces")
+        elif isinstance(start, WedgeState):
+            state0 = start
+            x0 = _entrance_point_on_line(start, gen)
+        elif isinstance(start, SlabState):
+            if not isinstance(drift, LogisticDrift):
+                raise ModelError("slab entrance requires the logistic drift family")
+            state0 = start
+            pd = plane_density(drift, start.normal)
+            w = _plane_density_sampler(pd, gen, 1)[0]
+            x0 = pd.basis @ w + float(start.normal @ start.y) * start.normal
+        else:
+            raise ModelError(f"unsupported entrance start {type(start)}")
 
-    if state0.n > 1:
-        # the draw lands on the shared boundary only up to rounding, and the
-        # reflection flow branches on exact containment; snap the first
-        # coordinate onto the surface (an adjustment of at most a few ulps)
-        x0[0] = min(x0[0], state0.upper_face().height(x0[1:]))
+        if state0.n > 1:
+            # the draw lands on the shared boundary only up to rounding, and the
+            # reflection flow branches on exact containment; snap the first
+            # coordinate onto the surface (an adjustment of at most a few ulps)
+            x0[0] = min(x0[0], state0.upper_face().height(x0[1:]))
+        return _couple(state0, drift, grid, x0, gen)
+    except NumericalError as err:
+        raise NumericalError(f"coupling (seed {rng.seed}, stream {rng.stream}): {err}") from err
 
-    return _couple(state0, drift, grid, x0, gen)
 
-
-def _entrance_point_on_line(state: WedgeState, gen, points: int = 10000) -> np.ndarray:
+def _entrance_point_on_line(state: WedgeState, gen) -> np.ndarray:
     """Draw the primal start on the strip's boundary line, density proportional to nu.
 
     Along the line through y with direction u the invariant density is a
-    tilted Gaussian in the line coordinate; it is inverted numerically on
-    a table spanning twelve standard deviations around its mode.
+    Gaussian in the line coordinate, drawn by its exact quantile.
     """
     u = state.u
     if not 0.0 < u[0] < u[1]:
         raise ModelError(f"direction outside the entrance cone: u={u.tolist()}")
     uhat = u / math.sqrt(float(u @ u))
     y = state.y
-    # exponent of nu along y + s*uhat: -2(y1 + s u1)(y2 + s u2)
+    # exponent of nu along y + s*uhat: -2(y1 + s u1)(y2 + s u2) = -2a s^2 - 2b s + const,
+    # a Gaussian in s with mean -b/(2a) and sd 1/sqrt(4a)
     a = uhat[0] * uhat[1]
     b = y[0] * uhat[1] + y[1] * uhat[0]
-    mean = -b / (2.0 * a)
-    sd = 1.0 / math.sqrt(4.0 * a)
-    s_grid = np.linspace(mean - 12.0 * sd, mean + 12.0 * sd, points + 1)
-    logw = -2.0 * (y[0] + s_grid * uhat[0]) * (y[1] + s_grid * uhat[1])
-    wts = np.exp(logw - np.max(logw))
-    mids = 0.5 * (wts[1:] + wts[:-1]) * np.diff(s_grid)
-    cdf = np.concatenate(([0.0], np.cumsum(mids)))
-    cdf /= cdf[-1]
-    s = float(np.interp(float(uniforms(gen, ())), cdf, s_grid))
+    s = -b / (2.0 * a) + float(ndtri(uniforms(gen, ()))) / math.sqrt(4.0 * a)
     return y + s * uhat
 
 
@@ -691,36 +687,23 @@ def write_coupling_jsonl(fp, traj: CouplingTrajectory) -> None:
 
 
 def read_coupling_jsonl(fp) -> CouplingTrajectory:
+    """Rebuild a trajectory from the records write_coupling_jsonl wrote."""
     head = json.loads(fp.readline())
     rows = [json.loads(line) for line in fp if line.strip()]
-
-    def col(key):
-        return np.asarray([r[key] for r in rows], dtype=float)
-
-    u_path = col("u") if rows and "u" in rows[0] else None
-    return trajectory_from_columns(head, col, [r["gamma"] for r in rows], u_path)
-
-
-# per-node record fields and the trajectory paths they fill
-_RECORD_PATHS = (("x", "primal"), ("z", "z_path"), ("y", "y_path"), ("sigma", "sigma"),
-                 ("w", "wiener"), ("omega", "noise"), ("xi", "reflected"))
-
-
-def trajectory_from_columns(head: dict, column, gamma, u_path) -> CouplingTrajectory:
-    """Rebuild a trajectory from its header record and per-node columns.
-
-    column(key) returns the node values of the record field key (x, z, y,
-    sigma, w, omega or xi); gamma holds the region flag of each node and
-    u_path the strip direction per node (None for other families).
-    """
     grid = TimeGrid(float(head["T"]), int(head["N"]))
-    if len(gamma) != grid.N + 1:
-        raise ValueError(f"expected {grid.N + 1} records, got {len(gamma)}")
-    normal = np.asarray(head["normal"], dtype=float) if "normal" in head else None
-    paths = {name: SamplePath(grid, column(key)) for key, name in _RECORD_PATHS}
-    return CouplingTrajectory(family=head["family"], grid=grid,
-                              gamma_flags=np.asarray(gamma, dtype=bool), u_path=u_path,
-                              normal=normal, **paths)
+    if len(rows) != grid.N + 1:
+        raise ValueError(f"expected {grid.N + 1} records, got {len(rows)}")
+
+    def path(key):
+        return SamplePath(grid, np.asarray([r[key] for r in rows], dtype=float))
+
+    return CouplingTrajectory(
+        family=head["family"], grid=grid, primal=path("x"), z_path=path("z"),
+        y_path=path("y"), sigma=path("sigma"),
+        gamma_flags=np.asarray([r["gamma"] for r in rows], dtype=bool), wiener=path("w"),
+        noise=path("omega"), reflected=path("xi"),
+        u_path=np.asarray([r["u"] for r in rows], dtype=float) if "u" in rows[0] else None,
+        normal=np.asarray(head["normal"], dtype=float) if "normal" in head else None)
 
 
 def write_region_csv(fp, result: RegionSamples) -> None:

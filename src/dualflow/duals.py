@@ -52,6 +52,14 @@ from .surfaces import (
 )
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
+_TABLE_POINTS = 10000  # steps of the numeric inverse-CDF table of a 1-d potential
+_MAX_ROUNDS = 10000  # proposal batches a rejection sampler may draw
+# the in-plane proposal: a Student-t with _DOF degrees of freedom, and
+# _SCALE**2 times the inverse curvature at the mode as its scale matrix
+_SCALE = 1.6
+_DOF = 4.0
+_FD_STEP = 1e-4  # central-difference step of intertwining_residual
+_CHUNK = 4096  # streams the batched kernels simulate at once
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +162,11 @@ class WedgeState(_FacePair):
         if z.shape != (2,) or y.shape != (2,):
             raise ModelError("z and y must be 2-vectors")
         _check_finite(z, y)
-        if not self.absorbed and self.normal_of(u) @ (y - z) < 0.0:
+        if not self.absorbed and _normal_of(u) @ (y - z) < 0.0:
             raise ModelError("y-line must not lie below the z-line")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
-
-    normal_of = staticmethod(_normal_of)
-    rotate = staticmethod(_rotate)
 
     @property
     def normal(self) -> np.ndarray:
@@ -323,9 +328,9 @@ def truncated_exp_mean(z: float, y: float, mu: float) -> float:
     return z + 1.0 / q - d / math.expm1(q * d)
 
 
-def _interval_table_sampler(drift: ProductDrift, z: float, y: float, points: int = 10000):
+def _interval_table_sampler(drift: ProductDrift, z: float, y: float):
     """Numeric inverse-CDF table for a general one-dimensional potential."""
-    xs = np.linspace(z, y, points + 1)
+    xs = np.linspace(z, y, _TABLE_POINTS + 1)
     w = np.exp(-2.0 * np.asarray(drift.gamma1(xs), dtype=float))
     mids = 0.5 * (w[1:] + w[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(mids)))
@@ -380,7 +385,7 @@ def sample_conditional(
     raise ModelError(f"unknown dual state {type(state)}")
 
 
-def _wedge_conditional_batch(state: WedgeState, gen, count: int, max_rounds: int = 10000):
+def _wedge_conditional_batch(state: WedgeState, gen, count: int):
     wz, wy = _wedge_bounds(state)
     u = state.u
     norm2 = float(u @ u)
@@ -397,9 +402,7 @@ def _wedge_conditional_batch(state: WedgeState, gen, count: int, max_rounds: int
         w = wz + (wy - wz) * uniforms(gen, batch)
         return w, np.log(uniforms(gen, batch)) <= w * w - wmax2
 
-    out_w = _rejection_fill(
-        propose, count, lambda: f"wedge sampler, bounds ({wz:.3g}, {wy:.3g})", max_rounds
-    )
+    out_w = _rejection_fill(propose, count, lambda: f"wedge sampler, bounds ({wz:.3g}, {wy:.3g})")
     eta = out_w * eta_scale
     xi = -c * eta + sd_xi * normals(gen, count)
     pts = xi[:, None] * uhat + eta[:, None] * nhat
@@ -435,15 +438,13 @@ class PlaneDensity:
     hessian: np.ndarray
     chol_cov: np.ndarray
     log_envelope: float
-    scale: float = 1.6
-    dof: float = 4.0
     # log_proposal's whitening map and normalizing constant, fixed per density
     inv_chol_t: np.ndarray = field(init=False, repr=False, compare=False)
     log_proposal_const: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.basis.shape[1]
-        nu = self.dof
+        nu = _DOF
         logdet = 2.0 * float(np.sum(np.log(np.diag(self.chol_cov))))
         const = (
             math.lgamma(0.5 * (nu + k))
@@ -461,7 +462,7 @@ class PlaneDensity:
     def log_proposal(self, w: np.ndarray) -> np.ndarray:
         diff = (w - self.mode) @ self.inv_chol_t
         k = self.basis.shape[1]
-        nu = self.dof
+        nu = _DOF
         q = np.sum(diff**2, axis=-1)
         return self.log_proposal_const - 0.5 * (nu + k) * np.log1p(q / nu)
 
@@ -475,22 +476,22 @@ def _plane_curvature(drift: LogisticDrift, basis: np.ndarray, w: np.ndarray) -> 
     return hess + 1e-12 * np.eye(basis.shape[1])
 
 
-def plane_density(drift: LogisticDrift, normal: np.ndarray, scale: float = 1.6) -> PlaneDensity:
+def plane_density(drift: LogisticDrift, normal: np.ndarray) -> PlaneDensity:
     """The in-plane density on the orthogonal complement of the normal.
 
-    It is built once per (drift, normal, scale) and kept on the drift, so
-    every later draw reuses the mode search, factorisation and envelope
-    probes.  Its arrays are read-only; a sampler that raises the envelope
-    keeps the raise inside its own call.
+    It is built once per (drift, normal) and kept on the drift, so every
+    later draw reuses the mode search, factorisation and envelope probes.
+    Its arrays are read-only; a sampler that raises the envelope keeps the
+    raise inside its own call.
     """
-    key = (np.asarray(normal, dtype=float).tobytes(), scale)
+    key = np.asarray(normal, dtype=float).tobytes()
     pd = drift._planes.get(key)
     if pd is None:
-        pd = drift._planes[key] = _build_plane_density(drift, normal, scale)
+        pd = drift._planes[key] = _build_plane_density(drift, normal)
     return pd
 
 
-def _build_plane_density(drift: LogisticDrift, normal: np.ndarray, scale: float) -> PlaneDensity:
+def _build_plane_density(drift: LogisticDrift, normal: np.ndarray) -> PlaneDensity:
     basis = plane_basis(drift, normal)
     k = basis.shape[1]
     w = np.zeros(k)
@@ -506,9 +507,9 @@ def _build_plane_density(drift: LogisticDrift, normal: np.ndarray, scale: float)
             t *= 0.5
         w = w - t * step
     hess = _plane_curvature(drift, basis, w)
-    cov = scale**2 * np.linalg.inv(hess)
+    cov = _SCALE**2 * np.linalg.inv(hess)
     chol = np.linalg.cholesky(cov)
-    pd = PlaneDensity(drift, basis, w, hess, chol, 0.0, scale)
+    pd = PlaneDensity(drift, basis, w, hess, chol, 0.0)
     # probe the acceptance ratio along eigen-directions; against the t
     # proposal it peaks at a finite radius, and the sampler re-raises the
     # envelope and discards progress if a draw ever lands above it
@@ -527,16 +528,14 @@ def _build_plane_density(drift: LogisticDrift, normal: np.ndarray, scale: float)
     return pd
 
 
-def _plane_density_sampler(pd: PlaneDensity, gen, count: int, max_rounds: int = 10000):
-    if pd.dof != 4.0:
-        raise ModelError("the rejection sampler draws its mixing variable for dof 4 only")
+def _plane_density_sampler(pd: PlaneDensity, gen, count: int):
     k = pd.basis.shape[1]
     env = pd.log_envelope
 
     def propose(batch):
         nonlocal env
         z = normals(gen, (batch, k))
-        # chi-square with dof 4, via two unit exponentials per draw
+        # chi-square with _DOF = 4, via two unit exponentials per draw
         g = -(np.log(uniforms(gen, batch)) + np.log(uniforms(gen, batch))) / 2.0
         w = pd.mode + (z @ pd.chol_cov.T) / np.sqrt(g)[:, None]
         logr = pd.log_target(w) - pd.log_proposal(w)
@@ -548,11 +547,10 @@ def _plane_density_sampler(pd: PlaneDensity, gen, count: int, max_rounds: int = 
             return None
         return w, np.log(uniforms(gen, batch)) <= logr - env
 
-    return _rejection_fill(propose, count, lambda: f"in-plane sampler, mode {pd.mode}",
-                           max_rounds)
+    return _rejection_fill(propose, count, lambda: f"in-plane sampler, mode {pd.mode}")
 
 
-def _rejection_fill(propose, count: int, what: Callable[[], str], max_rounds: int) -> np.ndarray:
+def _rejection_fill(propose, count: int, what: Callable[[], str]) -> np.ndarray:
     """First count accepted candidates of propose(batch) -> (candidates, accept).
 
     A proposal of None voids the batch and every earlier acceptance, so
@@ -561,7 +559,7 @@ def _rejection_fill(propose, count: int, what: Callable[[], str], max_rounds: in
     """
     out = None
     filled = drawn = accepted = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         batch = max(64, 2 * (count - filled))
         proposal = propose(batch)
         if proposal is None:
@@ -579,7 +577,7 @@ def _rejection_fill(propose, count: int, what: Callable[[], str], max_rounds: in
             return out
         if drawn >= 20000 and accepted / drawn < 1e-4:
             raise NumericalError(f"{what()}: acceptance {accepted}/{drawn} below 1e-4")
-    raise NumericalError(f"{what()}: starved after {max_rounds} rounds")
+    raise NumericalError(f"{what()}: starved after {_MAX_ROUNDS} rounds")
 
 
 def span_normal(inputs: np.ndarray):
@@ -624,7 +622,7 @@ def _plane_log_normalizer(pd: PlaneDensity) -> float:
     otherwise a curvature approximation at the mode."""
     k = pd.basis.shape[1]
     if k == 1:
-        sd = math.sqrt(pd.chol_cov[0, 0] ** 2) / pd.scale
+        sd = math.sqrt(pd.chol_cov[0, 0] ** 2) / _SCALE
         lo = float(pd.mode[0] - 60.0 * sd)
         hi = float(pd.mode[0] + 60.0 * sd)
         peak = float(pd.log_target(pd.mode[None, :])[0])
@@ -694,8 +692,8 @@ def dual_step(
         z_new = implicit_step(np.atleast_1d(state.z), d, dt, drift)
         y_new = implicit_step(np.atleast_1d(state.y), flip_first(d), dt, drift)
     if isinstance(state, WedgeState):
-        frame["u"] = WedgeState.rotate(state.u, dt)
-        normal = WedgeState.normal_of(frame["u"])
+        frame["u"] = _rotate(state.u, dt)
+        normal = _normal_of(frame["u"])
     g_old = state.gap()
     g_new = float(face_gap(normal, z_new, y_new))
     if g_new <= 0.0:
@@ -756,7 +754,6 @@ def intertwining_residual(
     d2f: Callable[[np.ndarray], np.ndarray],
     state: IntervalState,
     drift: DriftField,
-    fd_step: float = 1e-4,
 ) -> dict:
     """Check that conditioning commutes with the generators on an interval.
 
@@ -792,7 +789,7 @@ def intertwining_residual(
     lhs = avg(generator_f, z, y)
 
     G = lambda zz, yy: avg(f, zz, yy)
-    h = fd_step
+    h = _FD_STEP
     dz, dy = dual_drift(state, drift)
     g_y = (G(z, y + h) - G(z, y - h)) / (2.0 * h)
     g_z = (G(z + h, y) - G(z - h, y)) / (2.0 * h)
@@ -817,15 +814,14 @@ def primal_terminal_batch(
     grid: TimeGrid,
     seed: int,
     streams: Sequence[int],
-    chunk: int = 4096,
 ) -> np.ndarray:
     """Terminal values of the explicit scheme from a fixed start, one per stream."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.shape[0]
     out = np.empty((len(streams), n))
     dt = grid.dt
-    for lo in range(0, len(streams), chunk):
-        hi = min(lo + chunk, len(streams))
+    for lo in range(0, len(streams), _CHUNK):
+        hi = min(lo + _CHUNK, len(streams))
         inc, _ = stream_increments(grid, n, seed, streams[lo:hi])
         if isinstance(drift, ConstantDrift):
             # the stepwise scheme telescopes for a state-free drift; the
@@ -849,7 +845,6 @@ def dual_terminal_batch(
     grid: TimeGrid,
     seed: int,
     streams: Sequence[int],
-    chunk: int = 4096,
 ) -> dict:
     """Terminal dual anchors and survival mask over independent streams.
 
@@ -889,8 +884,8 @@ def dual_terminal_batch(
         rate = 0.0
     elif isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
         rate = float(drift.mu[0])
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
+    for lo in range(0, m, _CHUNK):
+        hi = min(lo + _CHUNK, m)
         inc, uni = stream_increments(grid, n, seed, streams[lo:hi], step_uniforms=True)
         mc = hi - lo
         if rate is not None:
@@ -937,8 +932,8 @@ def dual_terminal_batch(
                 z_new = implicit_step(z, d, dt, drift)
                 y_new = implicit_step(y, flip_first(d), dt, drift)
                 if u is not None:
-                    u = WedgeState.rotate(u, dt)
-                    nvec = WedgeState.normal_of(u)
+                    u = _rotate(u, dt)
+                    nvec = _normal_of(u)
                 g = face_gap(nvec, z_new, y_new)
                 n1 = float(nvec[0])
                 # the y-z gap receives the flipped-minus-straight noise, whose
@@ -986,7 +981,6 @@ def liggett_identity_mc(
     paths: int,
     drift: DriftField,
     rng: RngSpec,
-    chunk: int = 4096,
 ) -> IdentityEstimate:
     """Estimate both sides of the region-hitting duality identity.
 
@@ -996,7 +990,7 @@ def liggett_identity_mc(
     (rng.stream << 32) + 2i and + 2i + 1, so both sides and all rng.stream
     values are independent.  Compensated sums make the estimate's
     summation order irrelevant, and no dual terminal byte depends on
-    chunk; the slab's primal terminal bytes may, by a few ulps, because
+    _CHUNK; the slab's primal terminal bytes may, by a few ulps, because
     the logistic drift is not row-count invariant.
     """
     if paths >= 2**31:
@@ -1007,8 +1001,8 @@ def liggett_identity_mc(
     rhs_streams = [base + 2 * i + 1 for i in range(paths)]
 
     try:
-        terminal = primal_terminal_batch(x, drift, grid, rng.seed, lhs_streams, chunk)
-        duals = dual_terminal_batch(state, drift, grid, rng.seed, rhs_streams, chunk)
+        terminal = primal_terminal_batch(x, drift, grid, rng.seed, lhs_streams)
+        duals = dual_terminal_batch(state, drift, grid, rng.seed, rhs_streams)
     except NumericalError as err:
         raise NumericalError(f"duality (seed {rng.seed}, stream block {rng.stream}): {err}") from err
     hits = contains_batch(state, terminal).astype(float)

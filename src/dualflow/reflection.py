@@ -265,11 +265,12 @@ def flow_trigger_1d(
 
     Batch equivalent of forward_flow at a level surface: at each step the
     path is tested against the current level with a one-increment margin,
-    and a trigger doubles the noise increment into the compensator.  Unlike
-    the running-record form, the triggered reflection bounces each crossing
-    increment, so the output noise keeps the increments' law at every grid
-    resolution.  x0 has shape (m,), omega shape (N+1, m); returns the same
-    mapping as flow_constant_1d, exactly matching forward_flow per column.
+    only on an upward increment, and a trigger doubles the noise increment
+    into the compensator.  Unlike the running-record form, the triggered
+    reflection bounces each crossing increment, so the output noise keeps
+    the increments' law at every grid resolution.  x0 has shape (m,), omega
+    shape (N+1, m); returns the same mapping as flow_constant_1d, exactly
+    matching forward_flow per column.
     """
     n_nodes, m = omega.shape
     outside = x0 > level0
@@ -280,7 +281,7 @@ def flow_trigger_1d(
     sigma_in[0] = 0.0
     for j in range(1, n_nodes):
         dw = omega[j] - omega[j - 1]
-        trig = (px + dw + np.abs(dw) > pa) & ~outside
+        trig = (dw > 0.0) & (px + dw + np.abs(dw) > pa) & ~outside
         sig = sig + np.where(trig, 2.0 * dw, 0.0)
         pa = pa + np.where(trig, dw, -dw)
         px = px + dw

@@ -15,7 +15,6 @@ slides along the fixed normal, in closed form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -91,12 +90,6 @@ class Surface:
     def n(self) -> int:
         return self.anchor.shape[0]
 
-    @property
-    def variant(self) -> str:
-        if self.u is not None:
-            return "line"
-        return "level" if self.n == 1 else "plane"
-
     def height(self, rest=()) -> float:
         rest = np.asarray(rest, dtype=float)
         a, d = self.anchor, self.normal
@@ -105,13 +98,6 @@ class Surface:
     def contains(self, x) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return bool(x[0] <= self.height(x[1:]))
-
-    def params(self) -> dict:
-        if self.u is not None:
-            return {"u": self.u.tolist(), "anchor": self.anchor.tolist()}
-        if self.n == 1:
-            return {"level": float(self.anchor[0])}
-        return {"normal": self.normal.tolist(), "anchor": self.anchor.tolist()}
 
 
 def step_surface(
@@ -230,7 +216,6 @@ def evolve_surface(
     initial: Surface,
     flipped_noise: SamplePath,
     drift: DriftField,
-    backward: bool = False,
 ) -> SurfaceTrajectory:
     """Evolve a surface along a whole grid of flipped-noise increments.
 
@@ -243,29 +228,9 @@ def evolve_surface(
     out = [initial]
     try:
         for k in range(grid.N):
-            out.append(step_surface(out[-1], drift, grid.dt, inc[k], backward=backward))
+            out.append(step_surface(out[-1], drift, grid.dt, inc[k]))
     except NumericalError as err:
         raise NumericalError(
             f"surface flow failed at step {k + 1} (t={(k + 1) * grid.dt:.6g}): {err}") from err
     return SurfaceTrajectory.stack(grid, out)
 
-
-def write_surfaces_jsonl(fp, traj: SurfaceTrajectory) -> None:
-    for t, s in zip(traj.grid.times, traj):
-        fp.write(json.dumps({"t": float(t), "variant": s.variant, "params": s.params()}) + "\n")
-
-
-def read_surfaces_jsonl(fp) -> SurfaceTrajectory:
-    ts, surfaces = [], []
-    for line in fp:
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        params = rec["params"]
-        s = Surface.level(**params) if rec["variant"] == "level" else Surface(**params)
-        if s.variant != rec["variant"]:
-            raise ModelError(f"surface record of variant {rec['variant']!r} holds a {s.variant}")
-        ts.append(rec["t"])
-        surfaces.append(s)
-    grid = TimeGrid(float(ts[-1]), len(ts) - 1)
-    return SurfaceTrajectory.stack(grid, surfaces)

@@ -161,16 +161,15 @@ def ks_two_sample(
     a: np.ndarray,
     b: np.ndarray,
     name: str = "ks_two_sample",
-    threshold: float = 0.01,
     seeds: Optional[dict] = None,
 ) -> TestReport:
+    """Two-sided two-sample Kolmogorov-Smirnov, passed at p > 0.01."""
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if min(a.size, b.size) < 20:
         raise ModelError("need at least 20 samples on each side")
     res = stats.ks_2samp(a, b, mode="asymp")
-    return report_p(name, res.statistic, res.pvalue, threshold,
-                    a.size + b.size, seeds or {})
+    return report_p(name, res.statistic, res.pvalue, 0.01, a.size + b.size, seeds or {})
 
 
 def reflection_probabilities(T: float, x: float, z: float, y: float, mu: float) -> dict:
@@ -201,7 +200,7 @@ def reflection_probabilities(T: float, x: float, z: float, y: float, mu: float) 
 # suites
 
 
-def suite_duality(seed: int = 0, paths: int = 10000, threshold: float = 0.01) -> list:
+def suite_duality(seed: int = 0, paths: int = 10000) -> list:
     """Region-hitting duality: MC on both sides against the closed form."""
     reports = []
 
@@ -285,16 +284,14 @@ def flow_noise_terminal_1d(
     return out["xi"][-1]
 
 
-def suite_flow_wiener(seed: int = 0, replicas: int = 4000,
-                      threshold: float = 0.01) -> list:
+def suite_flow_wiener(seed: int = 0, replicas: int = 4000) -> list:
     """Wiener law of the flow's output noise, plus the outside branch."""
     reports = []
     for T in (0.25, 1.0):
         N = max(int(round(T * 500)), 1)
         xi_T = flow_noise_terminal_1d(0.5, 0.3, 0.0, T, N, seed, replicas)
         reports.append(ks_test(
-            xi_T / math.sqrt(T), ndtr, name=f"flow_wiener_1d_T{T:g}",
-            threshold=threshold, seeds={"seed": seed}))
+            xi_T / math.sqrt(T), ndtr, name=f"flow_wiener_1d_T{T:g}", seeds={"seed": seed}))
 
     # outside start: the flow flips the noise wholesale, no reflection
     drift = ConstantDrift(0.5)
@@ -311,11 +308,11 @@ def suite_flow_wiener(seed: int = 0, replicas: int = 4000,
         {"seed": seed}))
 
     # planar drift in two dimensions, reflected at a line
-    reports.append(_flow_wiener_bilinear(seed, min(replicas, 1000), threshold))
+    reports.append(_flow_wiener_bilinear(seed, min(replicas, 1000)))
     return reports
 
 
-def _flow_wiener_bilinear(seed: int, replicas: int, threshold: float) -> TestReport:
+def _flow_wiener_bilinear(seed: int, replicas: int) -> TestReport:
     drift = BilinearDrift()
     T, N = 0.5, 250
     grid = TimeGrid(T, N)
@@ -331,11 +328,10 @@ def _flow_wiener_bilinear(seed: int, replicas: int, threshold: float) -> TestRep
         flow = forward_flow(x_path, surface, omega, drift)
         xi_T[i] = flow.reflected_noise.values[-1, 0]
     return ks_test(xi_T / math.sqrt(T), ndtr, name="flow_wiener_bilinear_2d",
-                   threshold=threshold, seeds={"seed": seed + 1})
+                   seeds={"seed": seed + 1})
 
 
-def suite_reversal(seed: int = 0, paths: int = 20000,
-                   threshold_quad: float = 1e-8) -> list:
+def suite_reversal(seed: int = 0, paths: int = 20000) -> list:
     """Time-reversal identity under the invariant weight, on a window.
 
     The invariant function is not integrable on the line, so starts are
@@ -394,13 +390,13 @@ def suite_reversal(seed: int = 0, paths: int = 20000,
         "reversal_endpoint_mc", mc, abs(mc - oracle), 3.0 * se_mc + 2.0 * grid.dt,
         paths, {"seed": seed}, oracle=float(oracle)))
 
-    # the oracle itself is symmetric when the bands are swapped
+    # the oracle itself is symmetric when the bands are swapped, to 1e-8
     swapped, _ = integrate.quad(
         lambda x: math.exp(-2.0 * mu * x) * band_mass(b0[0], b0[1], x),
         b1[0], b1[1], epsabs=1e-12, epsrel=1e-10)
     reports.append(report_residual(
         "reversal_nu_symmetry_quadrature", float(oracle),
-        abs(float(oracle) - float(swapped)), threshold_quad, 1,
+        abs(float(oracle) - float(swapped)), 1e-8, 1,
         {"seed": seed}, swapped=float(swapped)))
     return reports
 

@@ -1,5 +1,6 @@
 """Command-line driver: config plumbing, data ingestion, subcommand runs."""
 
+import csv
 import hashlib
 import io
 import json
@@ -27,7 +28,6 @@ from dualflow.cli import (
     build_state,
     ingest_training_data,
     main,
-    read_coupling_csv,
 )
 from dualflow.coupling import read_coupling_jsonl, write_coupling_jsonl
 
@@ -203,10 +203,13 @@ def test_couple_pitman_and_plot_data(tmp_path):
     # tidy CSV conversion preserves the numbers exactly
     code = main(["plot-data", str(run)])
     assert code == EXIT_OK
-    with open(run / "coupling-0.csv") as fp:
-        back = read_coupling_csv(fp)
-    assert np.array_equal(back.z_path.values, traj.z_path.values)
-    assert np.array_equal(back.y_path.values, traj.y_path.values)
+    with open(run / "coupling-0.csv", newline="") as fp:
+        assert json.loads(fp.readline()[2:])["family"] == "interval"
+        rows = list(csv.DictReader(fp))
+    assert len(rows) == traj.grid.N + 1
+    for key, path in (("Z", traj.z_path), ("Y", traj.y_path), ("X", traj.primal)):
+        assert np.array_equal([float(r[key]) for r in rows], path.values[:, 0])
+    assert [r["gamma"] == "1" for r in rows] == traj.gamma_flags.tolist()
 
     code = main(["pitman", "--seed", "5", "--replicas", "1", "--out", str(out),
                  "--override", "grid.N=64"])

@@ -34,6 +34,7 @@ from dualflow import (
     read_path_csv,
     reversed_noise,
     run_coupling,
+    run_entrance_coupling,
     sample_brownian,
     sample_brownian_batch,
 )
@@ -278,16 +279,21 @@ def test_implicit_failures_name_step_and_time():
 
 
 # a coupling run makes 8 explicit-scheme calls and one imputation call,
-# then 3 calls per reflection-flow step and 2 per lower-side step
-@pytest.mark.parametrize("at, where", [
-    (14, r"reflection flow failed at step 2 \(t=0\.25\)"),
-    (44, r"implicit scheme failed at step 6 \(t=0\.75\)"),
-], ids=["reflection-flow", "lower-side"])
-def test_coupling_failure_names_seed_stream_and_step(at, where):
+# then 3 calls per reflection-flow step and 2 per lower-side step; an
+# entrance run from a point does the same from the degenerate interval
+@pytest.mark.parametrize("entrance, at, where", [
+    (False, 14, r"reflection flow failed at step 2 \(t=0\.25\)"),
+    (False, 44, r"implicit scheme failed at step 6 \(t=0\.75\)"),
+    (True, 14, r"reflection flow failed at step 2 \(t=0\.25\)"),
+], ids=["reflection-flow", "lower-side", "entrance"])
+def test_coupling_failure_names_seed_stream_and_step(entrance, at, where):
+    drift, grid, rng = _BlowUp(at, np.nan), TimeGrid(1.0, 8), RngSpec(3, 7)
     with pytest.raises(NumericalError, match=r"^coupling \(seed 3, stream 7\): " + where + ": "
                        + _SOLVE_FAILED):
-        run_coupling(IntervalState(-1.0, 1.0), _BlowUp(at, np.nan), TimeGrid(1.0, 8),
-                     RngSpec(3, 7), x0=np.zeros(1))
+        if entrance:
+            run_entrance_coupling(0.0, drift, grid, rng)
+        else:
+            run_coupling(IntervalState(-1.0, 1.0), drift, grid, rng, x0=np.zeros(1))
 
 
 # The dual flows make two zero-drift solves per step, four beta calls in
@@ -368,7 +374,7 @@ _SOLVE_DRIFTS = {
 
 @pytest.mark.parametrize("name", sorted(_SOLVE_DRIFTS))
 @pytest.mark.parametrize("rows", [(), (7,)], ids=["one-row", "batched"])
-def test_implicit_step_matches_reference_bits(name, rows):
+def test_implicit_step_matches_reference_bits(name, rows, monkeypatch):
     drift = _SOLVE_DRIFTS[name]
     gen = RngSpec(4242, len(rows)).generator()
     prev = normals(gen, (*rows, drift.n))
@@ -391,8 +397,9 @@ def test_implicit_step_matches_reference_bits(name, rows):
     # too few iterations: the same failure, word for word
     with pytest.raises(NumericalError) as want_err:
         _implicit_step_reference(prev, dnoise, dt, drift, max_iter=2)
+    monkeypatch.setattr(dualflow.core, "_MAX_ITER", 2)
     with pytest.raises(NumericalError) as got_err:
-        implicit_step(prev, dnoise, dt, drift, max_iter=2)
+        implicit_step(prev, dnoise, dt, drift)
     assert str(got_err.value) == str(want_err.value)
 
 

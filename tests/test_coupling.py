@@ -35,6 +35,7 @@ from dualflow.cli import build_drift
 from dualflow.core import brownian_increments, partial_sums
 from dualflow.coupling import _slab_region_attempts, read_coupling_jsonl, write_coupling_jsonl
 from dualflow.duals import _plane_density_sampler, plane_density, span_normal
+from dualflow.surfaces import _normal_of
 
 
 def toy_logistic():
@@ -202,7 +203,7 @@ def test_wedge_entrance_leaves_boundary():
     grid = TimeGrid(0.5, 100)
     traj = run_entrance_coupling(state0, BilinearDrift(), grid, RngSpec(86, 0))
     # the primal start sits on the shared boundary line
-    nvec = WedgeState.normal_of(u)
+    nvec = _normal_of(u)
     x0 = traj.primal.values[0]
     assert abs(float(nvec @ (x0 - anchor))) < 1e-9
     assert traj.gap()[0] == pytest.approx(0.0, abs=1e-12)
@@ -244,6 +245,31 @@ def test_slab_entrance_gap_stays_positive_on_a_ladder(N):
     for s in range(300):
         traj = run_entrance_coupling(SlabState(0.1 * d, 0.1 * d, d), drift, grid, RngSpec(5, s))
         assert np.all(traj.gap()[1:] > 0.0), s
+
+
+# The snap leaves a slab entrance's primal start on the upper face up to
+# rounding, so its first crossing tests are ties.  Since the flow reflects
+# only an upward increment, a start one ulp lower moves a run by rounding
+# alone; without that guard the same change moved values by up to 3.11
+# over 200 streams at N = 100 and 400.  A region flag at a node where the
+# primal sits on a face is still decided by rounding.
+def test_slab_entrance_does_not_hinge_on_its_start_tie(monkeypatch):
+    drift, d = build_drift({"model": {"family": "logistic", "data": None}})
+    state, grid = SlabState(0.1 * d, 0.1 * d, d), TimeGrid(1.0, 100)
+    snapped = [run_entrance_coupling(state, drift, grid, RngSpec(5, s)) for s in range(40)]
+    couple = coupling._couple
+
+    def lowered(state0, drift, grid, x0, gen):
+        x0[0] = np.nextafter(x0[0], -np.inf)
+        return couple(state0, drift, grid, x0, gen)
+
+    monkeypatch.setattr(coupling, "_couple", lowered)
+    for s, a in enumerate(snapped):
+        b = run_entrance_coupling(state, drift, grid, RngSpec(5, s))
+        assert b.primal.values[0, 0] < a.primal.values[0, 0]
+        for name in ("primal", "z_path", "y_path", "sigma", "reflected"):
+            moved = np.max(np.abs(getattr(b, name).values - getattr(a, name).values))
+            assert moved <= 1e-12, (s, name, moved)
 
 
 @pytest.mark.parametrize("N", [100, 200])

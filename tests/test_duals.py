@@ -38,6 +38,7 @@ from dualflow.duals import (
     plane_density,
     primal_terminal_batch,
 )
+from dualflow.surfaces import _normal_of
 
 
 def toy_logistic():
@@ -65,7 +66,7 @@ def test_interval_state_half_open():
 def test_wedge_state_geometry():
     u = np.array([1.0, 2.0])
     s = WedgeState(u, np.zeros(2), np.array([1.0, 0.0]))
-    assert np.allclose(s.normal, WedgeState.normal_of(u))
+    assert np.allclose(s.normal, _normal_of(u))
     assert np.allclose(s.normal, [2.0, -1.0])
     assert s.contains(np.array([0.5, 0.0]))
     assert not s.contains(np.array([1.5, 0.0]))
@@ -261,7 +262,7 @@ def _log_proposal_reference(pd, w):
     factor and summed its log-diagonal on every call."""
     diff = (w - pd.mode) @ np.linalg.inv(pd.chol_cov).T
     k = pd.basis.shape[1]
-    nu = pd.dof
+    nu = duals._DOF
     logdet = 2.0 * float(np.sum(np.log(np.diag(pd.chol_cov))))
     q = np.sum(diff**2, axis=-1)
     const = (
@@ -320,7 +321,7 @@ def test_plane_sampler_fills_a_two_dimensional_span():
     assert np.all(np.isfinite(w))
 
 
-def test_sampler_failures_name_the_sampler():
+def test_sampler_failures_name_the_sampler(monkeypatch):
     pd = plane_density(toy_logistic(), SLAB_NORMAL)
     label = f"in-plane sampler, mode {pd.mode}"
     # an envelope e^50 above the target accepts nothing
@@ -328,12 +329,13 @@ def test_sampler_failures_name_the_sampler():
     with pytest.raises(NumericalError) as err:
         _plane_density_sampler(high, RngSpec(74, 0).generator(), 1)
     assert str(err.value).startswith(f"{label}: acceptance 0/")
+    monkeypatch.setattr(duals, "_MAX_ROUNDS", 0)
     with pytest.raises(NumericalError) as err:
-        _plane_density_sampler(pd, RngSpec(74, 1).generator(), 1, max_rounds=0)
+        _plane_density_sampler(pd, RngSpec(74, 1).generator(), 1)
     assert str(err.value) == f"{label}: starved after 0 rounds"
     wedge = WedgeState(np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(NumericalError, match=r"^wedge sampler, bounds \(.*\): starved"):
-        _wedge_conditional_batch(wedge, RngSpec(74, 2).generator(), 1, max_rounds=0)
+        _wedge_conditional_batch(wedge, RngSpec(74, 2).generator(), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +518,7 @@ def test_slab_dual_refuses_a_tilted_drift():
         dual_step(state, np.array([0.1, 0.0]), 0.05, tilted)
 
 
-def test_liggett_identity_estimate_reproducible():
+def test_liggett_identity_estimate_reproducible(monkeypatch):
     drift = ConstantDrift(0.5)
     grid = TimeGrid(1.0, 100)
     state = IntervalState(-1.0, 1.0)
@@ -527,8 +529,8 @@ def test_liggett_identity_estimate_reproducible():
     assert a.pooled_se == pytest.approx(math.hypot(a.lhs_se, a.rhs_se))
     assert a.difference == abs(a.lhs - a.rhs)
     # chunking must not change the compensated reductions
-    c = liggett_identity_mc(np.array([0.0]), state, grid, 400, drift,
-                            RngSpec(79, 0), chunk=64)
+    monkeypatch.setattr(duals, "_CHUNK", 64)
+    c = liggett_identity_mc(np.array([0.0]), state, grid, 400, drift, RngSpec(79, 0))
     assert (c.lhs, c.rhs) == (a.lhs, a.rhs)
 
 

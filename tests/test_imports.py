@@ -1,4 +1,5 @@
-"""Every module-level import in the package and its tests is read."""
+"""Every module-level import in the package and its tests is read, and
+every module-level name of the package is read by the package or exported."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "dualflow").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "dualflow").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +42,50 @@ def test_scanner_finds_an_unused_import_and_honours_all():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_module_level_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_names(sources: dict) -> list:
+    """Module-level functions, classes and assignments that no module reads.
+
+    sources maps module names to their source.  A read is a loaded name,
+    an attribute name or a name imported by a relative import, in any of
+    the modules; a name that an __all__ exports, or a dunder name, is
+    never dead.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level > 0:
+                read |= {a.name for a in node.names}
+            elif (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    dead = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{mod}.{name}" for name in names
+                     if name not in read and not name.startswith("__")]
+    return dead
+
+
+def test_dead_name_scanner_finds_an_unread_name():
+    sources = {"a": "from .b import used\n__all__ = ['api']\ndef api(): pass\n_k = 1\n",
+               "b": "def used(): pass\ndef helper(): pass\nclass C: pass\nx = C()\nx.attr\n"
+                    "def attr(): pass\n__version__ = '0'\n"}
+    assert dead_names(sources) == ["a._k", "b.helper"]
+
+
+def test_every_package_name_is_read_or_exported():
+    assert dead_names({p.stem: p.read_text() for p in PACKAGE}) == []

@@ -24,6 +24,7 @@ from dualflow import (
     impute_noise,
     reversed_noise,
     sample_brownian,
+    sample_brownian_batch,
     solve_skorohod_1d,
 )
 
@@ -122,8 +123,21 @@ def test_flow_constant_batch_matches_scalar_form():
 # trigger flow form (stepwise crossing rule)
 
 
+def _assert_trigger_flow_matches_forward_flow(grid, x0, omega, mu=0.5, level=0.3):
+    out = flow_trigger_1d(level, mu, x0, omega, grid.times)
+    # inside the level, the compensator only accrues twice an upward increment
+    assert (np.diff(out["sigma"][:, ~out["outside"]], axis=0) >= 0.0).all()
+    for c in range(len(x0)):
+        x_path = SamplePath(grid, x0[c] + mu * grid.times + omega[:, c])
+        noise = SamplePath(grid, omega[:, c])
+        flow = forward_flow(x_path, Surface.level(level), noise, ConstantDrift(mu))
+        assert np.allclose(out["sigma"][:, c], flow.sigma.values[:, 0], atol=1e-12)
+        assert np.allclose(out["xi"][:, c], flow.reflected_noise.values[:, 0], atol=1e-12)
+        levels = flow.surfaces.anchors[:, 0]
+        assert np.allclose(out["levels"][:, c], levels, atol=1e-12)
+
+
 def test_trigger_flow_matches_stepwise_flow_columnwise():
-    mu = 0.5
     grid = TimeGrid(1.0, 100)
     gen = RngSpec(63, 0).generator()
     m = 30
@@ -131,15 +145,14 @@ def test_trigger_flow_matches_stepwise_flow_columnwise():
     omega = np.zeros((grid.N + 1, m))
     np.cumsum(inc, axis=0, out=omega[1:])
     x0 = np.concatenate([np.linspace(-0.4, 0.25, m - 5), np.linspace(0.35, 0.8, 5)])
-    out = flow_trigger_1d(0.3, mu, x0, omega, grid.times)
-    for c in range(m):
-        x_path = SamplePath(grid, x0[c] + mu * grid.times + omega[:, c])
-        noise = SamplePath(grid, omega[:, c])
-        flow = forward_flow(x_path, Surface.level(0.3), noise, ConstantDrift(mu))
-        assert np.allclose(out["sigma"][:, c], flow.sigma.values[:, 0], atol=1e-12)
-        assert np.allclose(out["xi"][:, c], flow.reflected_noise.values[:, 0], atol=1e-12)
-        levels = flow.surfaces.anchors[:, 0]
-        assert np.allclose(out["levels"][:, c], levels, atol=1e-12)
+    _assert_trigger_flow_matches_forward_flow(grid, x0, omega)
+    # columns started on the level, where a crossing is a rounding tie:
+    # without the upward-increment guard, streams 58 and 108 at N = 100
+    # and 25 and 51 at N = 400 reflect a downward increment
+    for N, m in ((100, 120), (400, 60)):
+        grid = TimeGrid(1.0, N)
+        omega = sample_brownian_batch(grid, 1, 71, range(m))[:, :, 0]
+        _assert_trigger_flow_matches_forward_flow(grid, np.full(m, 0.3), omega)
 
 
 def test_trigger_and_record_forms_differ_pathwise():

@@ -25,7 +25,7 @@ from dualflow import (
     WedgeState,
     liggett_identity_mc,
 )
-from dualflow import core
+from dualflow import core, duals
 from dualflow.core import stream_increments, uniforms
 from dualflow.duals import dual_terminal_batch, primal_terminal_batch
 
@@ -148,16 +148,20 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _primal(name, paths=_PATHS, chunk=4096, streams=None):
+def _primal(name, paths=_PATHS, chunk=duals._CHUNK, streams=None):
     x, _, grid, drift, k = _FAMILIES[name]()
     streams = _liggett_streams(k, paths, 0) if streams is None else streams
-    return primal_terminal_batch(x, drift, grid, _SEED, streams, chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(duals, "_CHUNK", chunk)
+        return primal_terminal_batch(x, drift, grid, _SEED, streams)
 
 
-def _dual(name, paths=_PATHS, chunk=4096, streams=None):
+def _dual(name, paths=_PATHS, chunk=duals._CHUNK, streams=None):
     _, state, grid, drift, k = _FAMILIES[name]()
     streams = _liggett_streams(k, paths, 1) if streams is None else streams
-    out = dual_terminal_batch(state, drift, grid, _SEED, streams, chunk)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(duals, "_CHUNK", chunk)
+        out = dual_terminal_batch(state, drift, grid, _SEED, streams)
     return out["z"], out["y"], out["alive"], out["normal"]
 
 
@@ -248,8 +252,10 @@ def test_reversed_streams_reverse_the_rows(name):
 
 
 @pytest.mark.parametrize("name", sorted(_DUAL_DIGESTS))
-def test_identity_estimate_does_not_depend_on_chunk(name):
+def test_identity_estimate_does_not_depend_on_chunk(name, monkeypatch):
     x, state, grid, drift, k = _FAMILIES[name]()
-    ests = [liggett_identity_mc(x, state, grid, 50, drift, RngSpec(_SEED, k), chunk=c)
-            for c in (1, 7, 4096)]
+    ests = []
+    for chunk in (1, 7, 4096):
+        monkeypatch.setattr(duals, "_CHUNK", chunk)
+        ests.append(liggett_identity_mc(x, state, grid, 50, drift, RngSpec(_SEED, k)))
     assert ests[0] == ests[1] == ests[2]

@@ -1,7 +1,4 @@
-"""Hypographical surfaces: geometry, stepping, evolution, serialization."""
-
-import io
-import json
+"""Hypographical surfaces: geometry, stepping, evolution."""
 
 import numpy as np
 import pytest
@@ -21,7 +18,6 @@ from dualflow import (
     sample_brownian,
     step_surface,
 )
-from dualflow.surfaces import read_surfaces_jsonl, write_surfaces_jsonl
 
 
 def toy_logistic():
@@ -40,7 +36,6 @@ def test_level_surface_geometry():
     assert s.height() == 0.7
     assert s.contains(np.array([0.7]))
     assert not s.contains(np.array([0.700001]))
-    assert s.variant == "level"
 
 
 def test_line_surface_geometry():
@@ -49,7 +44,6 @@ def test_line_surface_geometry():
     assert s.height(np.array([2.0])) == pytest.approx(0.4 + 0.5 * 2.0)
     assert s.contains(np.array([1.4, 2.0]))
     assert not s.contains(np.array([1.41, 2.0]))
-    assert s.variant == "line"
 
 
 def test_line_surface_needs_interior_cone_direction():
@@ -68,7 +62,6 @@ def test_plane_surface_geometry():
     x2 = 1.0
     h = s.height(np.array([x2]))
     assert d @ np.array([h, x2]) == pytest.approx(d @ s.anchor)
-    assert s.variant == "plane"
 
 
 def test_plane_surface_validation():
@@ -137,12 +130,6 @@ def test_plane_step_rejects_tilted_drift():
         step_surface(s, drift, 0.01, np.array([0.1, 0.0]))
 
 
-def test_variant_name_unknown():
-    rec = {"t": 0.0, "variant": "ellipse", "params": {"normal": [1.0, 0.0], "anchor": [0.0, 0.0]}}
-    with pytest.raises(ModelError):
-        read_surfaces_jsonl(io.StringIO(json.dumps(rec) + "\n"))
-
-
 def test_surface_needs_one_normal_source():
     with pytest.raises(ModelError):
         Surface(np.zeros(2))
@@ -187,58 +174,30 @@ def test_trajectory_validation_and_reversal():
         )  # mixed variants
 
 
-# ---------------------------------------------------------------------------
-# serialization
+# the anchors and directions of a 3-node line and plane trajectory, as
+# first written when the three surface families were separate types; the
+# line's anchors are the bilinear drift's closed-form implicit solve, and
+# the plane's anchor moves along its normal by the normal's share of each
+# increment
+GOLDEN_LINE = {
+    "u": [[1.0, 2.0], [1.02, 2.01], [1.0401, 2.0202]],
+    "anchor": [[0.4, 0.1], [0.45024502450245024, 0.024502450245024506],
+               [0.42163221222612307, 0.13871877236728572]],
+}
+GOLDEN_PLANE = {
+    "normal": [0.7071067811865475, -0.7071067811865475],
+    "anchor": [[0.3, 0.0], [0.365, -0.06499999999999999], [0.295, 0.0050000000000000044]],
+}
 
 
-def test_surfaces_jsonl_round_trip():
-    grid = TimeGrid(0.5, 20)
-    noise = sample_brownian(grid, 2, RngSpec(31, 1))
-    s0 = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
-    traj = evolve_surface(s0, noise, BilinearDrift())
-    buf = io.StringIO()
-    write_surfaces_jsonl(buf, traj)
-    buf.seek(0)
-    back = read_surfaces_jsonl(buf)
-    assert len(back) == len(traj)
-    for k in range(len(traj)):
-        a, b = traj[k], back[k]
-        assert np.allclose(a.anchor, b.anchor, atol=0.0)
-        assert np.allclose(a.u, b.u, atol=0.0)
-
-
-# the file format of a 3-node line and plane trajectory, as written before
-# the three surface families became one type; the line's anchors are the
-# bilinear drift's closed-form implicit solve, and the plane's anchor
-# moves along its normal by the normal's share of each increment
-GOLDEN_LINE = (
-    '{"t": 0.0, "variant": "line", "params": {"u": [1.0, 2.0], "anchor": [0.4, 0.1]}}\n'
-    '{"t": 0.01, "variant": "line", "params": {"u": [1.02, 2.01], '
-    '"anchor": [0.45024502450245024, 0.024502450245024506]}}\n'
-    '{"t": 0.02, "variant": "line", "params": {"u": [1.0401, 2.0202], '
-    '"anchor": [0.42163221222612307, 0.13871877236728572]}}\n'
-)
-GOLDEN_PLANE = (
-    '{"t": 0.0, "variant": "plane", "params": {"normal": [0.7071067811865475, '
-    '-0.7071067811865475], "anchor": [0.3, 0.0]}}\n'
-    '{"t": 0.01, "variant": "plane", "params": {"normal": [0.7071067811865475, '
-    '-0.7071067811865475], "anchor": [0.365, -0.06499999999999999]}}\n'
-    '{"t": 0.02, "variant": "plane", "params": {"normal": [0.7071067811865475, '
-    '-0.7071067811865475], "anchor": [0.295, 0.0050000000000000044]}}\n'
-)
-
-
-def test_surfaces_jsonl_golden_bytes():
+def test_surface_golden_anchors_and_directions():
     grid = TimeGrid(0.02, 2)
     noise = SamplePath(grid, np.array([[0.0, 0.0], [0.05, -0.08], [0.02, 0.03]]))
     line = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
     plane = Surface(np.array([0.3, 0.0]), normal=np.array([1.0, -1.0]) / np.sqrt(2.0))
-    for s0, drift, golden in ((line, BilinearDrift(), GOLDEN_LINE),
-                              (plane, toy_logistic(), GOLDEN_PLANE)):
-        buf = io.StringIO()
-        write_surfaces_jsonl(buf, evolve_surface(s0, noise, drift))
-        assert buf.getvalue() == golden
-        # reading the golden text back and writing it again keeps every byte
-        again = io.StringIO()
-        write_surfaces_jsonl(again, read_surfaces_jsonl(io.StringIO(golden)))
-        assert again.getvalue() == golden
+    line = evolve_surface(line, noise, BilinearDrift())
+    assert line.u.tolist() == GOLDEN_LINE["u"]
+    assert line.anchors.tolist() == GOLDEN_LINE["anchor"]
+    plane = evolve_surface(plane, noise, toy_logistic())
+    assert plane.normal.tolist() == GOLDEN_PLANE["normal"]
+    assert plane.anchors.tolist() == GOLDEN_PLANE["anchor"]
