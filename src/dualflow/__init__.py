@@ -29,7 +29,6 @@ from .core import (
     explicit_step,
     flip_first,
     implicit_step,
-    read_path_csv,
     reversed_noise,
     sample_brownian,
     sample_brownian_batch,
@@ -130,7 +129,6 @@ __all__ = [
     "mc_region_sampler",
     "nu_mass",
     "pitman_construct",
-    "read_path_csv",
     "reflection_probabilities",
     "reversed_noise",
     "run_coupling",

@@ -165,11 +165,14 @@ def load_config(args) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    model = config.get("model", {})
+    for key, default in DEFAULTS.items():
+        if isinstance(default, dict) and not isinstance(config[key], dict):
+            raise ConfigError(f"{key} must be an object, got {config[key]!r}")
+    model = config["model"]
     family = model.get("family")
     if family not in ("constant", "bilinear", "logistic"):
         raise ConfigError(f"unknown model family {family!r}")
-    grid = config.get("grid", {})
+    grid = config["grid"]
     T, N = grid.get("T"), grid.get("N")
     if not (isinstance(T, (int, float)) and T > 0):
         raise ConfigError(f"grid.T must be positive, got {T!r}")
@@ -181,6 +184,23 @@ def validate_config(config: dict) -> None:
     replicas = config.get("replicas")
     if not (isinstance(replicas, int) and replicas >= 1):
         raise ConfigError(f"replicas must be a positive integer, got {replicas!r}")
+    if not isinstance(config["out"], str):
+        raise ConfigError(f"out must be a directory path, got {config['out']!r}")
+
+
+def _read(section: dict, key: str, convert, where: str):
+    """convert(section[key]); a missing or unconvertible value is a
+    ConfigError that names the key."""
+    if key not in section:
+        raise ConfigError(f"{where} needs {key!r}")
+    try:
+        return convert(section[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} {key!r}: {exc}") from exc
+
+
+def _vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 def build_drift(config: dict):
@@ -205,6 +225,8 @@ def build_drift(config: dict):
         path = resources.files("dualflow").joinpath("data/logistic_toy.csv")
         with resources.as_file(path) as p:
             drift, d = ingest_training_data(p)
+    elif not isinstance(data, str):
+        raise ConfigError(f"model.data must be a file path, got {data!r}")
     else:
         drift, d = ingest_training_data(data)
     return drift, d
@@ -302,28 +324,26 @@ def new_run_dir(config: dict, command: str) -> Path:
 
 
 def build_state(desc: dict, d=None):
+    if not isinstance(desc, dict):
+        raise ConfigError(f"a state must be an object, got {desc!r}")
     family = desc.get("family")
+    where = f"{family} state"
     if family == "interval":
-        return IntervalState(float(desc["z"]), float(desc["y"]))
+        return IntervalState(_read(desc, "z", float, where), _read(desc, "y", float, where))
     if family == "wedge":
-        return WedgeState(
-            np.asarray(desc["u"], dtype=float),
-            np.asarray(desc["z"], dtype=float),
-            np.asarray(desc["y"], dtype=float),
-        )
+        return WedgeState(*(_read(desc, key, _vector, where) for key in ("u", "z", "y")))
     if family == "slab":
-        if "normal" in desc and desc["normal"] is not None:
-            normal = np.asarray(desc["normal"], dtype=float)
+        if desc.get("normal") is not None:
+            normal = _read(desc, "normal", _vector, where)
         elif d is not None:
             normal = d
         else:
             raise ConfigError("slab state needs a normal (none computable from model)")
         if "z_offset" in desc:
-            z = float(desc["z_offset"]) * normal
-            y = float(desc["y_offset"]) * normal
+            z = _read(desc, "z_offset", float, where) * normal
+            y = _read(desc, "y_offset", float, where) * normal
         else:
-            z = np.asarray(desc["z"], dtype=float)
-            y = np.asarray(desc["y"], dtype=float)
+            z, y = (_read(desc, key, _vector, where) for key in ("z", "y"))
         return SlabState(z, y, normal)
     raise ConfigError(f"unknown state family {family!r}")
 
@@ -335,7 +355,7 @@ def build_state(desc: dict, d=None):
 def cmd_simulate(config: dict) -> int:
     drift, _ = build_drift(config)
     grid = TimeGrid(float(config["grid"]["T"]), int(config["grid"]["N"]))
-    x0 = np.atleast_1d(np.asarray(config["simulate"]["x0"], dtype=float))
+    x0 = np.atleast_1d(_read(config["simulate"], "x0", _vector, "simulate"))
     if x0.shape != (drift.n,):
         raise ConfigError(f"simulate.x0 has shape {x0.shape}, expected ({drift.n},)")
     run_dir = new_run_dir(config, "simulate")
@@ -351,7 +371,7 @@ def cmd_simulate(config: dict) -> int:
 def cmd_dual(config: dict) -> int:
     drift, d = build_drift(config)
     grid = TimeGrid(float(config["grid"]["T"]), int(config["grid"]["N"]))
-    state0 = build_state(config["dual"]["state"], d)
+    state0 = build_state(config["dual"].get("state"), d)
     if state0.n != drift.n:
         raise ConfigError("dual state and model live in different dimensions")
     _check_slab_drift(state0, drift)
@@ -398,7 +418,7 @@ def cmd_couple(config: dict) -> int:
         else:
             raise ConfigError(f"couple.start must be a number or a state, got {start!r}")
     else:
-        run, start = run_coupling, build_state(section["state"], d)
+        run, start = run_coupling, build_state(section.get("state"), d)
     if start.n != drift.n:
         raise ConfigError("coupling state and model dimensions differ")
     if isinstance(start, SlabState) and not isinstance(drift, LogisticDrift):
@@ -440,7 +460,9 @@ def cmd_pitman(config: dict) -> int:
 
 
 def cmd_verify(config: dict) -> int:
-    wanted = config["verify"]["suites"]
+    wanted = config["verify"].get("suites")
+    if not (isinstance(wanted, list) and all(isinstance(s, str) for s in wanted)):
+        raise ConfigError(f"verify.suites must be a list of suite names, got {wanted!r}")
     bad = [s for s in wanted if s not in SUITES]
     if bad:
         raise ConfigError(f"unknown suites {bad}; known: {list(SUITES)}")
@@ -465,17 +487,22 @@ def cmd_posterior(config: dict) -> int:
         raise ConfigError("posterior sampling needs a logistic model with data")
     drift, d = build_drift(config)
     section = config["posterior"]
-    region = tuple(float(v) for v in section["region"])
-    rng = RngSpec(config["seed"], 0)
+
+    def read(key, convert=float):
+        return _read(section, key, convert, "posterior")
+
+    region = read("region", lambda v: tuple(float(x) for x in v))
+    if len(region) != 2:
+        raise ConfigError(f"posterior 'region' must be a pair, got {section['region']!r}")
     result = mc_region_sampler(
         region,
         None,
         drift,
-        rng,
-        count=int(section["count"]),
-        max_attempts=int(section["max_attempts"]),
-        horizon=float(section["horizon"]),
-        dt=float(section["dt"]),
+        RngSpec(config["seed"], 0),
+        count=read("count", int),
+        max_attempts=read("max_attempts", int),
+        horizon=read("horizon"),
+        dt=read("dt"),
     )
     run_dir = new_run_dir(config, "posterior")
     with open(run_dir / "samples.csv", "w") as fp:
@@ -584,15 +611,13 @@ def emit_plot_data(run_dir) -> list:
         raise ModelError(f"not a run directory: {run_dir}")
     written = []
     for src in sorted(run_dir.glob("coupling-*.jsonl")):
-        with open(src) as fp:
-            traj = read_coupling_jsonl(fp)
+        traj = _read_artifact(src, read_coupling_jsonl)
         dst = src.with_suffix(".csv")
         with open(dst, "w") as fp:
             write_coupling_csv(fp, traj)
         written.append(dst)
     for src in sorted(run_dir.glob("dual-*.jsonl")):
-        with open(src) as fp:
-            recs = [json.loads(line) for line in fp if line.strip()]
+        recs = _read_artifact(src, _dual_records)
         dst = src.with_suffix(".csv")
         n = len(recs[0]["z"])
         cols = (["t"] + [f"z_{i + 1}" for i in range(n)]
@@ -609,6 +634,23 @@ def emit_plot_data(run_dir) -> list:
     if not written:
         raise ModelError(f"no trajectory artifacts in {run_dir}")
     return written
+
+
+def _read_artifact(src: Path, read):
+    """read(fp) over the artifact src; one that does not parse is a data
+    error that names src."""
+    try:
+        with open(src) as fp:
+            return read(fp)
+    except ValueError as exc:
+        raise ModelError(f"malformed artifact {src}: {exc}") from exc
+
+
+def _dual_records(fp) -> list:
+    recs = [json.loads(line) for line in fp if line.strip()]
+    if not recs:
+        raise ValueError("no records")
+    return recs
 
 
 def cmd_plot_data(config: dict, run_dir: str) -> int:

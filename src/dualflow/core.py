@@ -120,9 +120,6 @@ class SamplePath:
     def increments(self) -> np.ndarray:
         return np.diff(self.values, axis=0)
 
-    def reversed(self) -> "SamplePath":
-        return SamplePath(self.grid, self.values[::-1].copy())
-
 
 def flip_first(values: np.ndarray) -> np.ndarray:
     """Negate coordinate 1; used to drive the upper and lower sides of a dual pair."""
@@ -617,14 +614,3 @@ def write_path_csv(fp, path: SamplePath) -> None:
     fp.write(",".join(cols) + "\n")
     for t, row in zip(path.grid.times, path.values):
         fp.write(",".join(format(v, ".17g") for v in (t, *row)) + "\n")
-
-
-def read_path_csv(fp) -> SamplePath:
-    header = fp.readline().strip().split(",")
-    if header[0] != "t" or any(c != f"x_{i + 1}" for i, c in enumerate(header[1:])):
-        raise ValueError(f"unexpected path header {header}")
-    rows = [[float(v) for v in line.strip().split(",")] for line in fp if line.strip()]
-    arr = np.asarray(rows)
-    t = arr[:, 0]
-    grid = TimeGrid(float(t[-1]), len(t) - 1)
-    return SamplePath(grid, arr[:, 1:])

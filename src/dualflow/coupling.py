@@ -129,7 +129,7 @@ def run_coupling(
     gen = rng.generator()
     try:
         if x0 is None:
-            x0 = sample_conditional(state0, drift, gen).point
+            x0 = sample_conditional(state0, drift, gen)
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         return _couple(state0, drift, grid, x0, gen)
     except NumericalError as err:
@@ -329,14 +329,13 @@ class BesselDiagnostics:
     """Gap of an entrance coupling under its intrinsic clock.
 
     m_path and R_path live on the coupling's grid; R is the running
-    quadratic-variation clock sum of m^2.  tau inverts R onto an output
-    grid spanning [0, R(T)], and H_path is the dual mass read along tau.
+    quadratic-variation clock sum of m^2.  H_path is the dual mass read
+    along the inverse of R, on an output grid spanning [0, R(T)].
     truncated marks requested evaluation times beyond R(T).
     """
 
     m_path: SamplePath
     R_path: SamplePath
-    tau: SamplePath
     H_path: SamplePath
     truncated: bool
 
@@ -394,14 +393,12 @@ def bessel_time_change(
         truncated = bool(np.any(t_eval > R_total))
 
     inside = t_eval <= R_total
-    tau = np.full(t_eval.shape, np.nan)
     H = np.full(t_eval.shape, np.nan)
-    tau[inside] = np.interp(t_eval[inside], R, v_times)
-    H[inside] = np.interp(tau[inside], v_times, h_vals)
+    tau = np.interp(t_eval[inside], R, v_times)
+    H[inside] = np.interp(tau, v_times, h_vals)
     return BesselDiagnostics(
         m_path=SamplePath(traj.grid, m),
         R_path=SamplePath(traj.grid, R),
-        tau=SamplePath(out_grid, tau),
         H_path=SamplePath(out_grid, H),
         truncated=truncated,
     )

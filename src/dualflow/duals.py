@@ -11,20 +11,18 @@ at degeneracy, still covers the primal's fixed starting point.
 The region's invariant mass nu_mass plays the role of a harmonic function
 for the absorbed region dynamics; dividing it out turns the absorbed
 dynamics into a conservative process whose drift gains a log-derivative
-term, and the region-conditional law sample_conditional ties the two
-levels together.
+term, and sample_conditional, a draw of the primal point from the
+region-conditional law, ties the two levels together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfi
 
 from .core import (
     ConstantDrift,
@@ -103,12 +101,6 @@ class _FacePair:
 
     def gap(self) -> float:
         return float(face_gap(self.normal, np.atleast_1d(self.z), np.atleast_1d(self.y)))
-
-    def contains(self, x) -> bool:
-        if self.absorbed:
-            return False
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return bool(covers(self.normal, self.z, self.y, x))
 
     def upper_face(self) -> Surface:
         """The hypograph below the y-face, with the region's fixed normal."""
@@ -293,24 +285,6 @@ def nu_mass(state: DualState, drift: DriftField) -> float:
 # conditional law of the primal point given the dual region
 
 
-@dataclass(frozen=True)
-class ConditionalSample:
-    """A draw from a region-conditional law and its normalized log-density.
-
-    log_density_fn computes the log-density at the point; log_density
-    calls it when first read and keeps the value.  A slab's needs a
-    quadrature of the in-plane mass, which a caller that takes only the
-    point never pays for.
-    """
-
-    point: np.ndarray
-    log_density_fn: Callable[[], float] = field(repr=False, compare=False)
-
-    @cached_property
-    def log_density(self) -> float:
-        return self.log_density_fn()
-
-
 def _truncated_exp_inverse(u, z, y, mu: float):
     """Inverse CDF of the density proportional to exp(-2 mu x) on (z, y]."""
     d = y - z
@@ -334,14 +308,14 @@ def _interval_table_sampler(drift: ProductDrift, z: float, y: float):
     w = np.exp(-2.0 * np.asarray(drift.gamma1(xs), dtype=float))
     mids = 0.5 * (w[1:] + w[:-1]) * np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum(mids)))
-    mass = cdf[-1]
-    return xs, cdf / mass, mass
+    return xs, cdf / cdf[-1]
 
 
 def sample_conditional(
-    state: DualState, drift: DriftField, rng: Union[RngSpec, np.random.Generator]
-) -> ConditionalSample:
-    """Draw the primal point from the invariant density restricted to the region.
+    state: DualState, drift: DriftField, gen: np.random.Generator
+) -> np.ndarray:
+    """Draw the primal point from the invariant density restricted to the
+    region, with gen's next draws; the point is returned as an n-vector.
 
     Interval with constant drift: exact inverse CDF of a truncated
     exponential.  Interval with a general one-dimensional potential:
@@ -351,41 +325,30 @@ def sample_conditional(
     drawn by rejection from a uniform proposal with the endpoint-dominated
     weight and xi from the matched conditional Gaussian.  Slab: a uniform
     offset on (0, h] along the normal from the z-face, times the in-plane
-    invariant density drawn by rejection from a Gaussian centered at its
-    mode (see _plane_density_sampler).  The reported log-density is
-    normalized to integrate to one over the region; it is computed when
-    the sample's log_density is first read, not with the draw.
+    invariant density drawn by rejection from a Student-t proposal centred
+    at its mode (see _plane_density_sampler).
     """
     if state.absorbed:
         raise ModelError("absorbed state has no region")
-    gen = rng.generator() if isinstance(rng, RngSpec) else rng
     if isinstance(state, IntervalState):
-        z, y = state.z, state.y
+        u = float(uniforms(gen, ()))
         if isinstance(drift, ConstantDrift):
-            mu = float(drift.mu[0])
-            u = float(uniforms(gen, ()))
-            x = float(_truncated_exp_inverse(u, z, y, mu))
-            return ConditionalSample(
-                np.array([x]), lambda: math.log(math.exp(-2.0 * mu * x) / _interval_mass(z, y, mu)))
+            x = _truncated_exp_inverse(u, state.z, state.y, float(drift.mu[0]))
+            return np.array([float(x)])
         if isinstance(drift, ProductDrift) and drift.gamma1 is not None:
-            xs, cdf, mass = _interval_table_sampler(drift, z, y)
-            u = float(uniforms(gen, ()))
-            x = float(np.interp(u, cdf, xs))
-            return ConditionalSample(
-                np.array([x]), lambda: -2.0 * float(drift.gamma1(np.asarray(x))) - math.log(mass))
+            xs, cdf = _interval_table_sampler(drift, state.z, state.y)
+            return np.array([float(np.interp(u, cdf, xs))])
         raise ModelError("interval sampling needs a constant drift or a 1-d potential")
     if isinstance(state, WedgeState):
-        pts, logd = _wedge_conditional_batch(state, gen, 1)
-        return ConditionalSample(pts[0], lambda: float(logd[0]))
+        return _wedge_conditional(state, gen)
     if isinstance(state, SlabState):
         if not isinstance(drift, LogisticDrift):
             raise ModelError("slab sampling requires the logistic drift family")
-        pts, log_density = _slab_conditional_batch(state, drift, gen, 1)
-        return ConditionalSample(pts[0], lambda: float(log_density()[0]))
+        return _slab_conditional(state, drift, gen)
     raise ModelError(f"unknown dual state {type(state)}")
 
 
-def _wedge_conditional_batch(state: WedgeState, gen, count: int):
+def _wedge_conditional(state: WedgeState, gen) -> np.ndarray:
     wz, wy = _wedge_bounds(state)
     u = state.u
     norm2 = float(u @ u)
@@ -402,18 +365,10 @@ def _wedge_conditional_batch(state: WedgeState, gen, count: int):
         w = wz + (wy - wz) * uniforms(gen, batch)
         return w, np.log(uniforms(gen, batch)) <= w * w - wmax2
 
-    out_w = _rejection_fill(propose, count, lambda: f"wedge sampler, bounds ({wz:.3g}, {wy:.3g})")
-    eta = out_w * eta_scale
-    xi = -c * eta + sd_xi * normals(gen, count)
-    pts = xi[:, None] * uhat + eta[:, None] * nhat
-    log_mass = math.log(math.sqrt(math.pi)) + _log_erfi_diff(wz, wy)
-    logd = -2.0 * pts[:, 0] * pts[:, 1] - log_mass
-    return pts, logd
-
-
-def _log_erfi_diff(a: float, b: float) -> float:
-    val = float(erfi(b) - erfi(a)) * math.sqrt(math.pi) / 2.0
-    return math.log(val)
+    w = _rejection_fill(propose, 1, lambda: f"wedge sampler, bounds ({wz:.3g}, {wy:.3g})")[0]
+    eta = w * eta_scale
+    xi = -c * eta + sd_xi * normals(gen, ())
+    return xi * uhat + eta * nhat
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +390,6 @@ class PlaneDensity:
     drift: LogisticDrift
     basis: np.ndarray
     mode: np.ndarray
-    hessian: np.ndarray
     chol_cov: np.ndarray
     log_envelope: float
     # log_proposal's whitening map and normalizing constant, fixed per density
@@ -509,7 +463,7 @@ def _build_plane_density(drift: LogisticDrift, normal: np.ndarray) -> PlaneDensi
     hess = _plane_curvature(drift, basis, w)
     cov = _SCALE**2 * np.linalg.inv(hess)
     chol = np.linalg.cholesky(cov)
-    pd = PlaneDensity(drift, basis, w, hess, chol, 0.0)
+    pd = PlaneDensity(drift, basis, w, chol, 0.0)
     # probe the acceptance ratio along eigen-directions; against the t
     # proposal it peaks at a finite radius, and the sampler re-raises the
     # envelope and discards progress if a draw ever lands above it
@@ -523,7 +477,7 @@ def _build_plane_density(drift: LogisticDrift, normal: np.ndarray) -> PlaneDensi
     probes = np.asarray(probes)
     ratios = pd.log_target(probes) - pd.log_proposal(probes)
     object.__setattr__(pd, "log_envelope", float(np.max(ratios)) + math.log(1.5))
-    for a in (pd.basis, pd.mode, pd.hessian, pd.chol_cov, pd.inv_chol_t):
+    for a in (pd.basis, pd.mode, pd.chol_cov, pd.inv_chol_t):
         a.flags.writeable = False
     return pd
 
@@ -617,42 +571,15 @@ def plane_basis(drift: LogisticDrift, normal: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _plane_log_normalizer(pd: PlaneDensity) -> float:
-    """Log of the in-plane mass; exact quadrature when the span is a line,
-    otherwise a curvature approximation at the mode."""
-    k = pd.basis.shape[1]
-    if k == 1:
-        sd = math.sqrt(pd.chol_cov[0, 0] ** 2) / _SCALE
-        lo = float(pd.mode[0] - 60.0 * sd)
-        hi = float(pd.mode[0] + 60.0 * sd)
-        peak = float(pd.log_target(pd.mode[None, :])[0])
-        val, _ = quad(
-            lambda w: math.exp(float(pd.log_target(np.array([[w]]))[0]) - peak),
-            lo,
-            hi,
-            **_QUAD_OPTS,
-        )
-        return peak + math.log(val)
-    sign, logdet = np.linalg.slogdet(pd.hessian)
-    peak = float(pd.log_target(pd.mode[None, :])[0])
-    return peak + 0.5 * (k * math.log(2.0 * math.pi) - logdet)
-
-
-def _slab_conditional_batch(state: SlabState, drift: LogisticDrift, gen, count: int):
+def _slab_conditional(state: SlabState, drift: LogisticDrift, gen) -> np.ndarray:
     d = state.normal
     h = state.gap()
     if h <= 0.0:
         raise ModelError("slab has no interior")
     pd = plane_density(drift, d)
-    w = _plane_density_sampler(pd, gen, count)
-    offs = h * uniforms(gen, count)  # uniform on (0, h] from the z-face
-    base = float(d @ state.z)
-    pts = w @ pd.basis.T + (base + offs)[:, None] * d
-
-    def log_density():
-        return pd.log_target(w) - _plane_log_normalizer(pd) - math.log(h)
-
-    return pts, log_density
+    w = _plane_density_sampler(pd, gen, 1)
+    off = h * uniforms(gen, ())  # uniform on (0, h] from the z-face
+    return (w @ pd.basis.T)[0] + (float(d @ state.z) + off) * d
 
 
 # ---------------------------------------------------------------------------
@@ -848,10 +775,9 @@ def dual_terminal_batch(
 ) -> dict:
     """Terminal dual anchors and survival mask over independent streams.
 
-    Returns arrays z, y (m, n), the shared terminal direction u for wedges
-    (None otherwise), the shared terminal normal, and alive (m,), with
-    absorbed replicas frozen at their last surviving node.  Absorption is
-    resolved inside each step, not just at the nodes:
+    Returns arrays z, y (m, n), the shared terminal normal, and alive
+    (m,), with absorbed replicas frozen at their last surviving node.
+    Absorption is resolved inside each step, not just at the nodes:
     a replica whose gap is positive at both endpoints is still killed with
     the bridge crossing probability exp(-2 g_prev g / s2), where s2 is the
     step variance of the gap along the current normal.
@@ -875,7 +801,6 @@ def dual_terminal_batch(
     z_out = np.empty((m, n))
     y_out = np.empty((m, n))
     alive_out = np.empty(m, dtype=bool)
-    u = None
     nvec = state.normal
     # the faces' drift rate along a fixed normal, where it is a constant
     rate = None
@@ -952,7 +877,7 @@ def dual_terminal_batch(
         z_out[lo:hi] = z
         y_out[lo:hi] = y
         alive_out[lo:hi] = alive
-    return {"z": z_out, "y": y_out, "alive": alive_out, "u": u, "normal": nvec}
+    return {"z": z_out, "y": y_out, "alive": alive_out, "normal": nvec}
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .core import (
     NumericalError,
     SamplePath,
     TimeGrid,
-    explicit_step,
     implicit_step,
 )
 
@@ -38,7 +37,7 @@ def _normal_of(u: np.ndarray) -> np.ndarray:
 
 
 def _rotate(u: np.ndarray, dt: float) -> np.ndarray:
-    """One deterministic Euler substep of du = (u_2, u_1) dt; dt < 0 steps back."""
+    """One deterministic Euler substep of du = (u_2, u_1) dt."""
     return u + dt * u[..., ::-1]
 
 
@@ -105,30 +104,24 @@ def step_surface(
     drift: DriftField,
     dt: float,
     dnoise_flipped: np.ndarray,
-    backward: bool = False,
 ) -> Surface:
-    """Advance a surface one step, driven by a flipped-noise increment.
+    """Advance a surface one step forward, driven by a flipped-noise increment.
 
     A hyperplane with a fixed normal n in two or more dimensions needs a
     drift orthogonal to n (a tilted drift is refused); its anchor then
-    moves along n by n . increment, in closed form and in both
-    directions, so the backward step inverts the forward one exactly.
-    A level or a line moves its anchor forward by the implicit step with
-    drift +beta and backward by the explicit step with drift -beta, which
-    inverts it exactly; a line's direction takes one deterministic Euler
-    substep, reversed backward, which inverts to second order in dt.
+    moves along n by n . increment, in closed form.  A level or a line
+    moves its anchor by the implicit step with drift +beta, which the
+    explicit step with drift -beta (core.explicit_step) inverts exactly;
+    a line's direction takes one deterministic Euler substep.
     """
     d = np.atleast_1d(np.asarray(dnoise_flipped, dtype=float))
     if surface.u is None and surface.n > 1:
         _check_untilted(drift, surface.anchor, surface.normal)
         return _moved(surface, _slide(surface.anchor, surface.normal, d))
-    if backward:
-        anchor = explicit_step(surface.anchor, dt, d, drift)
-    else:
-        anchor = implicit_step(surface.anchor, d, dt, drift)
+    anchor = implicit_step(surface.anchor, d, dt, drift)
     if surface.u is None:
         return _moved(surface, anchor)
-    return Surface(anchor, u=_rotate(surface.u, -dt if backward else dt))
+    return Surface(anchor, u=_rotate(surface.u, dt))
 
 
 def _check_untilted(drift: DriftField, anchor: np.ndarray, normal: np.ndarray) -> None:
@@ -203,9 +196,6 @@ class SurfaceTrajectory:
         if self.u is None:
             return Surface(self.anchors[k], normal=self.normal)
         return Surface(self.anchors[k], u=self.u[k])
-
-    def __len__(self) -> int:
-        return len(self.anchors)
 
     def reversed(self) -> "SurfaceTrajectory":
         u = None if self.u is None else self.u[::-1]

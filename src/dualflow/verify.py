@@ -173,12 +173,10 @@ def ks_two_sample(
 
 
 def reflection_probabilities(T: float, x: float, z: float, y: float, mu: float) -> dict:
-    """Closed-form region-hitting probability and its reflected-mass terms.
+    """Closed-form region-hitting probability, under the key p_identity.
 
     For the constant-drift primal from x, the chance of landing in (z, y]
-    at time T is Phi((y-x+mu T)/sqrt(T)) - Phi((z-x+mu T)/sqrt(T)); the
-    reflected-mass terms are the upcrossing tails P(W(T) > z-x+mu T) and
-    P(W(T) > y-x+mu T) that the reflection argument combines.
+    at time T is Phi((y-x+mu T)/sqrt(T)) - Phi((z-x+mu T)/sqrt(T)).
     """
     if not z < y:
         raise ModelError(f"need z < y, got z={z}, y={y}")
@@ -187,13 +185,7 @@ def reflection_probabilities(T: float, x: float, z: float, y: float, mu: float) 
     rt = math.sqrt(T)
     a = (z - x + mu * T) / rt
     b = (y - x + mu * T) / rt
-    return {
-        "p_identity": float(ndtr(b) - ndtr(a)),
-        "p_absorbed_terms": {
-            "above_z": float(ndtr(-a)),
-            "above_y": float(ndtr(-b)),
-        },
-    }
+    return {"p_identity": float(ndtr(b) - ndtr(a))}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from dualflow import (
     ModelError,
     RngSpec,
     TimeGrid,
-    read_path_csv,
     run_coupling,
 )
 from dualflow.cli import (
@@ -63,6 +62,25 @@ def test_bad_override_exits_config(tmp_path):
                  "--override", "grid.N=0"]) == EXIT_CONFIG
     assert main(["simulate", "--out", str(tmp_path),
                  "--override", "model.family=\"nope\""]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["dual", "--override", 'dual.state={"family":"interval","z":-1}'], "'y'"),
+    (["couple", "--override", "model.family=logistic",
+      "--override", 'couple.state={"family":"slab","z_offset":-0.4}'], "'y_offset'"),
+    (["simulate", "--override", "grid=5"], "grid"),
+    (["simulate", "--override", "model.family=logistic", "--override", "model.data=5"],
+     "model.data"),
+    (["simulate", "--override", "out=5"], "out"),
+], ids=["dual-interval-without-y", "couple-slab-without-y_offset", "simulate-grid-not-object",
+        "simulate-data-not-a-path", "simulate-out-not-a-path"])
+def test_malformed_config_exits_config(tmp_path, capsys, argv, key):
+    # --out would replace the out=5 of the last case
+    out = ["--out", str(tmp_path)] if key != "out" else []
+    assert main(argv + out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_file_merge(tmp_path):
@@ -171,10 +189,12 @@ def test_simulate_writes_readable_paths(tmp_path):
     run = next(out.iterdir())
     files = sorted(run.glob("path-*.csv"))
     assert len(files) == 2
-    with open(files[0]) as fp:
-        path = read_path_csv(fp)
-    assert path.grid.N == 16
-    assert path.values.shape == (17, 1)
+    with open(files[0], newline="") as fp:
+        rows = list(csv.reader(fp))
+    assert rows[0] == ["t", "x_1"]
+    table = np.array(rows[1:], dtype=float)
+    assert table.shape == (17, 2)
+    assert table[0].tolist() == [0.0, 0.0] and table[-1, 0] == 1.0
 
 
 def test_dual_records_absorption_fields(tmp_path):
@@ -219,6 +239,14 @@ def test_couple_pitman_and_plot_data(tmp_path):
     assert rows[0] == "t,v,half_gap,abs_diff"
     diffs = [float(r.split(",")[3]) for r in rows[1:]]
     assert max(diffs) < 1e-10  # the two constructions agree at every node
+
+
+@pytest.mark.parametrize("artifact", ["dual-0.jsonl", "coupling-0.jsonl"])
+def test_plot_data_refuses_an_empty_artifact(tmp_path, capsys, artifact):
+    (tmp_path / artifact).write_text("")
+    assert main(["plot-data", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("model error: malformed artifact ") and artifact in err
 
 
 def test_verify_runs_only_the_requested_suites(tmp_path, monkeypatch):

@@ -1,6 +1,5 @@
-"""Grids, paths, random streams, drift fields, step schemes, and path io."""
+"""Grids, paths, random streams, drift fields, and step schemes."""
 
-import io
 import math
 import re
 from fractions import Fraction
@@ -31,7 +30,6 @@ from dualflow import (
     implicit_step,
     impute_noise,
     liggett_identity_mc,
-    read_path_csv,
     reversed_noise,
     run_coupling,
     run_entrance_coupling,
@@ -44,7 +42,6 @@ from dualflow.core import (
     euler_backward_values,
     normals,
     uniforms,
-    write_path_csv,
 )
 from dualflow import cli
 from dualflow.duals import dual_terminal_batch
@@ -73,8 +70,6 @@ def test_path_shape_and_at():
     assert path.dim == 1
     inc = path.increments()
     assert np.allclose(inc[:, 0], [2.0, -1.0])
-    rev = path.reversed()
-    assert np.allclose(rev.values[:, 0], [1.0, 2.0, 0.0])
 
 
 def test_path_validation():
@@ -568,21 +563,6 @@ def test_impute_noise_inverts_forward_scheme():
     rebuilt = euler_forward_implicit(path.values[0], om, drift)
     assert np.max(np.abs(rebuilt.values - path.values)) < 1e-10
     assert np.max(np.abs(om.values - w.values)) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# io round trips
-
-
-def test_csv_round_trip_exact():
-    grid = TimeGrid(1.0, 8)
-    path = sample_brownian(grid, 2, RngSpec(13, 1))
-    buf = io.StringIO()
-    write_path_csv(buf, path)
-    buf.seek(0)
-    back = read_path_csv(buf)
-    assert np.array_equal(back.values, path.values)
-    assert back.grid.N == 8 and back.grid.T == pytest.approx(1.0)
 
 
 def test_every_public_name_resolves():

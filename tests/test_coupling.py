@@ -30,7 +30,7 @@ from dualflow import (
     run_coupling,
     run_entrance_coupling,
 )
-from dualflow import coupling, duals
+from dualflow import coupling
 from dualflow.cli import build_drift
 from dualflow.core import brownian_increments, partial_sums
 from dualflow.coupling import _slab_region_attempts, read_coupling_jsonl, write_coupling_jsonl
@@ -157,19 +157,6 @@ def test_slab_coupling_runs_with_flags():
 
 # ---------------------------------------------------------------------------
 # entrance couplings
-
-
-def test_slab_coupling_never_computes_the_start_density(monkeypatch):
-    # run_coupling takes only the conditional draw's point, so the in-plane
-    # normalizer (a quadrature) must not run
-    def no_quadrature(pd):
-        raise AssertionError("the in-plane normalizer ran")
-
-    monkeypatch.setattr(duals, "_plane_log_normalizer", no_quadrature)
-    slab = SlabState(-0.4 * SLAB_NORMAL, 0.4 * SLAB_NORMAL, SLAB_NORMAL)
-    for s in range(3):
-        traj = run_coupling(slab, toy_logistic(), TimeGrid(1.0, 100), RngSpec(8810, 20000 + s))
-        assert np.all(traj.gamma_flags)
 
 
 def test_interval_entrance_matches_pitman_gap():

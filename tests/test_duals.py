@@ -32,7 +32,7 @@ from dualflow import duals
 from dualflow.core import normals, stream_increments
 from dualflow.duals import (
     _plane_density_sampler,
-    _wedge_conditional_batch,
+    _wedge_conditional,
     covers,
     dual_terminal_batch,
     plane_density,
@@ -56,9 +56,8 @@ SLAB_NORMAL = np.array([1.0, -1.0]) / math.sqrt(2.0)
 
 def test_interval_state_half_open():
     s = IntervalState(-1.0, 1.0)
-    assert not s.contains(-1.0)  # open at z
-    assert s.contains(1.0)  # closed at y
-    assert s.contains(0.0)
+    # open at z, closed at y
+    assert contains_batch(s, [-1.0, 1.0, 0.0]).tolist() == [False, True, True]
     with pytest.raises(ModelError):
         IntervalState(1.0, -1.0)
 
@@ -68,8 +67,7 @@ def test_wedge_state_geometry():
     s = WedgeState(u, np.zeros(2), np.array([1.0, 0.0]))
     assert np.allclose(s.normal, _normal_of(u))
     assert np.allclose(s.normal, [2.0, -1.0])
-    assert s.contains(np.array([0.5, 0.0]))
-    assert not s.contains(np.array([1.5, 0.0]))
+    assert contains_batch(s, [[0.5, 0.0], [1.5, 0.0]]).tolist() == [True, False]
     with pytest.raises(ModelError):
         WedgeState(u, np.array([1.0, 0.0]), np.zeros(2))  # y below z
 
@@ -77,9 +75,8 @@ def test_wedge_state_geometry():
 def test_slab_state_geometry():
     d = SLAB_NORMAL
     s = SlabState(-0.4 * d, 0.4 * d, d)
-    assert s.contains(np.zeros(2))
-    assert s.contains(0.4 * d)  # closed at y-face
-    assert not s.contains(-0.4 * d)  # open at z-face
+    # closed at the y-face, open at the z-face
+    assert contains_batch(s, [np.zeros(2), 0.4 * d, -0.4 * d]).tolist() == [True, True, False]
     with pytest.raises(ModelError):
         SlabState(np.zeros(2), np.ones(2), np.array([1.0, 1.0]))  # not unit
 
@@ -103,12 +100,13 @@ def test_contains_batch_matches_scalar():
     pts = np.linspace(-2.0, 2.0, 9)
     s = IntervalState(-1.0, 1.0)
     batch = contains_batch(s, pts[:, None])
-    assert np.array_equal(batch, [s.contains(p) for p in pts])
+    assert batch.tolist() == [False, False, False, True, True, True, True, False, False]
+    assert not contains_batch(IntervalState(-1.0, 1.0, absorbed=True), pts).any()
 
     w = WedgeState(np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 0.0]))
     grid_pts = np.array([[0.5, 0.0], [1.5, 0.0], [-0.5, 0.0], [0.5, 1.0]])
-    assert np.array_equal(contains_batch(w, grid_pts),
-                          [w.contains(p) for p in grid_pts])
+    # 2 x_1 - x_2 must lie in (0, 2]
+    assert contains_batch(w, grid_pts).tolist() == [True, False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +180,7 @@ def test_interval_conditional_law():
     state = IntervalState(-1.0, 1.0)
     drift = ConstantDrift(0.5)
     gen = RngSpec(71, 0).generator()
-    pts = np.array([sample_conditional(state, drift, gen).point[0]
-                    for _ in range(4000)])
+    pts = np.array([sample_conditional(state, drift, gen)[0] for _ in range(4000)])
     assert np.all((pts > -1.0) & (pts <= 1.0))
     mass = math.e - 1.0 / math.e
 
@@ -197,12 +194,26 @@ def test_interval_conditional_law():
                                          abs=5 * np.std(pts) / math.sqrt(pts.size))
 
 
+def test_interval_table_sampler_matches_the_exact_inverse():
+    # a 1-d potential mu x through the numeric table: the same uniform per
+    # draw lands where the constant drift's exact inverse CDF puts it
+    mu = 0.5
+    drift = ProductDrift(n=1, beta1=lambda x: np.full_like(np.asarray(x, float), mu),
+                         k_lipschitz=0.1, gamma1=lambda x: mu * np.asarray(x, float))
+    state = IntervalState(-1.0, 1.0)
+    gens = RngSpec(77, 0).generator(), RngSpec(77, 0).generator()
+    for _ in range(200):
+        table = sample_conditional(state, drift, gens[0])
+        exact = sample_conditional(state, ConstantDrift(mu), gens[1])
+        assert -1.0 < table[0] <= 1.0 and abs(table[0] - exact[0]) < 1e-7
+
+
 def test_wedge_conditional_law():
     u = np.array([1.0, 2.0])
     state = WedgeState(u, np.zeros(2), np.array([0.5, 0.0]))
     gen = RngSpec(71, 1).generator()
-    pts = np.array([sample_conditional(state, None, gen).point for _ in range(1500)])
-    assert all(state.contains(p) for p in pts)
+    pts = np.array([sample_conditional(state, None, gen) for _ in range(1500)])
+    assert contains_batch(state, pts).all()
     # the normal-frame coordinate has density proportional to exp(eta^2)
     eta = (u[1] * pts[:, 0] - u[0] * pts[:, 1]) / math.sqrt(2.0 * u[0] * u[1])
 
@@ -221,8 +232,8 @@ def test_slab_conditional_law():
     d = SLAB_NORMAL
     state = SlabState(-0.4 * d, 0.4 * d, d)
     gen = RngSpec(71, 2).generator()
-    pts = np.array([sample_conditional(state, drift, gen).point for _ in range(1500)])
-    assert all(state.contains(p) for p in pts)
+    pts = np.array([sample_conditional(state, drift, gen) for _ in range(1500)])
+    assert contains_batch(state, pts).all()
     # offsets from the z-face along the normal are uniform on (0, h]
     offs = (pts - (-0.4 * d)) @ d
     res = stats.kstest(offs, lambda v: np.clip(np.asarray(v) / 0.8, 0.0, 1.0))
@@ -234,12 +245,12 @@ def test_slab_draws_build_the_plane_density_once(monkeypatch):
     monkeypatch.setattr(duals, "plane_basis", lambda *a: builds.append(1) or basis(*a))
     d = SLAB_NORMAL
     state, drift = SlabState(-0.4 * d, 0.4 * d, d), toy_logistic()
-    first = sample_conditional(state, drift, RngSpec(75, 0)).point
-    again = sample_conditional(state, drift, RngSpec(75, 0)).point
+    first = sample_conditional(state, drift, RngSpec(75, 0).generator())
+    again = sample_conditional(state, drift, RngSpec(75, 0).generator())
     assert len(builds) == 1
     assert again.tobytes() == first.tobytes()
     # another drift object builds its own density, to the same bits
-    fresh = sample_conditional(state, toy_logistic(), RngSpec(75, 0)).point
+    fresh = sample_conditional(state, toy_logistic(), RngSpec(75, 0).generator())
     assert len(builds) == 2 and fresh.tobytes() == first.tobytes()
     # the kept density is shared, so its arrays refuse writes
     with pytest.raises(ValueError):
@@ -288,29 +299,6 @@ def test_log_proposal_keeps_its_bits():
         assert moved.log_proposal(w).tobytes() == want.tobytes()
 
 
-# sample_conditional(SLAB, toy_logistic(), RngSpec(71, s)).log_density for
-# s = 0, 1, 2, as computed when the slab density was still evaluated with
-# every draw
-_SLAB_LOG_DENSITIES = ("-0x1.17cb9cb85eebbp-1", "-0x1.ce0db97652746p-2",
-                       "-0x1.3a7ba890f9029p+0")
-
-
-def test_slab_log_density_is_lazy_and_keeps_its_bits(monkeypatch):
-    drift = toy_logistic()
-    state = SlabState(-0.4 * SLAB_NORMAL, 0.4 * SLAB_NORMAL, SLAB_NORMAL)
-    for s, want in enumerate(_SLAB_LOG_DENSITIES):
-        assert sample_conditional(state, drift, RngSpec(71, s)).log_density == float.fromhex(want)
-
-    def no_quadrature(pd):
-        raise AssertionError("the in-plane normalizer ran")
-
-    monkeypatch.setattr(duals, "_plane_log_normalizer", no_quadrature)
-    sample = sample_conditional(state, drift, RngSpec(71, 0))
-    assert state.contains(sample.point)
-    with pytest.raises(AssertionError, match="normalizer ran"):
-        sample.log_density
-
-
 def test_plane_sampler_fills_a_two_dimensional_span():
     # inputs span the (x_2, x_3) plane of R^3, so each draw has two coordinates
     inputs = np.array([[0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [0, 1, 1], [0, -1, -1]])
@@ -335,7 +323,7 @@ def test_sampler_failures_name_the_sampler(monkeypatch):
     assert str(err.value) == f"{label}: starved after 0 rounds"
     wedge = WedgeState(np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(NumericalError, match=r"^wedge sampler, bounds \(.*\): starved"):
-        _wedge_conditional_batch(wedge, RngSpec(74, 2).generator(), 1)
+        _wedge_conditional(wedge, RngSpec(74, 2).generator())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Every module-level import in the package and its tests is read, and
-every module-level name of the package is read by the package or exported."""
+"""Every module-level import in the package and its tests is read, every
+module-level name of the package is read by the package or exported, and
+every exported name is bound."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,31 @@ def test_dead_name_scanner_finds_an_unread_name():
 
 def test_every_package_name_is_read_or_exported():
     assert dead_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def unbound_exports(source: str) -> list:
+    """Entries of the module's __all__ that no top-level import, def,
+    class or assignment of the module binds."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            bound |= set(names)
+            if "__all__" in names:
+                exported = [e.value for e in node.value.elts]
+    return [name for name in exported if name not in bound]
+
+
+def test_export_scanner_finds_a_stale_entry():
+    assert unbound_exports("from os import path\n__all__ = ['path', 'sep']\n") == ["sep"]
+    assert unbound_exports("def f(): pass\nx = 1\n__all__ = ['f', 'x']\n") == []
+
+
+def test_every_export_is_bound():
+    init = ROOT / "src" / "dualflow" / "__init__.py"
+    assert unbound_exports(init.read_text()) == []

@@ -15,6 +15,7 @@ from dualflow import (
     SurfaceTrajectory,
     TimeGrid,
     evolve_surface,
+    explicit_step,
     sample_brownian,
     step_surface,
 )
@@ -83,8 +84,8 @@ def test_level_step_forward_backward_inverse():
     d = np.array([0.2])
     fwd = step_surface(s, drift, 0.1, d)
     assert fwd.anchor[0] == pytest.approx(0.3 + 0.05 + 0.2)
-    back = step_surface(fwd, drift, 0.1, -d, backward=True)
-    assert back.anchor[0] == pytest.approx(0.3, abs=1e-15)
+    back = explicit_step(fwd.anchor, 0.1, -d, drift)
+    assert back[0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_level_step_inverts_for_state_dependent_drift():
@@ -93,8 +94,9 @@ def test_level_step_inverts_for_state_dependent_drift():
     s = Surface.level(0.3)
     d = np.array([0.2])
     fwd = step_surface(s, drift, 0.1, d)
-    back = step_surface(fwd, drift, 0.1, -d, backward=True)
-    assert abs(back.anchor[0] - 0.3) < 1e-12
+    assert fwd.anchor[0] == pytest.approx(0.5 / 0.9, abs=1e-12)  # w = 0.3 + 0.1 w + 0.2
+    back = explicit_step(fwd.anchor, 0.1, -d, drift)
+    assert abs(back[0] - 0.3) < 1e-12
 
 
 def test_line_step_forward_backward_inverse():
@@ -105,11 +107,9 @@ def test_line_step_forward_backward_inverse():
     fwd = step_surface(s, drift, dt, d)
     # direction follows its own deterministic substep
     assert np.allclose(fwd.u, s.u + dt * np.array([s.u[1], s.u[0]]))
-    back = step_surface(fwd, drift, dt, -d, backward=True)
-    # the anchor inverts exactly (implicit/explicit pair); the direction
-    # substep only inverts to second order in dt
-    assert np.allclose(back.anchor, s.anchor, atol=1e-12)
-    assert np.allclose(back.u, s.u, atol=5.0 * dt**2)
+    # the explicit step inverts the implicit anchor step exactly
+    back = explicit_step(fwd.anchor, dt, -d, drift)
+    assert np.allclose(back, s.anchor, atol=1e-12)
 
 
 def test_plane_step_forward_backward_inverse():
@@ -119,8 +119,9 @@ def test_plane_step_forward_backward_inverse():
     d = np.array([0.05, 0.02])
     dt = 0.01
     fwd = step_surface(s, drift, dt, d)
-    back = step_surface(fwd, drift, dt, -d, backward=True)
-    assert np.allclose(back.anchor, s.anchor, atol=1e-12)
+    # the anchor slides along the normal by the increment's share, so the
+    # opposite slide takes it back
+    assert np.allclose(fwd.anchor - (d_normal @ d) * d_normal, s.anchor, atol=1e-12)
 
 
 def test_plane_step_rejects_tilted_drift():
@@ -147,7 +148,7 @@ def test_evolve_surface_concatenates():
     noise = sample_brownian(grid, 2, RngSpec(31, 0))
     s0 = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
     full = evolve_surface(s0, noise, drift)
-    assert len(full) == grid.N + 1
+    assert full.anchors.shape == (grid.N + 1, 2) and full.u.shape == (grid.N + 1, 2)
 
     # restarting from the midpoint surface reproduces the second half
     half = grid.N // 2
