@@ -174,25 +174,28 @@ def validate_config(config: dict) -> None:
         raise ConfigError(f"unknown model family {family!r}")
     grid = config["grid"]
     T, N = grid.get("T"), grid.get("N")
-    if not (isinstance(T, (int, float)) and T > 0):
+    # type(), not isinstance(): JSON's true and false load as bools, which are ints
+    if not (type(T) in (int, float) and T > 0):
         raise ConfigError(f"grid.T must be positive, got {T!r}")
-    if not (isinstance(N, int) and N >= 1):
+    if not (type(N) is int and N >= 1):
         raise ConfigError(f"grid.N must be a positive integer, got {N!r}")
     seed = config.get("seed")
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     replicas = config.get("replicas")
-    if not (isinstance(replicas, int) and replicas >= 1):
+    if not (type(replicas) is int and replicas >= 1):
         raise ConfigError(f"replicas must be a positive integer, got {replicas!r}")
     if not isinstance(config["out"], str):
         raise ConfigError(f"out must be a directory path, got {config['out']!r}")
 
 
 def _read(section: dict, key: str, convert, where: str):
-    """convert(section[key]); a missing or unconvertible value is a
-    ConfigError that names the key."""
+    """convert(section[key]); a missing, boolean or unconvertible value is
+    a ConfigError that names the key."""
     if key not in section:
         raise ConfigError(f"{where} needs {key!r}")
+    if isinstance(section[key], bool):
+        raise ConfigError(f"{where} {key!r} must not be a boolean")
     try:
         return convert(section[key])
     except (TypeError, ValueError) as exc:
@@ -210,7 +213,7 @@ def build_drift(config: dict):
     if family == "constant":
         mu = model.get("mu", 0.0)
         n = model.get("n", 1)
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ConfigError(f"model.n must be a positive integer, got {n!r}")
         mu_vec = np.atleast_1d(np.asarray(mu, dtype=float))
         if mu_vec.shape == (1,) and n > 1:

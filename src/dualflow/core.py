@@ -274,16 +274,17 @@ _MAX_ITER = 100
 
 
 class DriftField:
-    """Drift beta with a Lipschitz bound and, when available, a potential."""
+    """Drift beta with a Lipschitz bound.
+
+    Each family also defines gamma, its potential with beta = grad gamma;
+    a ProductDrift's gamma is None unless it was given its potentials.
+    """
 
     n: int
     k_lipschitz: float
 
     def beta(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def gamma(self, x: np.ndarray) -> Optional[np.ndarray]:
-        return None
 
     def orthogonal_to(self, normal: np.ndarray) -> bool:
         """True only if beta has no component along the normal anywhere."""

@@ -474,8 +474,9 @@ def mc_region_sampler(
 
     ModelError is raised unless the region is an increasing pair, count
     and max_attempts are at least 1, dt is positive and finite, and the
-    drift is 1-d constant or logistic; a logistic drift also needs h1 to
-    be None or a degenerate SlabState (gap 0).
+    drift is 1-d constant or logistic; a constant drift also needs h1 to
+    be None or a number, and a logistic one None or a degenerate
+    SlabState (gap 0).
     """
     lo, hi = float(region[0]), float(region[1])
     if not lo < hi:
@@ -487,7 +488,10 @@ def mc_region_sampler(
     grid = TimeGrid(horizon, max(int(round(horizon / dt)), 1))
 
     if isinstance(drift, ConstantDrift) and drift.n == 1:
-        start = float(h1) if h1 is not None else 0.5 * (lo + hi)
+        try:
+            start = float(h1) if h1 is not None else 0.5 * (lo + hi)
+        except (TypeError, ValueError) as err:
+            raise ModelError(f"h1 must be None or a number, got {h1!r}") from err
         meta_start = start
         outcomes = _interval_region_attempts(lo, hi, start, drift, grid, rng)
 

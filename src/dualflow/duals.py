@@ -742,23 +742,21 @@ def primal_terminal_batch(
     seed: int,
     streams: Sequence[int],
 ) -> np.ndarray:
-    """Terminal values of the explicit scheme from a fixed start, one per stream."""
+    """Terminal values of the explicit scheme from a fixed start, one per stream.
+
+    Under a constant drift mu the scheme telescopes to x - mu T + W_T on
+    every grid, so each stream draws W_T in one step of length T.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.shape[0]
+    if isinstance(drift, ConstantDrift):
+        inc, _ = stream_increments(TimeGrid(grid.T, 1), n, seed, streams)
+        return x - drift.mu * grid.T + inc[0]
     out = np.empty((len(streams), n))
     dt = grid.dt
     for lo in range(0, len(streams), _CHUNK):
         hi = min(lo + _CHUNK, len(streams))
         inc, _ = stream_increments(grid, n, seed, streams[lo:hi])
-        if isinstance(drift, ConstantDrift):
-            # the stepwise scheme telescopes for a state-free drift; the
-            # steps are added one at a time, in order, so the sum keeps its
-            # bits whatever the storage order or the chunk size
-            total = inc[0].copy()
-            for step in inc[1:]:
-                total += step
-            out[lo:hi] = x - drift.mu * grid.T + total
-            continue
         cur = np.broadcast_to(x, (hi - lo, n)).copy()
         for j in range(grid.N):
             cur += -drift.beta(cur) * dt + inc[j]
@@ -776,31 +774,33 @@ def dual_terminal_batch(
     """Terminal dual anchors and survival mask over independent streams.
 
     Returns arrays z, y (m, n), the shared terminal normal, and alive
-    (m,), with absorbed replicas frozen at their last surviving node.
-    Absorption is resolved inside each step, not just at the nodes:
-    a replica whose gap is positive at both endpoints is still killed with
-    the bridge crossing probability exp(-2 g_prev g / s2), where s2 is the
-    step variance of the gap along the current normal.
+    (m,); a killed replica's z and y are NaN.
 
     Two families move along a fixed normal n in closed form: an interval
     under constant drift mu, and a slab, whose drift must be orthogonal
     to its normal d (a tilted drift is refused).  Their faces' offsets
     along n are mu t + n . W (z-face) and mu t + n . W - 2 n_1 W_1
     (y-face), with mu = 0 for the slab, so the gap g0 - 2 n_1 W_1 is the
-    driftless interval gap in the coordinate n . x and absorption is the
-    running-maximum event W_1 >= g0 / (2 n_1).  Their corrected survival
-    law is exact at every grid resolution, and no implicit step is
-    solved.  For the other models the correction removes the leading
-    root-dt under-detection of absorption.
+    driftless interval gap in the coordinate n . x.  A replica survives
+    to T iff the continuous maximum of W_1 stays below h = g0 / (2 n_1),
+    and a survivor's faces depend on W_T alone.  So each stream draws
+    W_T and one uniform from a grid of one step of length T, whatever
+    the caller's grid, and dies if W_1,T >= h or if the uniform falls
+    below exp(-2 h (h - W_1,T) / T), the chance that the Brownian bridge
+    from 0 to W_1,T reaches h.  This law is exact, and no implicit step
+    is solved.
+
+    The other models take implicit steps on the caller's grid, with
+    absorption resolved inside each step, not just at the nodes: a
+    replica whose gap is positive at both endpoints is still killed with
+    the bridge crossing probability exp(-2 g_prev g / s2), where s2 is
+    the step variance of the gap along the current normal.  This removes
+    the leading root-dt under-detection of absorption.
     """
     m = len(streams)
     n = state.n
     z0 = np.atleast_1d(np.asarray(state.z, dtype=float))
     y0 = np.atleast_1d(np.asarray(state.y, dtype=float))
-    dt = grid.dt
-    z_out = np.empty((m, n))
-    y_out = np.empty((m, n))
-    alive_out = np.empty(m, dtype=bool)
     nvec = state.normal
     # the faces' drift rate along a fixed normal, where it is a constant
     rate = None
@@ -809,43 +809,31 @@ def dual_terminal_batch(
         rate = 0.0
     elif isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
         rate = float(drift.mu[0])
+    if rate is not None:
+        inc, uni = stream_increments(TimeGrid(grid.T, 1), n, seed, streams, step_uniforms=True)
+        w1 = inc[0][:, 0]
+        n1 = float(nvec[0])
+        h = state.gap() / (2.0 * n1)
+        # the clamp keeps exp from overflowing once W_1,T >= h
+        reach = np.exp(-2.0 * h * np.maximum(h - w1, 0.0) / grid.T)
+        alive = (w1 < h) & (uni[0] >= reach)
+        # n . W coordinate by coordinate, so no row count changes a bit
+        along = w1 * nvec[0]
+        for i in range(1, n):
+            along += inc[0][:, i] * nvec[i]
+        drifted = rate * grid.T * nvec
+        z = z0 + drifted + along[:, None] * nvec
+        y = y0 + drifted + (along - 2.0 * n1 * w1)[:, None] * nvec
+        z[~alive] = y[~alive] = np.nan
+        return {"z": z, "y": y, "alive": alive, "normal": nvec}
+    dt = grid.dt
+    z_out = np.empty((m, n))
+    y_out = np.empty((m, n))
+    alive_out = np.empty(m, dtype=bool)
     for lo in range(0, m, _CHUNK):
         hi = min(lo + _CHUNK, m)
         inc, uni = stream_increments(grid, n, seed, streams[lo:hi], step_uniforms=True)
         mc = hi - lo
-        if rate is not None:
-            # the faces close on their own: absorption is a running-max
-            # event of W_1 at half the gap over n_1, and the bridge draw
-            # catches maxima between the nodes
-            n1 = float(nvec[0])
-            half = state.gap() / (2.0 * n1)
-            # one row per stream: nodes[i, :, j] is coordinate i of the
-            # noise after j steps, and omega and prev are shifted slices of
-            # coordinate 1's row, which starts at zero
-            nodes = np.zeros((n, mc, grid.N + 1))
-            for i in range(n):
-                np.cumsum(inc[:, :, i].T, axis=1, out=nodes[i, :, 1:])
-            omega, prev = nodes[0, :, 1:], nodes[0, :, :-1]
-            node_cross = omega >= half
-            below = ~node_cross & (prev < half)
-            pbridge = np.where(
-                below, np.exp(-2.0 * (half - prev) * (half - omega) / dt), 1.0
-            )
-            cross = node_cross | (uni.T < pbridge)
-            alive = ~np.any(cross, axis=1)
-            first = np.argmax(cross, axis=1)
-            # a replica killed in step first + 1 freezes at node first
-            w_term = nodes[:, np.arange(mc), np.where(alive, grid.N, first)]
-            t_term = np.where(alive, grid.T, first * dt)
-            # n . W coordinate by coordinate, so no row count changes a bit
-            along = w_term[0] * nvec[0]
-            for i in range(1, n):
-                along += w_term[i] * nvec[i]
-            drifted = (rate * t_term)[:, None] * nvec
-            z_out[lo:hi] = z0 + drifted + along[:, None] * nvec
-            y_out[lo:hi] = y0 + drifted + (along - 2.0 * n1 * w_term[0])[:, None] * nvec
-            alive_out[lo:hi] = alive
-            continue
         z = np.broadcast_to(z0, (mc, n)).copy()
         y = np.broadcast_to(y0, (mc, n)).copy()
         alive = np.ones(mc, dtype=bool)
@@ -874,6 +862,7 @@ def dual_terminal_batch(
         except NumericalError as err:
             step = j + 1
             raise NumericalError(f"dual flow failed at step {step} (t={step * dt:.6g}): {err}") from err
+        z[~alive] = y[~alive] = np.nan
         z_out[lo:hi] = z
         y_out[lo:hi] = y
         alive_out[lo:hi] = alive

@@ -72,8 +72,17 @@ def test_bad_override_exits_config(tmp_path):
     (["simulate", "--override", "model.family=logistic", "--override", "model.data=5"],
      "model.data"),
     (["simulate", "--override", "out=5"], "out"),
+    (["simulate", "--override", "seed=true"], "seed"),
+    (["simulate", "--override", "replicas=true"], "replicas"),
+    (["simulate", "--override", "grid.N=true"], "grid.N"),
+    (["simulate", "--override", "grid.T=true"], "grid.T"),
+    (["simulate", "--override", "model.n=true"], "model.n"),
+    (["posterior", "--override", "model.family=logistic", "--override", "posterior.count=true"],
+     "'count'"),
 ], ids=["dual-interval-without-y", "couple-slab-without-y_offset", "simulate-grid-not-object",
-        "simulate-data-not-a-path", "simulate-out-not-a-path"])
+        "simulate-data-not-a-path", "simulate-out-not-a-path", "simulate-seed-bool",
+        "simulate-replicas-bool", "simulate-grid-N-bool", "simulate-grid-T-bool",
+        "simulate-model-n-bool", "posterior-count-bool"])
 def test_malformed_config_exits_config(tmp_path, capsys, argv, key):
     # --out would replace the out=5 of the last case
     out = ["--out", str(tmp_path)] if key != "out" else []

@@ -382,6 +382,8 @@ def test_region_sampler_validation():
         with pytest.raises(ModelError, match=r"^count and max_attempts must be >= 1"):
             mc_region_sampler((-0.5, 0.5), None, ConstantDrift(0.3), RngSpec(0, 0),
                               count=count, max_attempts=max_attempts)
+    with pytest.raises(ModelError, match=r"^h1 must be None or a number"):
+        mc_region_sampler((-0.5, 0.5), IntervalState(0.0, 0.0), ConstantDrift(0.3), RngSpec(0, 0))
 
 
 def test_region_sampler_rejects_a_slab_start_with_a_gap(bundled_slab):

@@ -421,33 +421,36 @@ def test_intertwining_residual_spot():
 
 
 def test_primal_terminal_batch_matches_construction():
+    # a constant drift telescopes, so the terminal value is x - mu T + W_T
+    # with W_T drawn in one step of length T, whatever the caller's grid
     drift = ConstantDrift(0.5)
-    grid = TimeGrid(1.0, 100)
-    out = primal_terminal_batch(np.array([0.2]), drift, grid, 77, [0, 1, 2, 3])
+    out = primal_terminal_batch(np.array([0.2]), drift, TimeGrid(1.0, 100), 77, [0, 1, 2, 3])
     from dualflow import sample_brownian
 
     for k, stream in enumerate([0, 1, 2, 3]):
-        w = sample_brownian(grid, 1, RngSpec(77, stream))
-        assert out[k, 0] == pytest.approx(0.2 - 0.5 + w.values[-1, 0], abs=1e-12)
+        w = sample_brownian(TimeGrid(1.0, 1), 1, RngSpec(77, stream))
+        assert out[k, 0] == 0.2 - 0.5 + w.values[-1, 0]
 
 
 def test_dual_terminal_batch_fast_and_generic_agree():
-    # the closed-form interval branch and the generic stepped branch consume
-    # identical noise and uniforms, so their outputs coincide
-    mu = 0.5
+    # the grid-free interval and the generic loop stepping the same drift
+    # through ProductDrift on 100 steps, on disjoint streams: both laws are
+    # exact, so survival and the survivors' anchors agree in law
+    mu, m = 0.5, 20000
     grid = TimeGrid(1.0, 100)
     state = IntervalState(-1.0, 1.0)
-    streams = list(range(200))
-    fast = dual_terminal_batch(state, ConstantDrift(mu), grid, 78, streams)
+    fast = dual_terminal_batch(state, ConstantDrift(mu), grid, 78, list(range(m)))
     prod = ProductDrift(n=1, beta1=lambda x: np.full_like(np.asarray(x, float), mu),
                         k_lipschitz=0.1, gamma1=lambda x: mu * np.asarray(x, float))
-    gen = dual_terminal_batch(state, prod, grid, 78, streams)
-    assert np.array_equal(fast["alive"], gen["alive"])
-    alive = fast["alive"]
-    assert np.allclose(fast["z"][alive], gen["z"][alive], atol=1e-9)
-    assert np.allclose(fast["y"][alive], gen["y"][alive], atol=1e-9)
-    # survival must not be certain nor impossible in this regime
-    assert 0 < int(alive.sum()) < len(streams)
+    gen = dual_terminal_batch(state, prod, grid, 78, list(range(m, 2 * m)))
+    p_fast, p_gen = float(np.mean(fast["alive"])), float(np.mean(gen["alive"]))
+    pooled = (p_fast + p_gen) / 2.0
+    assert abs(p_fast - p_gen) <= 3.0 * math.sqrt(2.0 * pooled * (1.0 - pooled) / m)
+    for key in ("z", "y"):
+        a, b = fast[key][fast["alive"], 0], gen[key][gen["alive"], 0]
+        assert stats.ks_2samp(a, b).pvalue > 1e-3
+    for out in (fast, gen):
+        assert np.isnan(out["z"][~out["alive"]]).all() and np.isnan(out["y"][~out["alive"]]).all()
 
 
 @pytest.mark.parametrize("N", [1, 4, 16])
@@ -478,18 +481,21 @@ def test_interval_survival_is_exact_at_every_resolution(N):
 
 
 def test_slab_faces_move_along_the_normal_in_step_and_batch():
+    # the batch draws W_T in one step of length T, so one dual_step of
+    # length T on the same increment lands on the batch's anchors
     d = SLAB_NORMAL
-    state, drift, grid = SlabState(-0.4 * d, 0.4 * d, d), toy_logistic(), TimeGrid(0.5, 50)
+    state, drift, T = SlabState(-0.4 * d, 0.4 * d, d), toy_logistic(), 0.5
     streams = list(range(40))
-    out = dual_terminal_batch(state, drift, grid, 8822, streams)
-    inc, _ = stream_increments(grid, 2, 8822, streams)
+    out = dual_terminal_batch(state, drift, TimeGrid(T, 50), 8822, streams)
+    inc, _ = stream_increments(TimeGrid(T, 1), 2, 8822, streams)
     assert 0 < int(out["alive"].sum()) < len(streams)
-    for i in np.flatnonzero(out["alive"]):
-        stepped = state
-        for j in range(grid.N):
-            stepped = dual_step(stepped, inc[j, i], grid.dt, drift)
-        # a batch survivor never degenerates at a node, and the anchors of
-        # both routes lie on the normal's line through the start anchors
+    for i in range(len(streams)):
+        stepped = dual_step(state, inc[0, i], T, drift)
+        if not out["alive"][i]:
+            assert np.isnan(out["z"][i]).all() and np.isnan(out["y"][i]).all()
+            continue
+        # a batch survivor's gap stays positive at T, and the anchors of both
+        # routes lie on the normal's line through the start anchors
         assert not stepped.absorbed
         for a, b, a0 in ((stepped.z, out["z"][i], state.z), (stepped.y, out["y"][i], state.y)):
             assert float(d @ (a - b)) == pytest.approx(0.0, abs=1e-12)

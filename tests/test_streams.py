@@ -4,7 +4,10 @@
 layer as it was when each stream built its own `np.random.Generator`;
 the fast layer must reproduce them byte for byte.  The terminal digests
 below were recorded with that layer, so any change to the draws, to the
-order of a sum or to the chunking shows as a changed digest.
+order of a sum or to the chunking shows as a changed digest.  The
+constant-drift primal and the interval and slab duals draw their
+terminal law in one step of length T, so their bytes depend on T alone,
+not on the grid's step count.
 """
 
 import hashlib
@@ -166,20 +169,24 @@ def _dual(name, paths=_PATHS, chunk=duals._CHUNK, streams=None):
 
 
 _PRIMAL_DIGESTS = {
-    "interval": "a41b1dbe6e2e63a7",
+    "interval": "bbb984e12d774ea6",
     "wedge": "2d29d07a20afc75a",
     "slab": "e7b73e3a503fcca0",
-    "constant-2d": "8b07122a7b09aab0",
+    "constant-2d": "cfefb14302e6ff90",
 }
 
 _DUAL_DIGESTS = {
-    "interval": "13ac49a79d75095a",
-    "wedge": "5fd71db7c9a684ea",
-    "slab": "be9d9b5a480fcfe4",
+    "interval": "893c3cff218a39a0",
+    "wedge": "746865de77ea37ba",
+    "slab": "e5182dfd393049c3",
 }
 
 # criterion 1's liggett_identity_mc at 4096 paths: lhs, lhs_se, rhs, rhs_se
-_CRITERION_01_4096 = "d7b8da4d93fb51fd"
+_CRITERION_01_4096 = "316ddd736f94b325"
+
+# the wedge's surviving rows, alive mask and normal, without the NaN rows
+# of its killed replicas
+_WEDGE_SURVIVORS = "c59712bc30fa9308"
 
 
 @pytest.mark.parametrize("name", sorted(_PRIMAL_DIGESTS))
@@ -190,6 +197,31 @@ def test_primal_terminal_bytes_unchanged(name):
 @pytest.mark.parametrize("name", sorted(_DUAL_DIGESTS))
 def test_dual_terminal_bytes_unchanged(name):
     assert _digest(*_dual(name)) == _DUAL_DIGESTS[name]
+
+
+def test_wedge_survivor_rows_unchanged():
+    z, y, alive, normal = _dual("wedge")
+    assert np.isnan(z[~alive]).all() and np.isnan(y[~alive]).all()
+    assert _digest(z[alive], y[alive], alive, normal) == _WEDGE_SURVIVORS
+
+
+@pytest.mark.parametrize("name", ["interval", "constant-2d"])
+def test_constant_primal_bytes_do_not_depend_on_the_grid(name):
+    x, _, grid, drift, k = _FAMILIES[name]()
+    streams = _liggett_streams(k, 50, 0)
+    outs = [primal_terminal_batch(x, drift, TimeGrid(grid.T, N), _SEED, streams)
+            for N in (1, 7, 2000)]
+    assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+
+@pytest.mark.parametrize("name", ["interval", "slab"])
+def test_closed_form_dual_bytes_do_not_depend_on_the_grid(name):
+    _, state, grid, drift, k = _FAMILIES[name]()
+    streams = _liggett_streams(k, 50, 1)
+    outs = [dual_terminal_batch(state, drift, TimeGrid(grid.T, N), _SEED, streams)
+            for N in (1, 7, 2000)]
+    for key in ("z", "y", "alive", "normal"):
+        assert outs[0][key].tobytes() == outs[1][key].tobytes() == outs[2][key].tobytes()
 
 
 def _estimate_hex(est):
@@ -215,16 +247,15 @@ def _assert_same_rows(a, b, exact):
 
 # LogisticDrift.beta (its batched matrix products) is not row-count
 # invariant, so under it a replica's last bits depend on the replicas that
-# share its chunk.  Only the slab primal runs it (the constant and bilinear
-# drifts step row by row), so it alone is held to 1e-12, well above the few
-# ulps seen.  No dual runs a row-count-variant kernel: the interval and
-# slab faces move in closed form and the bilinear implicit step is
-# elementwise, so every dual is held to its bytes.
+# share its chunk.  Only the slab primal runs it (the constant drift draws
+# W_T in one step and the bilinear drift steps row by row), so it alone is
+# held to 1e-12, well above the few ulps seen.  No dual runs a
+# row-count-variant kernel: the interval and slab faces move in closed form
+# and the bilinear implicit step is elementwise, so every dual is held to
+# its bytes.
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("name", sorted(_PRIMAL_DIGESTS))
 def test_primal_terminal_bytes_do_not_depend_on_chunk(name, chunk):
-    # a one-stream chunk of the 1-d constant drift is the case a reduction
-    # would sum pairwise; the steps must still be added in order
     _assert_same_rows(_primal(name, chunk=chunk), _primal(name), exact=name != "slab")
 
 
