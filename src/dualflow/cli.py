@@ -17,6 +17,7 @@ import argparse
 import copy
 import csv
 import json
+import operator
 import os
 import sys
 from importlib import resources
@@ -33,6 +34,7 @@ from .core import (
     NumericalError,
     RngSpec,
     TimeGrid,
+    _write_csv,
     euler_backward,
     sample_brownian,
     uniforms,
@@ -449,15 +451,8 @@ def cmd_pitman(config: dict) -> int:
         v = pitman_construct(traj.wiener, mu).values[:, 0]
         half_gap = 0.5 * (traj.y_path.values[:, 0] - traj.z_path.values[:, 0])
         with open(run_dir / f"pitman-{r}.csv", "w") as fp:
-            fp.write("t,v,half_gap,abs_diff\n")
-            for j, t in enumerate(grid.times):
-                fp.write(
-                    ",".join(
-                        format(val, ".17g")
-                        for val in (t, v[j], half_gap[j], abs(v[j] - half_gap[j]))
-                    )
-                    + "\n"
-                )
+            _write_csv(fp, ["t", "v", "half_gap", "abs_diff"],
+                       [grid.times, v, half_gap, np.abs(v - half_gap)])
     print(run_dir)
     return EXIT_OK
 
@@ -502,8 +497,8 @@ def cmd_posterior(config: dict) -> int:
         None,
         drift,
         RngSpec(config["seed"], 0),
-        count=read("count", int),
-        max_attempts=read("max_attempts", int),
+        count=read("count", operator.index),
+        max_attempts=read("max_attempts", operator.index),
         horizon=read("horizon"),
         dt=read("dt"),
     )
@@ -563,8 +558,12 @@ def _posterior_reports(result, drift, d, region, seed):
 # plot data
 
 
-def coupling_csv_rows(traj: CouplingTrajectory):
-    """Column names and formatted rows; primary columns first."""
+def write_coupling_csv(fp, traj: CouplingTrajectory) -> None:
+    """Header record, then one row per node; primary columns first."""
+    head = {"family": traj.family, "T": traj.grid.T, "N": traj.grid.N}
+    if traj.normal is not None:
+        head["normal"] = traj.normal.tolist()
+    fp.write("# " + json.dumps(head) + "\n")
     n = traj.primal.dim
 
     def names(prefix):
@@ -574,37 +573,13 @@ def coupling_csv_rows(traj: CouplingTrajectory):
 
     cols = (["t"] + names("Z") + names("Y") + names("X") + ["sigma", "gamma"]
             + names("W") + names("omega") + names("xi"))
+    table = [traj.grid.times, traj.z_path.values, traj.y_path.values, traj.primal.values,
+             traj.sigma.values[:, 0], traj.gamma_flags, traj.wiener.values,
+             traj.noise.values, traj.reflected.values]
     if traj.u_path is not None:
         cols += ["u_1", "u_2"]
-    rows = []
-    for j, t in enumerate(traj.grid.times):
-        vals = (
-            [t]
-            + list(traj.z_path.values[j])
-            + list(traj.y_path.values[j])
-            + list(traj.primal.values[j])
-            + [traj.sigma.values[j, 0]]
-        )
-        row = [format(v, ".17g") for v in vals]
-        row.append("1" if traj.gamma_flags[j] else "0")
-        more = (list(traj.wiener.values[j]) + list(traj.noise.values[j])
-                + list(traj.reflected.values[j]))
-        if traj.u_path is not None:
-            more += list(traj.u_path[j])
-        row.extend(format(v, ".17g") for v in more)
-        rows.append(row)
-    return cols, rows
-
-
-def write_coupling_csv(fp, traj: CouplingTrajectory) -> None:
-    head = {"family": traj.family, "T": traj.grid.T, "N": traj.grid.N}
-    if traj.normal is not None:
-        head["normal"] = traj.normal.tolist()
-    fp.write("# " + json.dumps(head) + "\n")
-    cols, rows = coupling_csv_rows(traj)
-    fp.write(",".join(cols) + "\n")
-    for row in rows:
-        fp.write(",".join(row) + "\n")
+        table.append(traj.u_path)
+    _write_csv(fp, cols, table, flags=("gamma",))
 
 
 def emit_plot_data(run_dir) -> list:
@@ -620,19 +595,12 @@ def emit_plot_data(run_dir) -> list:
             write_coupling_csv(fp, traj)
         written.append(dst)
     for src in sorted(run_dir.glob("dual-*.jsonl")):
-        recs = _read_artifact(src, _dual_records)
+        n, table = _read_artifact(src, _dual_table)
         dst = src.with_suffix(".csv")
-        n = len(recs[0]["z"])
         cols = (["t"] + [f"z_{i + 1}" for i in range(n)]
                 + [f"y_{i + 1}" for i in range(n)] + ["absorbed"])
         with open(dst, "w") as fp:
-            fp.write(",".join(cols) + "\n")
-            for rec in recs:
-                row = ([format(rec["t"], ".17g")]
-                       + [format(v, ".17g") for v in rec["z"]]
-                       + [format(v, ".17g") for v in rec["y"]]
-                       + ["1" if rec["absorbed"] else "0"])
-                fp.write(",".join(row) + "\n")
+            _write_csv(fp, cols, [table], flags=("absorbed",))
         written.append(dst)
     if not written:
         raise ModelError(f"no trajectory artifacts in {run_dir}")
@@ -649,11 +617,16 @@ def _read_artifact(src: Path, read):
         raise ModelError(f"malformed artifact {src}: {exc}") from exc
 
 
-def _dual_records(fp) -> list:
+def _dual_table(fp):
+    """The dimension n and the rows t, z, y, absorbed of a dual artifact."""
     recs = [json.loads(line) for line in fp if line.strip()]
     if not recs:
         raise ValueError("no records")
-    return recs
+    n = len(recs[0]["z"])
+    rows = [(r["t"], *r["z"], *r["y"], r["absorbed"]) for r in recs]
+    if any(len(row) != 2 * n + 2 for row in rows):
+        raise ValueError(f"every record needs {n} z and {n} y values")
+    return n, np.array(rows)
 
 
 def cmd_plot_data(config: dict, run_dir: str) -> int:

@@ -609,9 +609,31 @@ def euler_forward_implicit(x_start: np.ndarray, noise: SamplePath, drift: DriftF
 # serialization
 
 
+# rows formatted per write, which bounds the text and floats held at once
+_BLOCK = 256
+
+
+def _write_rows(fp, fmt, columns, tokens=()) -> None:
+    """Write the rows of the stacked columns through the %-template fmt, a
+    block of rows at a time, replacing each (old, new) of tokens in the
+    block's text."""
+    for lo in range(0, len(columns[0]), _BLOCK):
+        rows = np.column_stack([c[lo:lo + _BLOCK] for c in columns]).tolist()
+        text = "".join([fmt % tuple(row) for row in rows])
+        for old, new in tokens:
+            text = text.replace(old, new)
+        fp.write(text)
+
+
+def _write_csv(fp, cols, columns, flags=()) -> None:
+    """Write the header cols, then the rows of the stacked columns: a column
+    named in flags as 0 or 1, every other value as %.17g, which is
+    format(v, ".17g") and round-trips a float exactly."""
+    fp.write(",".join(cols) + "\n")
+    _write_rows(fp, ",".join("%d" if c in flags else "%.17g" for c in cols) + "\n", columns)
+
+
 def write_path_csv(fp, path: SamplePath) -> None:
     """Columns t, x_1..x_n with round-trip-exact float formatting."""
     cols = ["t"] + [f"x_{i + 1}" for i in range(path.dim)]
-    fp.write(",".join(cols) + "\n")
-    for t, row in zip(path.grid.times, path.values):
-        fp.write(",".join(format(v, ".17g") for v in (t, *row)) + "\n")
+    _write_csv(fp, cols, [path.grid.times, path.values])

@@ -39,6 +39,8 @@ from .core import (
     SamplePath,
     SchemeDivergence,
     TimeGrid,
+    _write_csv,
+    _write_rows,
     brownian_increments,
     euler_backward,
     euler_backward_values,
@@ -665,26 +667,28 @@ def _first_cover(lo, hi, pX, t, u, s, u0):
 
 
 def write_coupling_jsonl(fp, traj: CouplingTrajectory) -> None:
-    """One record per grid node; header record carries family metadata."""
+    """One record per grid node; header record carries family metadata.
+
+    A record is the line json.dumps writes for it, from one template per
+    file: a float is its repr, and nan and +-inf become NaN and +-Infinity
+    (no key or literal holds those tokens); gamma is written 1 or 0, then
+    replaced by true or false."""
     head = {"family": traj.family, "T": traj.grid.T, "N": traj.grid.N}
     if traj.normal is not None:
         head["normal"] = traj.normal.tolist()
     fp.write(json.dumps(head) + "\n")
-    for j, t in enumerate(traj.grid.times):
-        rec = {
-            "t": float(t),
-            "x": traj.primal.values[j].tolist(),
-            "z": traj.z_path.values[j].tolist(),
-            "y": traj.y_path.values[j].tolist(),
-            "sigma": float(traj.sigma.values[j, 0]),
-            "gamma": bool(traj.gamma_flags[j]),
-            "w": traj.wiener.values[j].tolist(),
-            "omega": traj.noise.values[j].tolist(),
-            "xi": traj.reflected.values[j].tolist(),
-        }
-        if traj.u_path is not None:
-            rec["u"] = traj.u_path[j].tolist()
-        fp.write(json.dumps(rec) + "\n")
+    cols = [("t", traj.grid.times), ("x", traj.primal.values), ("z", traj.z_path.values),
+            ("y", traj.y_path.values), ("sigma", traj.sigma.values[:, 0]),
+            ("gamma", traj.gamma_flags), ("w", traj.wiener.values), ("omega", traj.noise.values),
+            ("xi", traj.reflected.values)]
+    if traj.u_path is not None:
+        cols.append(("u", traj.u_path))
+    fields = [f'"{key}": ' + ("%d" if key == "gamma" else "%r" if a.ndim == 1
+                              else "[" + ", ".join(["%r"] * a.shape[1]) + "]")
+              for key, a in cols]
+    _write_rows(fp, "{" + ", ".join(fields) + "}\n", [a for _, a in cols],
+                tokens=[("nan", "NaN"), ("inf", "Infinity"),
+                        ('"gamma": 1', '"gamma": true'), ('"gamma": 0', '"gamma": false')])
 
 
 def read_coupling_jsonl(fp) -> CouplingTrajectory:
@@ -714,6 +718,4 @@ def write_region_csv(fp, result: RegionSamples) -> None:
     fp.write(f"# meta={json.dumps(result.meta, sort_keys=True)}\n")
     n = result.samples.shape[1] if result.samples.size else 0
     cols = [f"x_{i + 1}" for i in range(n)] + ["stop_time"]
-    fp.write(",".join(cols) + "\n")
-    for row, t in zip(result.samples, result.stop_times):
-        fp.write(",".join(format(v, ".17g") for v in (*row, t)) + "\n")
+    _write_csv(fp, cols, [result.samples, result.stop_times])

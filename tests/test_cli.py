@@ -12,11 +12,15 @@ import pytest
 
 from dualflow import (
     BilinearDrift,
+    ConstantDrift,
     LogisticDrift,
     ModelError,
     RngSpec,
+    SamplePath,
     TimeGrid,
     run_coupling,
+    run_entrance_coupling,
+    write_path_csv,
 )
 from dualflow.cli import (
     DEFAULTS,
@@ -27,8 +31,15 @@ from dualflow.cli import (
     build_state,
     ingest_training_data,
     main,
+    write_coupling_csv,
 )
-from dualflow.coupling import read_coupling_jsonl, write_coupling_jsonl
+from dualflow.coupling import (
+    CouplingTrajectory,
+    RegionSamples,
+    read_coupling_jsonl,
+    write_coupling_jsonl,
+    write_region_csv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +90,15 @@ def test_bad_override_exits_config(tmp_path):
     (["simulate", "--override", "model.n=true"], "model.n"),
     (["posterior", "--override", "model.family=logistic", "--override", "posterior.count=true"],
      "'count'"),
+    (["posterior", "--override", "model.family=logistic", "--override", "posterior.count=2.5"],
+     "'count'"),
+    (["posterior", "--override", "model.family=logistic",
+      "--override", "posterior.max_attempts=2.5"], "'max_attempts'"),
 ], ids=["dual-interval-without-y", "couple-slab-without-y_offset", "simulate-grid-not-object",
         "simulate-data-not-a-path", "simulate-out-not-a-path", "simulate-seed-bool",
         "simulate-replicas-bool", "simulate-grid-N-bool", "simulate-grid-T-bool",
-        "simulate-model-n-bool", "posterior-count-bool"])
+        "simulate-model-n-bool", "posterior-count-bool", "posterior-count-fraction",
+        "posterior-max-attempts-fraction"])
 def test_malformed_config_exits_config(tmp_path, capsys, argv, key):
     # --out would replace the out=5 of the last case
     out = ["--out", str(tmp_path)] if key != "out" else []
@@ -256,6 +272,16 @@ def test_plot_data_refuses_an_empty_artifact(tmp_path, capsys, artifact):
     assert main(["plot-data", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("model error: malformed artifact ") and artifact in err
+
+
+def test_plot_data_refuses_a_ragged_dual_artifact(tmp_path, capsys):
+    (tmp_path / "dual-0.jsonl").write_text(
+        '{"t": 0.0, "z": [0.0], "y": [1.0], "absorbed": false}\n'
+        '{"t": 1.0, "z": [0.0, 1.0], "y": [1.0, 2.0], "absorbed": false}\n')
+    assert main(["plot-data", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("model error: malformed artifact ") and "dual-0.jsonl" in err
+    assert not (tmp_path / "dual-0.csv").exists()
 
 
 def test_verify_runs_only_the_requested_suites(tmp_path, monkeypatch):
@@ -442,3 +468,158 @@ def test_couple_replica_file_is_the_run_of_its_stream(tmp_path):
     buf = io.StringIO()
     write_coupling_jsonl(buf, traj)
     assert (runs[3] / "coupling-2.jsonl").read_bytes() == buf.getvalue().encode()
+
+
+# ---------------------------------------------------------------------------
+# artifact writers: the bytes of json.dumps per record and of
+# format(v, ".17g") per cell, on values that stress both formats
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 1 / 3]
+_SPECIAL_GRID = TimeGrid(1.0, len(_SPECIAL) - 1)
+
+
+def _special(n, shift=0):
+    """(8, n) values; every column holds each special value once."""
+    return np.stack([np.roll(_SPECIAL, shift + i) for i in range(n)], axis=1)
+
+
+def _special_trajectory(family):
+    n = 1 if family == "interval" else 2
+    path = lambda shift: SamplePath(_SPECIAL_GRID, _special(n, shift))
+    return CouplingTrajectory(
+        family=family, grid=_SPECIAL_GRID, primal=path(0), z_path=path(1), y_path=path(2),
+        sigma=SamplePath(_SPECIAL_GRID, _special(1, 3)), gamma_flags=np.arange(8) % 3 == 0,
+        wiener=path(4), noise=path(5), reflected=path(6),
+        u_path=_special(2, 7) if family == "wedge" else None,
+        normal=np.array([0.6, 0.8]) if family == "slab" else None)
+
+
+def _row(*cells):
+    """One CSV line: a float cell as format(v, ".17g"), a str cell as it is."""
+    return ",".join(c if isinstance(c, str) else format(c, ".17g") for c in cells) + "\n"
+
+
+def _head(traj):
+    head = {"family": traj.family, "T": traj.grid.T, "N": traj.grid.N}
+    if traj.normal is not None:
+        head["normal"] = traj.normal.tolist()
+    return head
+
+
+def _jsonl_oracle(traj):
+    lines = [json.dumps(_head(traj))]
+    for j, t in enumerate(traj.grid.times):
+        rec = {
+            "t": float(t),
+            "x": traj.primal.values[j].tolist(),
+            "z": traj.z_path.values[j].tolist(),
+            "y": traj.y_path.values[j].tolist(),
+            "sigma": float(traj.sigma.values[j, 0]),
+            "gamma": bool(traj.gamma_flags[j]),
+            "w": traj.wiener.values[j].tolist(),
+            "omega": traj.noise.values[j].tolist(),
+            "xi": traj.reflected.values[j].tolist(),
+        }
+        if traj.u_path is not None:
+            rec["u"] = traj.u_path[j].tolist()
+        lines.append(json.dumps(rec))
+    return "".join(line + "\n" for line in lines)
+
+
+def _coupling_csv_oracle(traj):
+    n = traj.primal.dim
+    names = lambda p: [p] if n == 1 else [f"{p}_{i + 1}" for i in range(n)]
+    cols = (["t"] + names("Z") + names("Y") + names("X") + ["sigma", "gamma"]
+            + names("W") + names("omega") + names("xi"))
+    u = np.empty((traj.grid.N + 1, 0)) if traj.u_path is None else traj.u_path
+    cols += [f"u_{i + 1}" for i in range(u.shape[1])]
+    out = "# " + json.dumps(_head(traj)) + "\n" + ",".join(cols) + "\n"
+    for j, t in enumerate(traj.grid.times):
+        out += _row(t, *traj.z_path.values[j], *traj.y_path.values[j], *traj.primal.values[j],
+                    traj.sigma.values[j, 0], "1" if traj.gamma_flags[j] else "0",
+                    *traj.wiener.values[j], *traj.noise.values[j], *traj.reflected.values[j],
+                    *u[j])
+    return out
+
+
+@pytest.mark.parametrize("family", ["interval", "wedge", "slab"])
+def test_coupling_writers_match_json_dumps_and_format(family):
+    traj = _special_trajectory(family)
+    buf = io.StringIO()
+    write_coupling_jsonl(buf, traj)
+    assert buf.getvalue() == _jsonl_oracle(traj)
+    buf = io.StringIO()
+    write_coupling_csv(buf, traj)
+    assert buf.getvalue() == _coupling_csv_oracle(traj)
+
+
+def test_path_and_region_csv_match_format():
+    path = SamplePath(_SPECIAL_GRID, _special(2))
+    buf = io.StringIO()
+    write_path_csv(buf, path)
+    assert buf.getvalue() == "t,x_1,x_2\n" + "".join(
+        _row(t, *row) for t, row in zip(_SPECIAL_GRID.times, path.values))
+
+    for samples, stop_times, cols in [(_special(2), _special(1, 5)[:, 0], "x_1,x_2,stop_time"),
+                                      (np.empty((0, 2)), np.asarray([]), "stop_time")]:
+        result = RegionSamples(samples=samples, accepted=len(samples), attempts=9, covered=8,
+                               stop_times=stop_times, truncated=False, meta={"region": [0, 1]})
+        buf = io.StringIO()
+        write_region_csv(buf, result)
+        assert buf.getvalue() == (
+            f"# accepted={len(samples)} attempts=9 covered=8 truncated=False\n"
+            '# meta={"region": [0, 1]}\n' + cols + "\n"
+            + "".join(_row(*row, t) for row, t in zip(samples, stop_times)))
+
+
+def test_pitman_and_dual_csv_match_format(tmp_path, monkeypatch):
+    v = _special(1)[:, 0]
+    monkeypatch.setattr("dualflow.cli.pitman_construct", lambda w, mu: SamplePath(w.grid, v))
+    assert main(["pitman", "--seed", "2", "--replicas", "1", "--out", str(tmp_path / "p"),
+                 "--override", f"grid.N={len(v) - 1}"]) == EXIT_OK
+    run = next((tmp_path / "p").iterdir())
+    traj = run_entrance_coupling(0.0, ConstantDrift(DEFAULTS["model"]["mu"]), _SPECIAL_GRID,
+                                 RngSpec(2, 0))
+    half = 0.5 * (traj.y_path.values[:, 0] - traj.z_path.values[:, 0])
+    assert (run / "pitman-0.csv").read_text() == "t,v,half_gap,abs_diff\n" + "".join(
+        _row(t, v[j], half[j], abs(v[j] - half[j])) for j, t in enumerate(traj.grid.times))
+
+    z, y = _special(2, 1), _special(2, 2)
+    recs = [{"t": float(t), "z": z[j].tolist(), "y": y[j].tolist(), "absorbed": j % 2 == 1}
+            for j, t in enumerate(_SPECIAL_GRID.times)]
+    (tmp_path / "dual-0.jsonl").write_text("".join(json.dumps(r) + "\n" for r in recs))
+    assert main(["plot-data", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "dual-0.csv").read_text() == "t,z_1,z_2,y_1,y_2,absorbed\n" + "".join(
+        _row(r["t"], *r["z"], *r["y"], "1" if r["absorbed"] else "0") for r in recs)
+
+
+_CSV_TO_JSONL = {"t": "t", "Z": "z", "Y": "y", "X": "x", "sigma": "sigma", "gamma": "gamma",
+                 "W": "w", "omega": "omega", "xi": "xi", "u": "u"}
+
+
+@pytest.mark.parametrize("name", ["couple-wedge", "couple-slab"])
+def test_plot_data_csv_equals_the_jsonl_cell_by_cell(tmp_path, name):
+    assert main(GOLDEN_RUNS[name] + ["--out", str(tmp_path)]) == EXIT_OK
+    run = next(tmp_path.iterdir())
+    assert main(["plot-data", str(run)]) == EXIT_OK
+    for src in sorted(run.glob("coupling-*.jsonl")):
+        with open(src) as fp:
+            head, *records = [json.loads(line) for line in fp]
+        with open(src.with_suffix(".csv"), newline="") as fp:
+            assert json.loads(fp.readline().removeprefix("# ")) == head
+            header, *body = list(csv.reader(fp))
+        assert ("normal" in head) == (name == "couple-slab")
+        assert ("u_1" in header and "u_2" in header) == (name == "couple-wedge")
+        assert {_CSV_TO_JSONL[col.partition("_")[0]] for col in header} == set(records[0])
+        assert len(body) == len(records)
+        for row, rec in zip(body, records):
+            assert len(row) == len(header)
+            for col, cell in zip(header, row):
+                base, _, idx = col.partition("_")
+                value = rec[_CSV_TO_JSONL[base]]
+                if isinstance(value, list):
+                    value = value[int(idx) - 1 if idx else 0]
+                if base == "gamma":
+                    assert cell == ("1" if value else "0")
+                else:
+                    assert repr(float(cell)) == repr(float(value)), (col, cell, value)
