@@ -49,6 +49,7 @@ from .coupling import (
     run_entrance_coupling,
     write_coupling_jsonl,
     write_region_csv,
+    _header_record,
 )
 from .duals import (
     IntervalState,
@@ -202,6 +203,13 @@ def _read(section: dict, key: str, convert, where: str):
         return convert(section[key])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where} {key!r}: {exc}") from exc
+
+
+def _flag(section: dict, key: str, where: str) -> bool:
+    """section[key]; anything but a JSON boolean is a ConfigError naming the key."""
+    if not isinstance(section.get(key), bool):
+        raise ConfigError(f"{where}.{key} must be true or false, got {section.get(key)!r}")
+    return section[key]
 
 
 def _vector(value) -> np.ndarray:
@@ -414,7 +422,7 @@ def cmd_couple(config: dict) -> int:
     drift, d = build_drift(config)
     grid = TimeGrid(float(config["grid"]["T"]), int(config["grid"]["N"]))
     section = config["couple"]
-    if section.get("entrance"):
+    if _flag(section, "entrance", "couple"):
         run, start = run_entrance_coupling, section.get("start", 0.0)
         if isinstance(start, dict):
             start = build_state(start, d)
@@ -489,6 +497,7 @@ def cmd_posterior(config: dict) -> int:
     def read(key, convert=float):
         return _read(section, key, convert, "posterior")
 
+    oracle = _flag(section, "oracle", "posterior")
     region = read("region", lambda v: tuple(float(x) for x in v))
     if len(region) != 2:
         raise ConfigError(f"posterior 'region' must be a pair, got {section['region']!r}")
@@ -510,7 +519,7 @@ def cmd_posterior(config: dict) -> int:
         return EXIT_NUMERIC
 
     reports = []
-    if section.get("oracle"):
+    if oracle:
         reports = _posterior_reports(result, drift, d, region, config["seed"])
         with open(run_dir / "reports.jsonl", "w") as fp:
             write_reports_jsonl(fp, reports)
@@ -560,10 +569,7 @@ def _posterior_reports(result, drift, d, region, seed):
 
 def write_coupling_csv(fp, traj: CouplingTrajectory) -> None:
     """Header record, then one row per node; primary columns first."""
-    head = {"family": traj.family, "T": traj.grid.T, "N": traj.grid.N}
-    if traj.normal is not None:
-        head["normal"] = traj.normal.tolist()
-    fp.write("# " + json.dumps(head) + "\n")
+    fp.write("# " + _header_record(traj) + "\n")
     n = traj.primal.dim
 
     def names(prefix):
@@ -613,7 +619,7 @@ def _read_artifact(src: Path, read):
     try:
         with open(src) as fp:
             return read(fp)
-    except ValueError as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed artifact {src}: {exc}") from exc
 
 

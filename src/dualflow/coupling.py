@@ -666,6 +666,12 @@ def _first_cover(lo, hi, pX, t, u, s, u0):
 # serialization
 
 
+def _header_record(traj: CouplingTrajectory) -> str:
+    """The JSON header of a coupling artifact: family, T, N and any fixed normal."""
+    normal = {} if traj.normal is None else {"normal": traj.normal.tolist()}
+    return json.dumps({"family": traj.family, "T": traj.grid.T, "N": traj.grid.N, **normal})
+
+
 def write_coupling_jsonl(fp, traj: CouplingTrajectory) -> None:
     """One record per grid node; header record carries family metadata.
 
@@ -673,10 +679,7 @@ def write_coupling_jsonl(fp, traj: CouplingTrajectory) -> None:
     file: a float is its repr, and nan and +-inf become NaN and +-Infinity
     (no key or literal holds those tokens); gamma is written 1 or 0, then
     replaced by true or false."""
-    head = {"family": traj.family, "T": traj.grid.T, "N": traj.grid.N}
-    if traj.normal is not None:
-        head["normal"] = traj.normal.tolist()
-    fp.write(json.dumps(head) + "\n")
+    fp.write(_header_record(traj) + "\n")
     cols = [("t", traj.grid.times), ("x", traj.primal.values), ("z", traj.z_path.values),
             ("y", traj.y_path.values), ("sigma", traj.sigma.values[:, 0]),
             ("gamma", traj.gamma_flags), ("w", traj.wiener.values), ("omega", traj.noise.values),

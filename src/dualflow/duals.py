@@ -34,7 +34,6 @@ from .core import (
     RngSpec,
     TimeGrid,
     flip_first,
-    implicit_step,
     normals,
     stream_increments,
     uniforms,
@@ -45,8 +44,7 @@ from .surfaces import (
     _check_unit_normal,
     _check_untilted,
     _normal_of,
-    _rotate,
-    _slide,
+    step_surface,
 )
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-10, limit=200)
@@ -595,32 +593,25 @@ def dual_step(
 ) -> DualState:
     """One step of the dual region flow.
 
-    The z-face consumes the noise increment as given; the y-face consumes
-    it with coordinate 1 negated.  Slab faces need a drift orthogonal to
-    their normal d (a tilted drift is refused) and move along d by
-    d . increment in closed form, so the gap moves by -2 d_1 times the
-    coordinate-1 increment, the rule under which dual_terminal_batch's
-    slab survival is exact at every grid resolution.  Interval and wedge
-    anchors take one implicit step, and a wedge direction advances by one
-    deterministic Euler substep.  If the updated region degenerates, the
-    state absorbs, with the hitting time placed by linear interpolation
-    of the defining functional across the step.
+    Each face takes one step_surface: the z-face with the noise increment
+    as given, the y-face with its coordinate 1 negated.  Slab faces need a
+    drift orthogonal to their normal d (a tilted drift is refused) and
+    move along d by d . increment in closed form, so the gap moves by
+    -2 d_1 times the coordinate-1 increment, the rule under which
+    dual_terminal_batch's slab survival is exact at every grid resolution.
+    Interval and wedge anchors take one implicit step, and a wedge
+    direction advances by one deterministic Euler substep.  If the updated
+    region degenerates, the state absorbs, with the hitting time placed by
+    linear interpolation of the defining functional across the step.
     """
     if state.absorbed:
         return state
     d = np.atleast_1d(np.asarray(dnoise, dtype=float))
-    frame = {}
-    normal = state.normal
-    if isinstance(state, SlabState):
-        _check_slab_drift(state, drift)
-        z_new = _slide(state.z, normal, d)
-        y_new = _slide(state.y, normal, flip_first(d))
-    else:
-        z_new = implicit_step(np.atleast_1d(state.z), d, dt, drift)
-        y_new = implicit_step(np.atleast_1d(state.y), flip_first(d), dt, drift)
-    if isinstance(state, WedgeState):
-        frame["u"] = _rotate(state.u, dt)
-        normal = _normal_of(frame["u"])
+    u = state.u if isinstance(state, WedgeState) else None
+    z_new, _ = step_surface(np.atleast_1d(state.z), drift, dt, d, state.normal, u)
+    y_new, u = step_surface(np.atleast_1d(state.y), drift, dt, flip_first(d), state.normal, u)
+    frame = {} if u is None else {"u": u}
+    normal = state.normal if u is None else _normal_of(u)
     g_old = state.gap()
     g_new = float(face_gap(normal, z_new, y_new))
     if g_new <= 0.0:
@@ -842,10 +833,9 @@ def dual_terminal_batch(
         try:
             for j in range(grid.N):
                 d = inc[j]
-                z_new = implicit_step(z, d, dt, drift)
-                y_new = implicit_step(y, flip_first(d), dt, drift)
+                z_new, _ = step_surface(z, drift, dt, d, nvec, u)
+                y_new, u = step_surface(y, drift, dt, flip_first(d), nvec, u)
                 if u is not None:
-                    u = _rotate(u, dt)
                     nvec = _normal_of(u)
                 g = face_gap(nvec, z_new, y_new)
                 n1 = float(nvec[0])

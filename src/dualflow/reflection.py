@@ -36,7 +36,7 @@ from .core import (
     flip_first,
     partial_sums,
 )
-from .surfaces import Surface, SurfaceTrajectory, evolve_surface, step_surface
+from .surfaces import Surface, SurfaceTrajectory, _height, _normal_of, evolve_surface, step_surface
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,12 @@ def backward_flow(
 ) -> FlowOutput:
     """Reflect an explicit-scheme path below a given surface trajectory.
 
-    The surface trajectory is indexed in the flow's own time, one surface
-    per node.  Each step first advances the non-first coordinates, tests
-    the crossing condition against the surface at the step's far endpoint
-    evaluated at those advanced coordinates, accrues sigma on a crossing,
-    and then advances coordinate 1 with the reflected increment.
+    The surface trajectory is indexed in the flow's own time, one anchor
+    row and normal per node.  Each step first advances the non-first
+    coordinates, tests the crossing condition against the surface at the
+    step's far endpoint evaluated at those advanced coordinates, accrues
+    sigma on a crossing, and then advances coordinate 1 with the reflected
+    increment.
     """
     grid = noise.grid
     if surface_traj.grid.N != grid.N or abs(surface_traj.grid.T - grid.T) > 1e-12:
@@ -137,8 +138,10 @@ def backward_flow(
     x0 = np.broadcast_to(np.atleast_1d(np.asarray(x_start, dtype=float)), (noise.dim,)).copy()
     dt = grid.dt
     inc = noise.increments()
+    anchors = surface_traj.anchors
+    normals = np.broadcast_to(surface_traj.normals, anchors.shape)
 
-    if not surface_traj[0].contains(x0):
+    if not x0[0] <= _height(anchors[0], normals[0], x0[1:]):
         traj = euler_backward_values(grid, x0, flip_first(noise.values), drift)
         return _flow_output(grid, noise, 2.0 * noise.values[:, 0], SamplePath(grid, traj), True)
 
@@ -151,7 +154,7 @@ def backward_flow(
         b = drift.beta(prev)
         rest = prev[1:] - b[1:] * dt + inc[k - 1, 1:]
         d1 = inc[k - 1, 0]
-        crossing = prev[0] - b[0] * dt + abs(d1) > surface_traj[k].height(rest)
+        crossing = prev[0] - b[0] * dt + abs(d1) > _height(anchors[k], normals[k], rest)
         dsig = 2.0 * d1 if crossing else 0.0
         sigma[k] = sigma[k - 1] + dsig
         y[k, 0] = prev[0] - b[0] * dt + (d1 - dsig)
@@ -191,13 +194,13 @@ def forward_flow(
                             surfaces=evolve_surface(y0, noise, drift))
 
     sigma = np.zeros(grid.N + 1)
-    surfaces = [y0]
+    surfaces = SurfaceTrajectory.constant(grid, y0)
+    anchors, u, normal = surfaces.anchors, surfaces.u, y0.normal
     try:
         for j in range(1, grid.N + 1):
-            cur = surfaces[-1]
             d1 = inc[j - 1, 0]
             b = drift.beta(X[j])
-            near_height = cur.height(X[j - 1, 1:])
+            near_height = _height(anchors[j - 1], normal, X[j - 1, 1:])
             # a tie at the surface is decided by rounding; only an upward
             # increment can cross it, and reflecting a downward one would
             # pull the gap down
@@ -206,12 +209,15 @@ def forward_flow(
             sigma[j] = sigma[j - 1] + dsig
             dxi = inc[j - 1].copy()
             dxi[0] -= dsig
-            surfaces.append(step_surface(cur, drift, dt, flip_first(dxi)))
+            anchors[j], uj = step_surface(anchors[j - 1], drift, dt, flip_first(dxi), y0.normal,
+                                          None if u is None else u[j - 1])
+            if u is not None:
+                u[j] = uj
+                normal = _normal_of(uj)
     except NumericalError as err:
         raise NumericalError(f"reflection flow failed at step {j} (t={j * dt:.6g}): {err}") from err
 
-    return _flow_output(grid, noise, sigma, x_path,
-                        surfaces=SurfaceTrajectory.stack(grid, surfaces))
+    return _flow_output(grid, noise, sigma, x_path, surfaces=surfaces)
 
 
 def flow_from_path(y0: Surface, x_path: SamplePath, drift: DriftField) -> FlowOutput:

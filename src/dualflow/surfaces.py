@@ -10,14 +10,14 @@ The anchor evolves under the same dynamics as the paths the surface
 interacts with, driven by the noise with its first coordinate negated (the
 "flipped" noise), so that an upper boundary and a lower path can share one
 Brownian source.  A hyperplane keeps only what moves the face: its anchor
-slides along the fixed normal, in closed form.
+slides along the fixed normal, in closed form.  Faces move as anchor rows
+(and direction rows for a line) under one rule, step_surface.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -90,38 +90,39 @@ class Surface:
         return self.anchor.shape[0]
 
     def height(self, rest=()) -> float:
-        rest = np.asarray(rest, dtype=float)
-        a, d = self.anchor, self.normal
-        return float(a[0] - (d[1:] / d[0]) @ (rest - a[1:]))
+        return _height(self.anchor, self.normal, rest)
 
     def contains(self, x) -> bool:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return bool(x[0] <= self.height(x[1:]))
 
 
-def step_surface(
-    surface: Surface,
-    drift: DriftField,
-    dt: float,
-    dnoise_flipped: np.ndarray,
-) -> Surface:
-    """Advance a surface one step forward, driven by a flipped-noise increment.
+def _height(anchor: np.ndarray, normal: np.ndarray, rest=()) -> float:
+    """Coordinate 1 of the face through anchor with the given normal, over
+    the non-first coordinates rest."""
+    rest = np.asarray(rest, dtype=float)
+    return float(anchor[0] - (normal[1:] / normal[0]) @ (rest - anchor[1:]))
 
-    A hyperplane with a fixed normal n in two or more dimensions needs a
-    drift orthogonal to n (a tilted drift is refused); its anchor then
-    moves along n by n . increment, in closed form.  A level or a line
-    moves its anchor by the implicit step with drift +beta, which the
-    explicit step with drift -beta (core.explicit_step) inverts exactly;
-    a line's direction takes one deterministic Euler substep.
+
+def step_surface(anchor: np.ndarray, drift: DriftField, dt: float, dnoise_flipped: np.ndarray,
+                 normal: Optional[np.ndarray] = None, u: Optional[np.ndarray] = None) -> tuple:
+    """Advance a face one step, driven by a flipped-noise increment.
+
+    anchor is one row, or (m, n) rows with their increments, in one frame:
+    a fixed normal, or a line's direction u (normal is then not read).
+    Returns the new anchor and direction (None for a fixed normal).  A
+    fixed normal n in two or more dimensions needs a drift orthogonal to n
+    (a tilted drift is refused); the anchor slides along n by n . increment.
+    Otherwise the anchor takes the implicit step with drift +beta, which
+    core.explicit_step with drift -beta inverts exactly, and a line's
+    direction one Euler substep, refused if it leaves |u_1| < u_2.
     """
     d = np.atleast_1d(np.asarray(dnoise_flipped, dtype=float))
-    if surface.u is None and surface.n > 1:
-        _check_untilted(drift, surface.anchor, surface.normal)
-        return _moved(surface, _slide(surface.anchor, surface.normal, d))
-    anchor = implicit_step(surface.anchor, d, dt, drift)
-    if surface.u is None:
-        return _moved(surface, anchor)
-    return Surface(anchor, u=_rotate(surface.u, dt))
+    if u is None and np.shape(anchor)[-1] > 1:
+        _check_untilted(drift, anchor, normal)
+        return _slide(anchor, normal, d), None
+    anchor = implicit_step(anchor, d, dt, drift)
+    return anchor, None if u is None else _check_direction(_rotate(u, dt))
 
 
 def _check_untilted(drift: DriftField, anchor: np.ndarray, normal: np.ndarray) -> None:
@@ -135,26 +136,16 @@ def _check_untilted(drift: DriftField, anchor: np.ndarray, normal: np.ndarray) -
     if drift.orthogonal_to(normal):
         return
     b = drift.beta(anchor)
-    if abs(float(normal @ b)) > 1e-8 * (1.0 + math.sqrt(float(b @ b))):
+    if np.any(np.abs(b @ normal) > 1e-8 * (1.0 + np.sqrt(np.sum(b * b, axis=-1)))):
         raise ModelError(
             "drift is tilted against the hyperplane normal; the surface would not stay planar"
         )
 
 
 def _slide(anchor: np.ndarray, normal: np.ndarray, dnoise: np.ndarray) -> np.ndarray:
-    """The anchor of a face with a fixed normal n and a drift orthogonal to
-    n, one step on: it moves along n by n . dnoise."""
-    return anchor + float(normal @ dnoise) * normal
-
-
-def _moved(surface: Surface, anchor: np.ndarray) -> Surface:
-    """The surface at a new anchor, keeping its fixed normal unchecked:
-    the normal was validated when the first surface was built."""
-    if anchor.shape != surface.anchor.shape:
-        raise ModelError("normal and anchor must be vectors of equal length")
-    out = object.__new__(Surface)
-    out.__dict__.update(anchor=anchor, normal=surface.normal, u=None)
-    return out
+    """The anchor rows of a face with a fixed normal n and a drift
+    orthogonal to n, one step on: each moves along n by n . dnoise."""
+    return anchor + (dnoise @ normal)[..., None] * normal
 
 
 @dataclass(frozen=True)
@@ -174,28 +165,17 @@ class SurfaceTrajectory:
             raise ModelError(f"need {self.grid.N + 1} surfaces for the grid, got {len(self.anchors)}")
 
     @classmethod
-    def stack(cls, grid: TimeGrid, surfaces: Sequence[Surface]) -> "SurfaceTrajectory":
-        """Trajectory of per-node surfaces that share one fixed normal or all rotate."""
-        first = surfaces[0]
-        rotating = first.u is not None
-        if any((s.u is not None) != rotating
-               or not (rotating or s.normal is first.normal
-                       or np.array_equal(s.normal, first.normal)) for s in surfaces):
-            raise ModelError("one trajectory needs one fixed normal or rotating lines throughout")
-        anchors = np.stack([s.anchor for s in surfaces])
-        if rotating:
-            return cls(grid, anchors, u=np.stack([s.u for s in surfaces]))
-        return cls(grid, anchors, first.normal)
+    def constant(cls, grid: TimeGrid, surface: Surface) -> "SurfaceTrajectory":
+        """The surface at every node of the grid; a flow fills nodes 1..N in place."""
+        rows = (grid.N + 1, 1)
+        if surface.u is None:
+            return cls(grid, np.tile(surface.anchor, rows), surface.normal)
+        return cls(grid, np.tile(surface.anchor, rows), u=np.tile(surface.u, rows))
 
     @property
     def normals(self) -> np.ndarray:
         """The fixed normal, or the rotating normal at each node."""
         return self.normal if self.u is None else _normal_of(self.u)
-
-    def __getitem__(self, k: int) -> Surface:
-        if self.u is None:
-            return Surface(self.anchors[k], normal=self.normal)
-        return Surface(self.anchors[k], u=self.u[k])
 
     def reversed(self) -> "SurfaceTrajectory":
         u = None if self.u is None else self.u[::-1]
@@ -215,12 +195,15 @@ def evolve_surface(
     """
     grid = flipped_noise.grid
     inc = flipped_noise.increments()
-    out = [initial]
+    traj = SurfaceTrajectory.constant(grid, initial)
+    anchors, u = traj.anchors, traj.u
     try:
         for k in range(grid.N):
-            out.append(step_surface(out[-1], drift, grid.dt, inc[k]))
+            anchors[k + 1], uk = step_surface(anchors[k], drift, grid.dt, inc[k], initial.normal,
+                                              None if u is None else u[k])
+            if u is not None:
+                u[k + 1] = uk
     except NumericalError as err:
         raise NumericalError(
             f"surface flow failed at step {k + 1} (t={(k + 1) * grid.dt:.6g}): {err}") from err
-    return SurfaceTrajectory.stack(grid, out)
-
+    return traj

@@ -94,11 +94,14 @@ def test_bad_override_exits_config(tmp_path):
      "'count'"),
     (["posterior", "--override", "model.family=logistic",
       "--override", "posterior.max_attempts=2.5"], "'max_attempts'"),
+    (["couple", "--override", "couple.entrance=False"], "couple.entrance"),
+    (["posterior", "--override", "model.family=logistic",
+      "--override", "posterior.oracle=False"], "posterior.oracle"),
 ], ids=["dual-interval-without-y", "couple-slab-without-y_offset", "simulate-grid-not-object",
         "simulate-data-not-a-path", "simulate-out-not-a-path", "simulate-seed-bool",
         "simulate-replicas-bool", "simulate-grid-N-bool", "simulate-grid-T-bool",
         "simulate-model-n-bool", "posterior-count-bool", "posterior-count-fraction",
-        "posterior-max-attempts-fraction"])
+        "posterior-max-attempts-fraction", "couple-entrance-string", "posterior-oracle-string"])
 def test_malformed_config_exits_config(tmp_path, capsys, argv, key):
     # --out would replace the out=5 of the last case
     out = ["--out", str(tmp_path)] if key != "out" else []
@@ -272,6 +275,31 @@ def test_plot_data_refuses_an_empty_artifact(tmp_path, capsys, artifact):
     assert main(["plot-data", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("model error: malformed artifact ") and artifact in err
+
+
+def _coupling_artifact(edit_header=None, edit_record=None) -> str:
+    """A small interval coupling artifact, with its header or records edited."""
+    traj = run_entrance_coupling(0.0, ConstantDrift(0.5), TimeGrid(1.0, 4), RngSpec(5, 0))
+    buf = io.StringIO()
+    write_coupling_jsonl(buf, traj)
+    head, *recs = [json.loads(line) for line in buf.getvalue().splitlines()]
+    head = edit_header(head) if edit_header else head
+    recs = [edit_record(r) if edit_record else r for r in recs]
+    return "".join(json.dumps(r) + "\n" for r in [head] + recs)
+
+
+@pytest.mark.parametrize("artifact,text", [
+    ("coupling-0.jsonl", lambda: _coupling_artifact(
+        edit_record=lambda r: {k: v for k, v in r.items() if k != "x"})),
+    ("coupling-0.jsonl", lambda: _coupling_artifact(edit_header=lambda h: list(h.values()))),
+    ("dual-0.jsonl", lambda: '{"t": 0.0, "z": [0.0], "y": [1.0]}\n'),
+], ids=["coupling-record-without-x", "coupling-header-array", "dual-record-without-absorbed"])
+def test_plot_data_refuses_a_malformed_record(tmp_path, capsys, artifact, text):
+    (tmp_path / artifact).write_text(text())
+    assert main(["plot-data", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("model error: malformed artifact ") and artifact in err
+    assert not (tmp_path / artifact).with_suffix(".csv").exists()
 
 
 def test_plot_data_refuses_a_ragged_dual_artifact(tmp_path, capsys):

@@ -26,10 +26,11 @@ from dualflow import (
     liggett_identity_mc,
     nu_mass,
     sample_conditional,
+    step_surface,
     truncated_exp_mean,
 )
 from dualflow import duals
-from dualflow.core import normals, stream_increments
+from dualflow.core import flip_first, normals, stream_increments
 from dualflow.duals import (
     _plane_density_sampler,
     _wedge_conditional,
@@ -356,6 +357,31 @@ def test_dual_step_wedge_direction_rotates():
     state = WedgeState(np.array([1.0, 2.0]), np.zeros(2), np.array([0.5, 0.0]))
     out = dual_step(state, np.zeros(2), 0.01, ConstantDrift(np.zeros(2)))
     assert np.allclose(out.u, [1.0 + 0.02, 2.0 + 0.01])
+
+
+@pytest.mark.parametrize("family", ["interval", "wedge", "slab"])
+def test_dual_step_moves_each_face_as_step_surface(family):
+    # the z-face steps with the increment, the y-face with its coordinate 1
+    # negated, bit for bit as step_surface moves a lone face
+    drift, inc, dt = toy_logistic(), np.array([0.13, -0.07]), 0.01
+    if family == "interval":
+        drift = ProductDrift(n=1, beta1=lambda x: 0.5 * np.tanh(x), k_lipschitz=0.5)
+        state, inc = IntervalState(-0.3, 0.4), inc[:1]
+    elif family == "wedge":
+        state = WedgeState(np.array([1.0, 2.0]), np.zeros(2), np.array([0.5, 0.0]))
+    else:
+        state = SlabState(-0.4 * SLAB_NORMAL, 0.4 * SLAB_NORMAL, SLAB_NORMAL)
+    u = getattr(state, "u", None)
+    z, u_z = step_surface(np.atleast_1d(state.z), drift, dt, inc, state.normal, u)
+    y, u_y = step_surface(np.atleast_1d(state.y), drift, dt, flip_first(inc), state.normal, u)
+    out = dual_step(state, inc, dt, drift)
+    assert not out.absorbed
+    assert np.atleast_1d(out.z).tobytes() == z.tobytes()
+    assert np.atleast_1d(out.y).tobytes() == y.tobytes()
+    if u is None:
+        assert u_z is None and u_y is None
+    else:
+        assert out.u.tobytes() == u_z.tobytes() == u_y.tobytes()
 
 
 def test_dual_drift_interval_oracle():

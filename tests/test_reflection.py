@@ -202,8 +202,7 @@ def test_backward_flow_outside_start():
     drift = ConstantDrift(0.5)
     grid = TimeGrid(1.0, 32)
     w = sample_brownian(grid, 1, RngSpec(66, 0))
-    surfaces = tuple(Surface.level(-1.0) for _ in range(grid.N + 1))
-    traj = SurfaceTrajectory.stack(grid, surfaces)
+    traj = SurfaceTrajectory.constant(grid, Surface.level(-1.0))
     flow = backward_flow(np.zeros(1), traj, w, drift)
     assert flow.outside
     assert np.allclose(flow.sigma.values[:, 0], 2.0 * w.values[:, 0], atol=0.0)

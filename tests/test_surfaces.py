@@ -54,6 +54,12 @@ def test_line_surface_needs_interior_cone_direction():
         Surface(np.zeros(2), u=np.array([1.0, -2.0]))
     with pytest.raises(ModelError):
         Surface(np.zeros(2), u=np.array([1.0, np.inf]))
+    # a step of dt >= 1 rotates (1, 2) onto the cone's edge (3, 3)
+    flat, still = ConstantDrift(np.zeros(2)), SamplePath(TimeGrid(2.0, 2), np.zeros((3, 2)))
+    with pytest.raises(ModelError, match=r"\|u_1\| < u_2, got u=\[3.0, 3.0\]"):
+        step_surface(np.zeros(2), flat, 1.0, np.zeros(2), u=np.array([1.0, 2.0]))
+    with pytest.raises(ModelError, match=r"\|u_1\| < u_2"):
+        evolve_surface(Surface(np.zeros(2), u=np.array([1.0, 2.0])), still, flat)
 
 
 def test_plane_surface_geometry():
@@ -80,55 +86,79 @@ def test_plane_surface_validation():
 
 def test_level_step_forward_backward_inverse():
     drift = ConstantDrift(0.5)
-    s = Surface.level(0.3)
     d = np.array([0.2])
-    fwd = step_surface(s, drift, 0.1, d)
-    assert fwd.anchor[0] == pytest.approx(0.3 + 0.05 + 0.2)
-    back = explicit_step(fwd.anchor, 0.1, -d, drift)
+    fwd, u = step_surface(np.array([0.3]), drift, 0.1, d, np.ones(1))
+    assert u is None
+    assert fwd[0] == pytest.approx(0.3 + 0.05 + 0.2)
+    back = explicit_step(fwd, 0.1, -d, drift)
     assert back[0] == pytest.approx(0.3, abs=1e-15)
 
 
 def test_level_step_inverts_for_state_dependent_drift():
     # beta_1(x) = x: an explicit forward step would come back to 0.277
     drift = ProductDrift(n=1, beta1=lambda x: np.asarray(x, float), k_lipschitz=1.0)
-    s = Surface.level(0.3)
     d = np.array([0.2])
-    fwd = step_surface(s, drift, 0.1, d)
-    assert fwd.anchor[0] == pytest.approx(0.5 / 0.9, abs=1e-12)  # w = 0.3 + 0.1 w + 0.2
-    back = explicit_step(fwd.anchor, 0.1, -d, drift)
+    fwd, _ = step_surface(np.array([0.3]), drift, 0.1, d, np.ones(1))
+    assert fwd[0] == pytest.approx(0.5 / 0.9, abs=1e-12)  # w = 0.3 + 0.1 w + 0.2
+    back = explicit_step(fwd, 0.1, -d, drift)
     assert abs(back[0] - 0.3) < 1e-12
 
 
 def test_line_step_forward_backward_inverse():
     drift = BilinearDrift()
-    s = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
+    anchor, u = np.array([0.4, 0.1]), np.array([1.0, 2.0])
     d = np.array([0.05, -0.08])
     dt = 0.01
-    fwd = step_surface(s, drift, dt, d)
+    fwd, fwd_u = step_surface(anchor, drift, dt, d, u=u)
     # direction follows its own deterministic substep
-    assert np.allclose(fwd.u, s.u + dt * np.array([s.u[1], s.u[0]]))
+    assert np.allclose(fwd_u, u + dt * np.array([u[1], u[0]]))
     # the explicit step inverts the implicit anchor step exactly
-    back = explicit_step(fwd.anchor, dt, -d, drift)
-    assert np.allclose(back, s.anchor, atol=1e-12)
+    back = explicit_step(fwd, dt, -d, drift)
+    assert np.allclose(back, anchor, atol=1e-12)
 
 
 def test_plane_step_forward_backward_inverse():
     drift = toy_logistic()
     d_normal = np.array([1.0, -1.0]) / np.sqrt(2.0)  # orthogonal to the inputs
-    s = Surface(np.array([0.3, 0.0]), normal=d_normal)
+    anchor = np.array([0.3, 0.0])
     d = np.array([0.05, 0.02])
     dt = 0.01
-    fwd = step_surface(s, drift, dt, d)
+    fwd, u = step_surface(anchor, drift, dt, d, d_normal)
+    assert u is None
     # the anchor slides along the normal by the increment's share, so the
     # opposite slide takes it back
-    assert np.allclose(fwd.anchor - (d_normal @ d) * d_normal, s.anchor, atol=1e-12)
+    assert np.allclose(fwd - (d_normal @ d) * d_normal, anchor, atol=1e-12)
 
 
 def test_plane_step_rejects_tilted_drift():
     drift = ConstantDrift(np.array([1.0, 0.0]))
-    s = Surface(np.zeros(2), normal=np.array([1.0, 0.0]))
     with pytest.raises(ModelError):
-        step_surface(s, drift, 0.01, np.array([0.1, 0.0]))
+        step_surface(np.zeros(2), drift, 0.01, np.array([0.1, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(ModelError):
+        step_surface(np.zeros((3, 2)), drift, 0.01, np.zeros((3, 2)), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("face", ["level", "line", "plane"])
+def test_step_surface_moves_rows_as_single_anchors(face):
+    rng = np.random.default_rng(7)
+    n = 1 if face == "level" else 2
+    anchors, inc = rng.normal(size=(5, n)), 0.1 * rng.normal(size=(5, n))
+    drift, frame = {
+        "level": (ConstantDrift(0.5), {"normal": np.ones(1)}),
+        "line": (BilinearDrift(), {"u": np.array([1.0, 2.0])}),
+        "plane": (toy_logistic(), {"normal": np.array([1.0, -1.0]) / np.sqrt(2.0)}),
+    }[face]
+    rows, u = step_surface(anchors, drift, 0.01, inc, **frame)
+    single = [step_surface(a, drift, 0.01, d, **frame) for a, d in zip(anchors, inc)]
+    assert all((s_u is None) == (u is None) for _, s_u in single)
+    if face == "plane":
+        # the normal's share of the increment is one dot product per row,
+        # which BLAS may round differently for one row and for many
+        assert np.allclose(rows, [a for a, _ in single], rtol=0.0, atol=1e-15)
+    else:
+        assert rows.tobytes() == np.array([a for a, _ in single]).tobytes()
+    if u is not None:
+        assert all(s_u.tobytes() == u.tobytes() for _, s_u in single)
 
 
 def test_surface_needs_one_normal_source():
@@ -155,24 +185,27 @@ def test_evolve_surface_concatenates():
     sub_grid = TimeGrid(grid.T / 2, half)
     shifted = noise.values[half:] - noise.values[half]
     sub_noise = SamplePath(sub_grid, shifted)
-    second = evolve_surface(full[half], sub_noise, drift)
-    assert np.allclose(second[half].anchor, full[grid.N].anchor, atol=1e-12)
-    assert np.allclose(second[half].u, full[grid.N].u, atol=1e-12)
+    second = evolve_surface(Surface(full.anchors[half], u=full.u[half]), sub_noise, drift)
+    assert np.allclose(second.anchors[half], full.anchors[grid.N], atol=1e-12)
+    assert np.allclose(second.u[half], full.u[grid.N], atol=1e-12)
 
 
 def test_trajectory_validation_and_reversal():
     grid = TimeGrid(1.0, 2)
-    surfaces = (Surface.level(0.0), Surface.level(1.0), Surface.level(2.0))
-    traj = SurfaceTrajectory.stack(grid, surfaces)
-    assert traj[1].anchor[0] == 1.0
+    anchors = np.array([[0.0], [1.0], [2.0]])
+    traj = SurfaceTrajectory(grid, anchors, np.ones(1))
+    assert traj.anchors[1, 0] == 1.0
     rev = traj.reversed()
-    assert rev[0].anchor[0] == 2.0 and rev[2].anchor[0] == 0.0
+    assert rev.anchors[0, 0] == 2.0 and rev.anchors[2, 0] == 0.0
+    u = np.array([[1.0, 2.0], [1.0, 3.0], [0.0, 1.0]])
+    line = SurfaceTrajectory(grid, np.zeros((3, 2)), u=u)
+    assert line.reversed().normals.tolist() == [[1.0, -0.0], [3.0, -1.0], [2.0, -1.0]]
     with pytest.raises(ModelError):
-        SurfaceTrajectory.stack(grid, surfaces[:2])  # wrong node count
+        SurfaceTrajectory(grid, anchors[:2], np.ones(1))  # wrong node count
     with pytest.raises(ModelError):
-        SurfaceTrajectory.stack(
-            grid, (Surface.level(0.0), Surface(np.zeros(2), u=np.array([1.0, 2.0])), Surface.level(2.0))
-        )  # mixed variants
+        SurfaceTrajectory(grid, anchors)  # neither a normal nor a u path
+    with pytest.raises(ModelError):
+        SurfaceTrajectory(grid, np.zeros((3, 2)), np.array([1.0, 0.0]), u)  # both
 
 
 # the anchors and directions of a 3-node line and plane trajectory, as
