@@ -203,6 +203,30 @@ def _check_slab_drift(state: DualState, drift: DriftField) -> None:
         _check_untilted(drift, state.y, state.normal)
 
 
+def _normal_rate(state: DualState, drift: DriftField) -> Optional[float]:
+    """The faces' drift rate along a fixed normal, where it is a constant.
+
+    It is mu for an interval under a constant drift mu and 0 for a slab,
+    whose drift must be orthogonal to its normal (a tilted one is
+    refused); None for every other model.
+    """
+    if isinstance(state, SlabState):
+        _check_slab_drift(state, drift)
+        return 0.0
+    if isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
+        return float(drift.mu[0])
+    return None
+
+
+def _along(normal: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """normal . v over the last axis, summed coordinate by coordinate, so
+    no row count changes a bit."""
+    out = v[..., 0] * normal[0]
+    for i in range(1, len(normal)):
+        out = out + v[..., i] * normal[i]
+    return out
+
+
 def contains_batch(state: DualState, x: np.ndarray) -> np.ndarray:
     """Vectorized region indicator over rows of x."""
     x = np.asarray(x, dtype=float).reshape(-1, state.n)
@@ -765,7 +789,8 @@ def dual_terminal_batch(
     """Terminal dual anchors and survival mask over independent streams.
 
     Returns arrays z, y (m, n), the shared terminal normal, and alive
-    (m,); a killed replica's z and y are NaN.
+    (m,); a killed replica's z and y are NaN.  An absorbed state stays
+    absorbed, so every replica of it is killed.
 
     Two families move along a fixed normal n in closed form: an interval
     under constant drift mu, and a slab, whose drift must be orthogonal
@@ -793,13 +818,11 @@ def dual_terminal_batch(
     z0 = np.atleast_1d(np.asarray(state.z, dtype=float))
     y0 = np.atleast_1d(np.asarray(state.y, dtype=float))
     nvec = state.normal
-    # the faces' drift rate along a fixed normal, where it is a constant
-    rate = None
-    if isinstance(state, SlabState):
-        _check_slab_drift(state, drift)
-        rate = 0.0
-    elif isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
-        rate = float(drift.mu[0])
+    rate = _normal_rate(state, drift)
+    if state.absorbed:
+        # an absorbed region stays absorbed, as in dual_step
+        z = np.full((m, n), np.nan)
+        return {"z": z, "y": z.copy(), "alive": np.zeros(m, dtype=bool), "normal": nvec}
     if rate is not None:
         inc, uni = stream_increments(TimeGrid(grid.T, 1), n, seed, streams, step_uniforms=True)
         w1 = inc[0][:, 0]
@@ -808,10 +831,7 @@ def dual_terminal_batch(
         # the clamp keeps exp from overflowing once W_1,T >= h
         reach = np.exp(-2.0 * h * np.maximum(h - w1, 0.0) / grid.T)
         alive = (w1 < h) & (uni[0] >= reach)
-        # n . W coordinate by coordinate, so no row count changes a bit
-        along = w1 * nvec[0]
-        for i in range(1, n):
-            along += inc[0][:, i] * nvec[i]
+        along = _along(nvec, inc[0])
         drifted = rate * grid.T * nvec
         z = z0 + drifted + along[:, None] * nvec
         y = y0 + drifted + (along - 2.0 * n1 * w1)[:, None] * nvec
@@ -878,6 +898,40 @@ class IdentityEstimate:
         return math.sqrt(self.lhs_se**2 + self.rhs_se**2)
 
 
+def _primal_hits(
+    x: np.ndarray,
+    state: DualState,
+    drift: DriftField,
+    grid: TimeGrid,
+    seed: int,
+    streams: Sequence[int],
+) -> np.ndarray:
+    """Whether the primal from x lands in the region at T, one per stream.
+
+    Where the faces move along a fixed normal n at a constant rate (see
+    _normal_rate) and the drift along n is -rate on the whole path, n .
+    X_T = n . x - rate T + n . W_T on every grid, and that offset alone
+    decides a hit: each stream draws W_T in one step of length T.  That
+    holds for an interval under a constant drift, read bit for bit as
+    the x - mu T + W_T of primal_terminal_batch, and for a slab whose
+    drift is orthogonal to n everywhere (DriftField.orthogonal_to).  A
+    slab drift checked untilted only at the faces, and every other
+    model, run primal_terminal_batch on the caller's grid.  No primal
+    lands in an absorbed region.
+    """
+    rate = _normal_rate(state, drift)
+    if state.absorbed:
+        return np.zeros(len(streams), dtype=bool)
+    nvec = state.normal
+    if rate is None or (isinstance(state, SlabState) and not drift.orthogonal_to(nvec)):
+        return contains_batch(state, primal_terminal_batch(x, drift, grid, seed, streams))
+    inc, _ = stream_increments(TimeGrid(grid.T, 1), state.n, seed, streams)
+    offset = (_along(nvec, x) - rate * grid.T) + _along(nvec, inc[0])
+    # the region along n is the interval (n . z, n . y] of covers
+    z, y = (np.atleast_1d(_along(nvec, np.atleast_1d(f))) for f in (state.z, state.y))
+    return covers(np.ones(1), z, y, offset[:, None])
+
+
 def liggett_identity_mc(
     x: np.ndarray,
     state: DualState,
@@ -892,24 +946,33 @@ def liggett_identity_mc(
     in the fixed region; the right side evolves the region with absorption
     and asks whether it still covers x.  Path i draws from streams
     (rng.stream << 32) + 2i and + 2i + 1, so both sides and all rng.stream
-    values are independent.  Compensated sums make the estimate's
-    summation order irrelevant, and no dual terminal byte depends on
-    _CHUNK; the slab's primal terminal bytes may, by a few ulps, because
-    the logistic drift is not row-count invariant.
+    values are independent.  For an interval under a constant drift and
+    for a slab whose drift is orthogonal to n everywhere, both sides
+    draw one step of length T (see _primal_hits and
+    dual_terminal_batch), so their bytes depend on T alone, not on the
+    grid's step count; any other slab drift runs the primal on the grid.
+    Compensated sums make the estimate's summation order irrelevant; a
+    side's bytes depend on _CHUNK only through a gridded drift whose
+    batched kernels are not row-count invariant.
     """
+    if paths < 1:
+        raise ModelError(f"need at least one path, got {paths}")
     if paths >= 2**31:
         raise ModelError(f"need fewer than 2**31 paths per stream block, got {paths}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (state.n,):
+        raise ModelError(
+            f"x must have the {state.family}'s {state.n} coordinates, got x={x.tolist()}"
+        )
     base = rng.stream << 32
     lhs_streams = [base + 2 * i for i in range(paths)]
     rhs_streams = [base + 2 * i + 1 for i in range(paths)]
 
     try:
-        terminal = primal_terminal_batch(x, drift, grid, rng.seed, lhs_streams)
+        hits = _primal_hits(x, state, drift, grid, rng.seed, lhs_streams).astype(float)
         duals = dual_terminal_batch(state, drift, grid, rng.seed, rhs_streams)
     except NumericalError as err:
         raise NumericalError(f"duality (seed {rng.seed}, stream block {rng.stream}): {err}") from err
-    hits = contains_batch(state, terminal).astype(float)
     lhs = math.fsum(hits) / paths
     lhs_se = math.sqrt(max(lhs * (1.0 - lhs), 1e-300) / paths)
 

@@ -9,6 +9,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 from dualflow import (
+    BilinearDrift,
     ConstantDrift,
     IntervalState,
     LogisticDrift,
@@ -554,23 +555,127 @@ def test_liggett_identity_estimate_reproducible(monkeypatch):
     assert (c.lhs, c.rhs) == (a.lhs, a.rhs)
 
 
+def _identity_family(family):
+    """(x, state, grid, drift) of the duality suite's families, the
+    interval and the wedge on coarser grids."""
+    d = SLAB_NORMAL
+    return {
+        "interval": (np.array([0.0]), IntervalState(-1.0, 1.0), TimeGrid(1.0, 100),
+                     ConstantDrift(0.5)),
+        "wedge": (np.array([0.2, 0.0]),
+                  WedgeState(np.array([1.0, 2.0]), np.zeros(2), np.array([0.5, 0.0])),
+                  TimeGrid(0.5, 50), BilinearDrift()),
+        "slab": (np.zeros(2), SlabState(-0.4 * d, 0.4 * d, d), TimeGrid(0.5, 250),
+                 toy_logistic()),
+    }[family]
+
+
+def _offset_hits(x, state, rate, T, seed, streams):
+    """The closed-form families' primal hits, written out: the offset
+    (n . x - rate T) + n . W_T along the region normal, each dot product
+    summed coordinate by coordinate, with W_T drawn in one step of length T."""
+    d = state.normal
+    inc, _ = stream_increments(TimeGrid(T, 1), len(d), seed, streams)
+    dot = lambda v: sum((v[..., i] * d[i] for i in range(1, len(d))), v[..., 0] * d[0])
+    offset = (dot(x) - rate * T) + dot(inc[0])
+    z, y = (np.atleast_1d(dot(np.atleast_1d(f))) for f in (state.z, state.y))
+    return covers(np.ones(1), z, y, offset[:, None])
+
+
 def test_liggett_identity_honours_stream():
-    drift = ConstantDrift(0.5)
-    grid = TimeGrid(1.0, 100)
-    state = IntervalState(-1.0, 1.0)
-    x = np.array([0.0])
     paths = 300
-    ests = [liggett_identity_mc(x, state, grid, paths, drift, RngSpec(80, k)) for k in (0, 1)]
-    assert (ests[0].lhs, ests[0].rhs) != (ests[1].lhs, ests[1].rhs)
-    # stream k draws path i from streams (k << 32) + 2i and (k << 32) + 2i + 1
-    for k, est in enumerate(ests):
-        base = k << 32
-        lhs_streams = [base + 2 * i for i in range(paths)]
-        rhs_streams = [base + 2 * i + 1 for i in range(paths)]
-        hits = contains_batch(state, primal_terminal_batch(x, drift, grid, 80, lhs_streams))
-        duals = dual_terminal_batch(state, drift, grid, 80, rhs_streams)
-        covered = duals["alive"] & covers(duals["normal"], duals["z"], duals["y"], x)
-        assert est.lhs == math.fsum(hits.astype(float)) / paths
-        assert est.rhs == math.fsum(covered.astype(float)) / paths
-    with pytest.raises(ModelError):
-        liggett_identity_mc(x, state, grid, 2**31, drift, RngSpec(80, 0))
+    for family, rate in (("interval", 0.5), ("slab", 0.0)):
+        x, state, grid, drift = _identity_family(family)
+        ests = [liggett_identity_mc(x, state, grid, paths, drift, RngSpec(80, k)) for k in (0, 1)]
+        assert (ests[0].lhs, ests[0].rhs) != (ests[1].lhs, ests[1].rhs)
+        # stream k draws path i from streams (k << 32) + 2i and (k << 32) + 2i + 1
+        for k, est in enumerate(ests):
+            base = k << 32
+            lhs_streams = [base + 2 * i for i in range(paths)]
+            rhs_streams = [base + 2 * i + 1 for i in range(paths)]
+            hits = _offset_hits(x, state, rate, grid.T, 80, lhs_streams)
+            if family == "interval":
+                # the offset is the constant-drift primal's x - mu T + W_T
+                terminal = primal_terminal_batch(x, drift, grid, 80, lhs_streams)
+                assert hits.tobytes() == contains_batch(state, terminal).tobytes()
+            duals = dual_terminal_batch(state, drift, grid, 80, rhs_streams)
+            covered = duals["alive"] & covers(duals["normal"], duals["z"], duals["y"], x)
+            assert est.lhs == math.fsum(hits.astype(float)) / paths
+            assert est.rhs == math.fsum(covered.astype(float)) / paths
+        with pytest.raises(ModelError):
+            liggett_identity_mc(x, state, grid, 2**31, drift, RngSpec(80, 0))
+
+
+def test_closed_form_identity_skips_the_gridded_primal(monkeypatch):
+    def gridded(*args):
+        raise AssertionError("the gridded primal ran")
+
+    monkeypatch.setattr(duals, "primal_terminal_batch", gridded)
+    for family in ("interval", "slab"):
+        x, state, grid, drift = _identity_family(family)
+        est = liggett_identity_mc(x, state, grid, 200, drift, RngSpec(81, 0))
+        assert 0.0 < est.lhs < 1.0 and 0.0 < est.rhs < 1.0
+
+
+def test_slab_drift_tilted_between_the_faces_runs_the_gridded_primal():
+    # beta_1 = 2 sin(pi x_1) vanishes at both faces x_1 = -1 and 1, so the
+    # slab accepts it, but it pushes along e_1 in between: e_1 . X_T is not
+    # e_1 . W_T, and the lhs must come from the gridded primal
+    drift = ProductDrift(n=2, beta1=lambda v: 2.0 * np.sin(np.pi * v), k_lipschitz=2.0 * np.pi,
+                         beta_rest=np.zeros_like)
+    e1 = np.array([1.0, 0.0])
+    state = SlabState(-e1, e1, e1)
+    x, grid, paths = np.zeros(2), TimeGrid(1.0, 200), 2000
+    est = liggett_identity_mc(x, state, grid, paths, drift, RngSpec(85, 0))
+    lhs_streams = [2 * i for i in range(paths)]
+    hits = contains_batch(state, primal_terminal_batch(x, drift, grid, 85, lhs_streams))
+    assert est.lhs == math.fsum(hits.astype(float)) / paths
+    # the one-step offset reads another law (about 0.69 against 0.90)
+    assert est.lhs - float(np.mean(_offset_hits(x, state, 0.0, grid.T, 85, lhs_streams))) > 0.1
+
+
+@pytest.mark.parametrize("family", ["interval", "wedge", "slab"])
+def test_absorbed_state_is_hit_and_covered_by_nothing(family):
+    # an absorbed region stays absorbed: every dual replica is killed, and
+    # no primal lands in it
+    x, state, grid, drift = _identity_family(family)
+    dead = replace(state, absorbed=True, zeta=0.0)
+    out = dual_terminal_batch(dead, drift, grid, 82, list(range(20)))
+    assert not out["alive"].any()
+    assert np.isnan(out["z"]).all() and np.isnan(out["y"]).all()
+    assert out["z"].shape == out["y"].shape == (20, state.n)
+    est = liggett_identity_mc(x, dead, grid, 200, drift, RngSpec(82, 0))
+    assert est.lhs == 0.0 and est.rhs == 0.0
+
+
+@pytest.mark.parametrize("paths, x, match", [
+    (0, np.zeros(1), r"at least one path, got 0"),
+    (-3, np.zeros(1), r"at least one path, got -3"),
+    (10, np.zeros(2), r"interval's 1 coordinates, got x=\[0\.0, 0\.0\]"),
+], ids=["no-paths", "negative-paths", "x-of-wrong-length"])
+def test_liggett_identity_refuses_bad_inputs_before_any_draw(paths, x, match, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(duals, "stream_increments", draw)
+    with pytest.raises(ModelError, match=match):
+        liggett_identity_mc(x, IntervalState(-1.0, 1.0), TimeGrid(1.0, 10), paths,
+                            ConstantDrift(0.5), RngSpec(83, 0))
+
+
+def test_slab_identity_matches_the_closed_form_at_scale():
+    # d . X_T = d . W_T under a drift orthogonal to d, so the lhs is
+    # P(-0.4 < d . W_T <= 0.4) = 2 Phi(0.4 / sqrt(T)) - 1, and by duality so
+    # is the rhs
+    x, state, grid, drift = _identity_family("slab")
+    oracle = 2.0 * float(ndtr(0.4 / math.sqrt(grid.T))) - 1.0
+    paths = 200_000
+    est = liggett_identity_mc(x, state, grid, paths, drift, RngSpec(84, 0))
+    se = math.sqrt(oracle * (1.0 - oracle) / paths)
+    assert abs(est.lhs - oracle) <= 3.0 * se
+    assert abs(est.rhs - oracle) <= 3.0 * se
+    # the gridded logistic scheme, on its own stream block, has that law too
+    m = 20_000
+    streams = [(1 << 32) + 2 * i for i in range(m)]
+    hits = contains_batch(state, primal_terminal_batch(x, drift, grid, 84, streams))
+    assert abs(float(np.mean(hits)) - oracle) <= 3.0 * math.sqrt(oracle * (1.0 - oracle) / m)

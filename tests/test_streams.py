@@ -5,9 +5,10 @@ layer as it was when each stream built its own `np.random.Generator`;
 the fast layer must reproduce them byte for byte.  The terminal digests
 below were recorded with that layer, so any change to the draws, to the
 order of a sum or to the chunking shows as a changed digest.  The
-constant-drift primal and the interval and slab duals draw their
-terminal law in one step of length T, so their bytes depend on T alone,
-not on the grid's step count.
+constant-drift primal, the interval and slab duals and the identity's
+primal side of those two families draw their terminal law in one step
+of length T, so their bytes depend on T alone, not on the grid's step
+count.
 """
 
 import hashlib
@@ -222,6 +223,14 @@ def test_closed_form_dual_bytes_do_not_depend_on_the_grid(name):
             for N in (1, 7, 2000)]
     for key in ("z", "y", "alive", "normal"):
         assert outs[0][key].tobytes() == outs[1][key].tobytes() == outs[2][key].tobytes()
+
+
+@pytest.mark.parametrize("name", ["interval", "slab"])
+def test_closed_form_identity_does_not_depend_on_the_grid(name):
+    x, state, grid, drift, k = _FAMILIES[name]()
+    ests = [liggett_identity_mc(x, state, TimeGrid(grid.T, N), 200, drift, RngSpec(_SEED, k))
+            for N in (1, 7, 2000)]
+    assert ests[0] == ests[1] == ests[2]
 
 
 def _estimate_hex(est):
