@@ -61,6 +61,7 @@ from .duals import (
     _check_slab_drift,
     _plane_density_sampler,
 )
+from .surfaces import _along
 from .verify import (
     SUITES,
     ks_test,
@@ -557,7 +558,7 @@ def _posterior_reports(result, drift, d, region, seed):
         return np.clip((np.asarray(v) - lo) / (hi - lo), 0.0, 1.0)
 
     reports.append(
-        ks_test(samples @ d, unif_cdf, name="posterior_offsets_uniform",
+        ks_test(_along(d, samples), unif_cdf, name="posterior_offsets_uniform",
                 seeds={"seed": seed})
     )
     return reports

@@ -62,7 +62,7 @@ from .duals import (
     span_normal,
 )
 from .reflection import _impute_increments, flow_constant_1d, forward_flow, impute_noise
-from .surfaces import _normal_of
+from .surfaces import _along, _normal_of, _slide
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def _general_coupling(
     """Coupling through the stepwise reflection flow.
 
     The upper face is the surface the flow evolves.  A slab's lower face
-    moves along its normal d in closed form, by d . dxi per step (its
+    slides along its normal d in closed form, by d . xi over [0, t] (its
     drift is orthogonal to d, which the flow's surface steps check), so a
     slab run solves no implicit step; any other lower side is the
     implicit flow of the reflected noise xi.
@@ -212,9 +212,7 @@ def _general_coupling(
     flow = forward_flow(x_path, state0.upper_face(), omega, drift)
     xi = flow.reflected_noise
     if isinstance(state0, SlabState):
-        d = state0.normal
-        along = partial_sums(xi.increments() @ d)
-        z_path = SamplePath(grid, state0.z + along[:, None] * d)
+        z_path = SamplePath(grid, _slide(state0.z, state0.normal, xi.values))
     else:
         z_path = euler_forward_implicit(np.atleast_1d(state0.z), xi, drift)
     surfaces = flow.surfaces
@@ -276,7 +274,7 @@ def run_entrance_coupling(
             state0 = start
             pd = plane_density(drift, start.normal)
             w = _plane_density_sampler(pd, gen, 1)[0]
-            x0 = pd.basis @ w + float(start.normal @ start.y) * start.normal
+            x0 = pd.basis @ w + float(_along(start.normal, start.y)) * start.normal
         else:
             raise ModelError(f"unsupported entrance start {type(start)}")
 
@@ -487,6 +485,8 @@ def mc_region_sampler(
         raise ModelError(f"count and max_attempts must be >= 1, got {count} and {max_attempts}")
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ModelError(f"time step must be positive and finite, got dt={dt}")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ModelError(f"horizon must be positive and finite, got horizon={horizon}")
     grid = TimeGrid(horizon, max(int(round(horizon / dt)), 1))
 
     if isinstance(drift, ConstantDrift) and drift.n == 1:
@@ -504,7 +504,7 @@ def mc_region_sampler(
             h1 = SlabState(anchor * d, anchor * d, d)
         if not isinstance(h1, SlabState) or h1.gap() != 0.0:
             raise ModelError("slab region sampling needs a degenerate slab start")
-        meta_start = {"anchor_offset": float(h1.normal @ h1.y), "normal": h1.normal.tolist()}
+        meta_start = {"anchor_offset": float(_along(h1.normal, h1.y)), "normal": h1.normal.tolist()}
         outcomes = _slab_region_attempts(lo, hi, h1, grid, rng, plane_density(drift, h1.normal))
 
     else:
@@ -591,7 +591,7 @@ def _slab_wave(lo, hi, start, grid, specs, pd):
     n = drift.n
     rows = len(specs)
     gens = [spec.generator() for spec in specs]
-    offset = float(d @ start.y)
+    offset = float(_along(d, start.y))
     outcome = [_PENDING] * rows
     x = np.zeros((rows, n))
     for r, gen in enumerate(gens):
@@ -601,7 +601,7 @@ def _slab_wave(lo, hi, start, grid, specs, pd):
             outcome[r] = _attempt_error(specs[r], err)
     times = grid.times
     d1 = float(d[0])
-    u0 = (offset - x @ d).tolist()
+    u0 = (offset - _along(d, x)).tolist()
     u, s = list(u0), [0.0] * rows
     live = [r for r in range(rows) if outcome[r] is _PENDING]
     x = x[live]
@@ -622,7 +622,7 @@ def _slab_wave(lo, hi, start, grid, specs, pd):
                 step = first + 1 + int(np.argmax(bad[:, k]))
                 outcome[live[k]] = _attempt_error(specs[live[k]], SchemeDivergence(step, block.dt))
                 X[:, k] = 0.0  # the row is resolved; keep its arithmetic finite
-        pX = (X @ d).T.tolist()
+        pX = _along(d, X).T.tolist()
         t = ((2.0 * d1) * _impute_increments(X, block.dt, drift)[..., 0]).T.tolist()
         for k, r in enumerate(live):
             if outcome[r] is not _PENDING:

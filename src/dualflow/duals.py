@@ -40,10 +40,12 @@ from .core import (
 )
 from .surfaces import (
     Surface,
+    _along,
     _check_direction,
     _check_unit_normal,
     _check_untilted,
     _normal_of,
+    _slide,
     step_surface,
 )
 
@@ -66,12 +68,9 @@ def face_gap(normal: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.nda
     """Separation normal . (upper - lower) along the last axis.
 
     normal is one vector, or one per row of upper - lower (a rotating
-    normal read along a path).
+    normal read along a path); no row count changes a bit (_along).
     """
-    diff = np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float)
-    if np.ndim(normal) == 1:
-        return diff @ normal
-    return np.sum(normal * diff, axis=-1)
+    return _along(normal, np.asarray(upper, dtype=float) - np.asarray(lower, dtype=float))
 
 
 def covers(normal: np.ndarray, z: np.ndarray, y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -152,7 +151,7 @@ class WedgeState(_FacePair):
         if z.shape != (2,) or y.shape != (2,):
             raise ModelError("z and y must be 2-vectors")
         _check_finite(z, y)
-        if not self.absorbed and _normal_of(u) @ (y - z) < 0.0:
+        if not self.absorbed and face_gap(_normal_of(u), z, y) < 0.0:
             raise ModelError("y-line must not lie below the z-line")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "z", z)
@@ -185,7 +184,7 @@ class SlabState(_FacePair):
         if z.shape != d.shape or y.shape != d.shape:
             raise ModelError("z, y, normal must be vectors of equal length")
         _check_finite(z, y)
-        if not self.absorbed and d @ (y - z) < 0.0:
+        if not self.absorbed and face_gap(d, z, y) < 0.0:
             raise ModelError("y-face must not lie below the z-face")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "y", y)
@@ -206,25 +205,15 @@ def _check_slab_drift(state: DualState, drift: DriftField) -> None:
 def _normal_rate(state: DualState, drift: DriftField) -> Optional[float]:
     """The faces' drift rate along a fixed normal, where it is a constant.
 
-    It is mu for an interval under a constant drift mu and 0 for a slab,
-    whose drift must be orthogonal to its normal (a tilted one is
-    refused); None for every other model.
+    It is mu for an interval under a constant drift mu and 0 for a slab
+    whose drift is orthogonal to its normal everywhere (orthogonal_to);
+    None for every other model, which steps on the grid.
     """
-    if isinstance(state, SlabState):
-        _check_slab_drift(state, drift)
+    if isinstance(state, SlabState) and drift.orthogonal_to(state.normal):
         return 0.0
     if isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
         return float(drift.mu[0])
     return None
-
-
-def _along(normal: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """normal . v over the last axis, summed coordinate by coordinate, so
-    no row count changes a bit."""
-    out = v[..., 0] * normal[0]
-    for i in range(1, len(normal)):
-        out = out + v[..., i] * normal[i]
-    return out
 
 
 def contains_batch(state: DualState, x: np.ndarray) -> np.ndarray:
@@ -601,7 +590,7 @@ def _slab_conditional(state: SlabState, drift: LogisticDrift, gen) -> np.ndarray
     pd = plane_density(drift, d)
     w = _plane_density_sampler(pd, gen, 1)
     off = h * uniforms(gen, ())  # uniform on (0, h] from the z-face
-    return (w @ pd.basis.T)[0] + (float(d @ state.z) + off) * d
+    return (w @ pd.basis.T)[0] + (float(_along(d, state.z)) + off) * d
 
 
 # ---------------------------------------------------------------------------
@@ -792,21 +781,21 @@ def dual_terminal_batch(
     (m,); a killed replica's z and y are NaN.  An absorbed state stays
     absorbed, so every replica of it is killed.
 
-    Two families move along a fixed normal n in closed form: an interval
-    under constant drift mu, and a slab, whose drift must be orthogonal
-    to its normal d (a tilted drift is refused).  Their faces' offsets
-    along n are mu t + n . W (z-face) and mu t + n . W - 2 n_1 W_1
-    (y-face), with mu = 0 for the slab, so the gap g0 - 2 n_1 W_1 is the
-    driftless interval gap in the coordinate n . x.  A replica survives
-    to T iff the continuous maximum of W_1 stays below h = g0 / (2 n_1),
-    and a survivor's faces depend on W_T alone.  So each stream draws
-    W_T and one uniform from a grid of one step of length T, whatever
-    the caller's grid, and dies if W_1,T >= h or if the uniform falls
-    below exp(-2 h (h - W_1,T) / T), the chance that the Brownian bridge
-    from 0 to W_1,T reaches h.  This law is exact, and no implicit step
-    is solved.
+    Two families move along a fixed normal n in closed form (see
+    _normal_rate): an interval under constant drift mu, and a slab whose
+    drift is orthogonal to n everywhere.  Their faces move by mu t along
+    n, with mu = 0 for the slab, and slide as dual_step slides them, the
+    z-face by n . W and the y-face by n . flip(W), so the gap is
+    g0 - 2 n_1 W_1, the driftless interval gap in the coordinate n . x.
+    A replica survives to T iff the continuous maximum of W_1 stays below
+    h = g0 / (2 n_1), and a survivor's faces depend on W_T alone.  So
+    each stream draws W_T and one uniform from a grid of one step of
+    length T, whatever the caller's grid, slides both faces over [0, T],
+    and dies if W_1,T >= h or if the uniform falls below
+    exp(-2 h (h - W_1,T) / T), the chance that the Brownian bridge from 0
+    to W_1,T reaches h.  This law is exact, and no implicit step is solved.
 
-    The other models take implicit steps on the caller's grid, with
+    The other models step every face on the caller's grid, with
     absorption resolved inside each step, not just at the nodes: a
     replica whose gap is positive at both endpoints is still killed with
     the bridge crossing probability exp(-2 g_prev g / s2), where s2 is
@@ -826,15 +815,13 @@ def dual_terminal_batch(
     if rate is not None:
         inc, uni = stream_increments(TimeGrid(grid.T, 1), n, seed, streams, step_uniforms=True)
         w1 = inc[0][:, 0]
-        n1 = float(nvec[0])
-        h = state.gap() / (2.0 * n1)
+        h = state.gap() / (2.0 * float(nvec[0]))
         # the clamp keeps exp from overflowing once W_1,T >= h
         reach = np.exp(-2.0 * h * np.maximum(h - w1, 0.0) / grid.T)
         alive = (w1 < h) & (uni[0] >= reach)
-        along = _along(nvec, inc[0])
         drifted = rate * grid.T * nvec
-        z = z0 + drifted + along[:, None] * nvec
-        y = y0 + drifted + (along - 2.0 * n1 * w1)[:, None] * nvec
+        z = _slide(z0 + drifted, nvec, inc[0])
+        y = _slide(y0 + drifted, nvec, flip_first(inc[0]))
         z[~alive] = y[~alive] = np.nan
         return {"z": z, "y": y, "alive": alive, "normal": nvec}
     dt = grid.dt
@@ -909,21 +896,19 @@ def _primal_hits(
     """Whether the primal from x lands in the region at T, one per stream.
 
     Where the faces move along a fixed normal n at a constant rate (see
-    _normal_rate) and the drift along n is -rate on the whole path, n .
+    _normal_rate), the drift along n is -rate on the whole path, so n .
     X_T = n . x - rate T + n . W_T on every grid, and that offset alone
-    decides a hit: each stream draws W_T in one step of length T.  That
-    holds for an interval under a constant drift, read bit for bit as
-    the x - mu T + W_T of primal_terminal_batch, and for a slab whose
-    drift is orthogonal to n everywhere (DriftField.orthogonal_to).  A
-    slab drift checked untilted only at the faces, and every other
-    model, run primal_terminal_batch on the caller's grid.  No primal
-    lands in an absorbed region.
+    decides a hit: each stream draws W_T in one step of length T.  For an
+    interval under a constant drift this is bit for bit the x - mu T +
+    W_T of primal_terminal_batch.  Every other model runs
+    primal_terminal_batch on the caller's grid.  No primal lands in an
+    absorbed region.
     """
     rate = _normal_rate(state, drift)
     if state.absorbed:
         return np.zeros(len(streams), dtype=bool)
     nvec = state.normal
-    if rate is None or (isinstance(state, SlabState) and not drift.orthogonal_to(nvec)):
+    if rate is None:
         return contains_batch(state, primal_terminal_batch(x, drift, grid, seed, streams))
     inc, _ = stream_increments(TimeGrid(grid.T, 1), state.n, seed, streams)
     offset = (_along(nvec, x) - rate * grid.T) + _along(nvec, inc[0])
@@ -947,10 +932,10 @@ def liggett_identity_mc(
     and asks whether it still covers x.  Path i draws from streams
     (rng.stream << 32) + 2i and + 2i + 1, so both sides and all rng.stream
     values are independent.  For an interval under a constant drift and
-    for a slab whose drift is orthogonal to n everywhere, both sides
-    draw one step of length T (see _primal_hits and
+    for a slab whose drift is orthogonal to n everywhere (_normal_rate),
+    both sides draw one step of length T (see _primal_hits and
     dual_terminal_batch), so their bytes depend on T alone, not on the
-    grid's step count; any other slab drift runs the primal on the grid.
+    grid's step count; every other model runs both sides on the grid.
     Compensated sums make the estimate's summation order irrelevant; a
     side's bytes depend on _CHUNK only through a gridded drift whose
     batched kernels are not row-count invariant.

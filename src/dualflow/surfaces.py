@@ -112,7 +112,8 @@ def step_surface(anchor: np.ndarray, drift: DriftField, dt: float, dnoise_flippe
     a fixed normal, or a line's direction u (normal is then not read).
     Returns the new anchor and direction (None for a fixed normal).  A
     fixed normal n in two or more dimensions needs a drift orthogonal to n
-    (a tilted drift is refused); the anchor slides along n by n . increment.
+    at the anchor (a tilted drift is refused); the anchor slides along n
+    by n . increment (_slide), to the same bits alone or among rows.
     Otherwise the anchor takes the implicit step with drift +beta, which
     core.explicit_step with drift -beta inverts exactly, and a line's
     direction one Euler substep, refused if it leaves |u_1| < u_2.
@@ -136,16 +137,26 @@ def _check_untilted(drift: DriftField, anchor: np.ndarray, normal: np.ndarray) -
     if drift.orthogonal_to(normal):
         return
     b = drift.beta(anchor)
-    if np.any(np.abs(b @ normal) > 1e-8 * (1.0 + np.sqrt(np.sum(b * b, axis=-1)))):
+    if np.any(np.abs(_along(normal, b)) > 1e-8 * (1.0 + np.sqrt(np.sum(b * b, axis=-1)))):
         raise ModelError(
             "drift is tilted against the hyperplane normal; the surface would not stay planar"
         )
 
 
+def _along(normal: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """normal . v over the last axis, summed coordinate by coordinate, so
+    no row count changes a bit; normal is one vector or one per row of v."""
+    out = v[..., 0] * normal[..., 0]
+    for i in range(1, normal.shape[-1]):
+        out = out + v[..., i] * normal[..., i]
+    return out
+
+
 def _slide(anchor: np.ndarray, normal: np.ndarray, dnoise: np.ndarray) -> np.ndarray:
     """The anchor rows of a face with a fixed normal n and a drift
-    orthogonal to n, one step on: each moves along n by n . dnoise."""
-    return anchor + (dnoise @ normal)[..., None] * normal
+    orthogonal to n, each slid along n by n . dnoise: one step's
+    increment, or the noise's value at t for the face at t."""
+    return anchor + _along(normal, dnoise)[..., None] * normal
 
 
 @dataclass(frozen=True)

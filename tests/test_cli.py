@@ -97,17 +97,24 @@ def test_bad_override_exits_config(tmp_path):
     (["couple", "--override", "couple.entrance=False"], "couple.entrance"),
     (["posterior", "--override", "model.family=logistic",
       "--override", "posterior.oracle=False"], "posterior.oracle"),
+    (["posterior", "--override", "model.family=logistic",
+      "--override", "posterior.horizon=Infinity"], "horizon=inf"),
+    (["posterior", "--override", "model.family=logistic",
+      "--override", "posterior.horizon=NaN"], "horizon=nan"),
 ], ids=["dual-interval-without-y", "couple-slab-without-y_offset", "simulate-grid-not-object",
         "simulate-data-not-a-path", "simulate-out-not-a-path", "simulate-seed-bool",
         "simulate-replicas-bool", "simulate-grid-N-bool", "simulate-grid-T-bool",
         "simulate-model-n-bool", "posterior-count-bool", "posterior-count-fraction",
-        "posterior-max-attempts-fraction", "couple-entrance-string", "posterior-oracle-string"])
+        "posterior-max-attempts-fraction", "couple-entrance-string", "posterior-oracle-string",
+        "posterior-horizon-infinite", "posterior-horizon-nan"])
 def test_malformed_config_exits_config(tmp_path, capsys, argv, key):
     # --out would replace the out=5 of the last case
     out = ["--out", str(tmp_path)] if key != "out" else []
     assert main(argv + out) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and key in err
+    # a horizon is read as a number and refused by the sampler, as its dt is
+    kind = "model" if key.startswith("horizon=") else "config"
+    assert err.startswith(f"{kind} error: ") and key in err
     assert not any(tmp_path.iterdir())
 
 
@@ -439,11 +446,11 @@ GOLDEN_DIGESTS = {
     "simulate": "5983e33bdeb22966fefc61338f81fb5394dbe177fc65060125df048bc4079154",
     "dual-interval": "2ff9d6fbc8c3864a98188f1760035671d781389c9dacbad526829656bcb6cef7",
     "dual-wedge": "90bc915d42af20145d688896763f50d5f8b91bb667d148d0b81e652182ef19f6",
-    "dual-slab": "9ae83cb41e4b9cf2a84e9a569f475fa7180d51e177f0ad13ac69dd4f803bae76",
+    "dual-slab": "ec792b349f3c5e398f6cea6278dfa10d50d8ee97179cfce0e1472cbe53b09f70",
     "couple-interval": "2341853968c1b67b0a1ef9751e8e21ad6449b18a608bbe6b1f624b58f89d1d14",
     "couple-entrance": "7dfd33860e2b8680bd7aa4eb64d6e761020dad06eed08d3ef15b0a9b4e999ec3",
     "couple-wedge": "956b650c2b24a3c6f8c7306064a66cd4c4426162fe4a4728300973aa57a4094f",
-    "couple-slab": "36c9b66be5b1f604ed3b532c5014608970fca8d7ab33dd93f3374de228fcaf7d",
+    "couple-slab": "10558805440e435bb95c578296f5bcc5c198f81312fd070ab901bd235f1e3dc9",
     "pitman": "e62839c7f4ee76a0d12859d061e66263053a1c2f9723ebee4f755cd78e928902",
     "posterior": "5f500972b268a07b4ca126089dfdead1c7dda587db0e0640820100eeedb3e097",
     "posterior-short": "18429656a1dd0b205ae82f10fe6f653474c892d1c0a489d13a8e69db01b9a835",

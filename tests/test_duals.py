@@ -37,6 +37,7 @@ from dualflow.duals import (
     _wedge_conditional,
     covers,
     dual_terminal_batch,
+    face_gap,
     plane_density,
     primal_terminal_batch,
 )
@@ -480,14 +481,20 @@ def test_dual_terminal_batch_fast_and_generic_agree():
         assert np.isnan(out["z"][~out["alive"]]).all() and np.isnan(out["y"][~out["alive"]]).all()
 
 
-@pytest.mark.parametrize("N", [1, 4, 16])
-def test_slab_survival_is_exact_at_every_resolution(N):
+@pytest.mark.parametrize("N, family", [(1, "logistic"), (4, "logistic"), (16, "logistic"),
+                                       (16, "zero-product")],
+                         ids=["1", "4", "16", "16-zero-product"])
+def test_slab_survival_is_exact_at_every_resolution(N, family):
     # the slab gap is g0 - 2 d_1 W_1, so with the bridge draw the survival
     # is the reflection-principle P(max W_1 < h) = 2 Phi(h / sqrt(T)) - 1,
-    # h = g0 / (2 d_1), on every grid
+    # h = g0 / (2 d_1), on every grid.  A ProductDrift is never orthogonal
+    # to d everywhere as far as orthogonal_to can tell, so the zero one
+    # runs the gridded loop, whose per-step bridge kill is exact as well
     d = SLAB_NORMAL
     state, T, m = SlabState(-0.4 * d, 0.4 * d, d), 0.5, 20000
-    out = dual_terminal_batch(state, toy_logistic(), TimeGrid(T, N), 8821, list(range(m)))
+    drift = toy_logistic() if family == "logistic" else ProductDrift(
+        n=2, beta1=np.zeros_like, k_lipschitz=0.0, beta_rest=np.zeros_like)
+    out = dual_terminal_batch(state, drift, TimeGrid(T, N), 8821, list(range(m)))
     h = state.gap() / (2.0 * d[0])
     p = 2.0 * float(ndtr(h / math.sqrt(T))) - 1.0
     se = math.sqrt(p * (1.0 - p) / m)
@@ -508,8 +515,9 @@ def test_interval_survival_is_exact_at_every_resolution(N):
 
 
 def test_slab_faces_move_along_the_normal_in_step_and_batch():
-    # the batch draws W_T in one step of length T, so one dual_step of
-    # length T on the same increment lands on the batch's anchors
+    # the batch draws W_T in one step of length T and slides both faces as
+    # dual_step does, so one dual_step of length T on the same increment
+    # lands on the batch's anchors, bit for bit
     d = SLAB_NORMAL
     state, drift, T = SlabState(-0.4 * d, 0.4 * d, d), toy_logistic(), 0.5
     streams = list(range(40))
@@ -521,13 +529,29 @@ def test_slab_faces_move_along_the_normal_in_step_and_batch():
         if not out["alive"][i]:
             assert np.isnan(out["z"][i]).all() and np.isnan(out["y"][i]).all()
             continue
-        # a batch survivor's gap stays positive at T, and the anchors of both
-        # routes lie on the normal's line through the start anchors
+        # a batch survivor's gap stays positive at T, and the anchors lie on
+        # the normal's line through the start anchors
         assert not stepped.absorbed
-        for a, b, a0 in ((stepped.z, out["z"][i], state.z), (stepped.y, out["y"][i], state.y)):
-            assert float(d @ (a - b)) == pytest.approx(0.0, abs=1e-12)
-            for v in (a, b):
-                assert np.allclose(v - a0, float(d @ (v - a0)) * d, rtol=0.0, atol=1e-12)
+        assert stepped.z.tobytes() == out["z"][i].tobytes()
+        assert stepped.y.tobytes() == out["y"][i].tobytes()
+        for v, v0 in ((stepped.z, state.z), (stepped.y, state.y)):
+            assert np.allclose(v - v0, float(d @ (v - v0)) * d, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_face_gap_and_covers_do_not_depend_on_the_row_count(n):
+    # points on the y-face, where the sign of a gap is decided by rounding:
+    # the rows of one call must give the bits of one call per row
+    rng = np.random.default_rng(n)
+    d = rng.normal(size=n)
+    d[0] = abs(d[0])
+    d /= np.linalg.norm(d)
+    z, y = -0.3 * d, 0.5 * d
+    v = rng.normal(size=(50, n))
+    x = y + (v - np.outer(v @ d, d))
+    rows = face_gap(d, x, y)
+    assert rows.tobytes() == np.array([face_gap(d, r, y) for r in x]).tobytes()
+    assert covers(d, z, y, x).tobytes() == np.array([covers(d, z, y, r) for r in x]).tobytes()
 
 
 def test_slab_dual_refuses_a_tilted_drift():
@@ -618,20 +642,23 @@ def test_closed_form_identity_skips_the_gridded_primal(monkeypatch):
 
 
 def test_slab_drift_tilted_between_the_faces_runs_the_gridded_primal():
-    # beta_1 = 2 sin(pi x_1) vanishes at both faces x_1 = -1 and 1, so the
-    # slab accepts it, but it pushes along e_1 in between: e_1 . X_T is not
-    # e_1 . W_T, and the lhs must come from the gridded primal
+    # beta_1 = 2 sin(pi x_1) vanishes at both faces x_1 = -1 and 1, but it
+    # pushes along e_1 in between: e_1 . X_T is not e_1 . W_T, so the primal
+    # runs on the grid, and the dual refuses the drift at the first moved
+    # anchor where it tilts (the one-step faces would read about 0.69
+    # against the primal's 0.90)
     drift = ProductDrift(n=2, beta1=lambda v: 2.0 * np.sin(np.pi * v), k_lipschitz=2.0 * np.pi,
                          beta_rest=np.zeros_like)
     e1 = np.array([1.0, 0.0])
     state = SlabState(-e1, e1, e1)
     x, grid, paths = np.zeros(2), TimeGrid(1.0, 200), 2000
-    est = liggett_identity_mc(x, state, grid, paths, drift, RngSpec(85, 0))
     lhs_streams = [2 * i for i in range(paths)]
     hits = contains_batch(state, primal_terminal_batch(x, drift, grid, 85, lhs_streams))
-    assert est.lhs == math.fsum(hits.astype(float)) / paths
-    # the one-step offset reads another law (about 0.69 against 0.90)
-    assert est.lhs - float(np.mean(_offset_hits(x, state, 0.0, grid.T, 85, lhs_streams))) > 0.1
+    assert duals._primal_hits(x, state, drift, grid, 85, lhs_streams).tobytes() == hits.tobytes()
+    with pytest.raises(ModelError, match="tilted"):
+        liggett_identity_mc(x, state, grid, paths, drift, RngSpec(85, 0))
+    with pytest.raises(ModelError, match="tilted"):
+        dual_terminal_batch(state, drift, grid, 85, [1, 3])
 
 
 @pytest.mark.parametrize("family", ["interval", "wedge", "slab"])

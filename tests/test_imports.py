@@ -118,3 +118,36 @@ def test_export_scanner_finds_a_stale_entry():
 def test_every_export_is_bound():
     init = ROOT / "src" / "dualflow" / "__init__.py"
     assert unbound_exports(init.read_text()) == []
+
+
+
+NORMAL_NAMES = {"d", "normal", "nvec"}
+
+
+def normal_products(source: str) -> list:
+    """The matrix products with a face normal as an operand, as written:
+    a name d, normal or nvec, or an attribute .normal.  Such a product is
+    a BLAS dot whose last bit may depend on the row count; surfaces._along
+    sums it coordinate by coordinate instead."""
+    def is_normal(node):
+        return ((isinstance(node, ast.Name) and node.id in NORMAL_NAMES)
+                or (isinstance(node, ast.Attribute) and node.attr == "normal"))
+
+    return [ast.get_source_segment(source, node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and (is_normal(node.left) or is_normal(node.right))]
+
+
+def test_normal_product_scanner_finds_each_operand():
+    source = "a @ d\nb.normal @ c\nnormal @ x\nx @ nvec\nx @ y.basis\nd * x\n"
+    assert normal_products(source) == ["a @ d", "b.normal @ c", "normal @ x", "x @ nvec"]
+
+
+# LogisticDrift.orthogonal_to multiplies the data rows by a candidate
+# normal and compares the sum of their absolute values with 1e-8
+ALLOWED_NORMAL_PRODUCTS = {"core.py": ["self.inputs @ normal"]}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_normal_products_go_through_along(path):
+    assert normal_products(path.read_text()) == ALLOWED_NORMAL_PRODUCTS.get(path.name, [])
