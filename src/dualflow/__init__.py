@@ -81,6 +81,7 @@ from .verify import (
     suite_duality,
     suite_flow_wiener,
     suite_reversal,
+    wedge_probabilities,
 )
 
 __version__ = "0.1.0"
@@ -142,5 +143,6 @@ __all__ = [
     "suite_flow_wiener",
     "suite_reversal",
     "truncated_exp_mean",
+    "wedge_probabilities",
     "write_path_csv",
 ]

@@ -158,7 +158,7 @@ class RngSpec:
     stream: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
+        key = np.array([int(self.seed) % 2**64, int(self.stream) % 2**64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -233,7 +233,7 @@ def stream_increments(
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     state = bitgen.state
     key = state["state"]["key"]
-    key[0] = seed % 2**64
+    key[0] = int(seed) % 2**64
     scale = math.sqrt(grid.dt)
     block = max(1, _CONVERT_WORDS // width)
     raw = np.empty((min(block, m), width), dtype=np.uint64)
@@ -242,7 +242,7 @@ def stream_increments(
         hi = min(lo + block, m)
         for r, s in enumerate(streams[lo:hi]):
             # a fresh key with a zero counter is the stream's generator state
-            key[1] = s % 2**64
+            key[1] = int(s) % 2**64
             bitgen.state = state
             raw[r] = bitgen.random_raw(width)
         u = _raw_uniforms(raw[: hi - lo], out=buf[: hi - lo])

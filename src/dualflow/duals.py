@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfi
 
 from .core import (
+    BilinearDrift,
     ConstantDrift,
     DriftField,
     LogisticDrift,
@@ -202,18 +205,41 @@ def _check_slab_drift(state: DualState, drift: DriftField) -> None:
         _check_untilted(drift, state.y, state.normal)
 
 
-def _normal_rate(state: DualState, drift: DriftField) -> Optional[float]:
-    """The faces' drift rate along a fixed normal, where it is a constant.
+class _ClosedForm(NamedTuple):
+    """The grid-free laws at T of one closed-form family.
 
-    It is mu for an interval under a constant drift mu and 0 for a slab
-    whose drift is orthogonal to its normal everywhere (orthogonal_to);
-    None for every other model, which steps on the grid.
+    terminal(T, w, uni) turns W_T (m, n) and one bridge uniform per row
+    into the dual's anchors z, y (m, n), alive (m,) and terminal normal;
+    offsets(x, T, seed, streams) draws, one per stream, the primal's
+    offset n . X_T along the region's normal n.
     """
+
+    terminal: Callable
+    offsets: Callable
+
+
+def _closed_form(state: DualState, drift: DriftField) -> Optional[_ClosedForm]:
+    """The one gate of the closed-form (grid-free) families: the laws the
+    family of (state, drift) draws, or None for every other model, which
+    steps on the grid.
+
+    An interval under a constant drift mu and a slab whose drift is
+    orthogonal to its normal everywhere (orthogonal_to) move their faces
+    along a fixed normal at the rate mu, 0 for the slab (_sliding_terminal,
+    _sliding_offsets).  A wedge under the bilinear drift has a rotating
+    normal n = (u_2, -u_1) that cancels the drift, d(n . y) = n . dxi for
+    each line (_wedge_terminal, _wedge_offsets).
+    """
+    if isinstance(state, WedgeState) and isinstance(drift, BilinearDrift):
+        return _ClosedForm(partial(_wedge_terminal, state), partial(_wedge_offsets, state))
     if isinstance(state, SlabState) and drift.orthogonal_to(state.normal):
-        return 0.0
-    if isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
-        return float(drift.mu[0])
-    return None
+        rate = 0.0
+    elif isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
+        rate = float(drift.mu[0])
+    else:
+        return None
+    return _ClosedForm(partial(_sliding_terminal, state, rate),
+                       partial(_sliding_offsets, state, rate))
 
 
 def contains_batch(state: DualState, x: np.ndarray) -> np.ndarray:
@@ -263,11 +289,13 @@ def nu_mass(state: DualState, drift: DriftField) -> float:
 
     For an interval under constant drift the mass is in closed form; a
     general one-dimensional potential is integrated adaptively.  For a
-    wedge the mass reduces to a one-dimensional integral of exp(eta^2)
-    between the normal coordinates of the two lines (direction restricted
-    to the cone 0 < u_1 < u_2, arguments capped at 25 to stay inside
-    floating-point range).  For a slab it is the face separation along the
-    normal.
+    wedge the mass is sqrt(2 pi) times the integral of exp(eta^2) between
+    the normal coordinates a, b of the two lines, (pi / sqrt 2) (erfi(b) -
+    erfi(a)), integrated adaptively instead where that difference would
+    lose more than three bits to cancellation (direction restricted to the
+    cone 0 < u_1 < u_2, arguments capped at 25 to stay inside
+    floating-point range).  For a slab it is
+    the face separation along the normal.
     """
     if state.absorbed:
         raise ModelError("absorbed state has no region")
@@ -285,6 +313,11 @@ def nu_mass(state: DualState, drift: DriftField) -> float:
         raise ModelError("interval mass needs a constant drift or a 1-d potential")
     if isinstance(state, WedgeState):
         a, b = _wedge_bounds(state)
+        ea, eb = erfi(a), erfi(b)
+        if 8.0 * abs(eb - ea) >= max(abs(ea), abs(eb)):
+            # sqrt(2 pi) int_a^b exp(eta^2) d eta, with int exp(eta^2) = (sqrt(pi) / 2) erfi
+            return float(math.pi / math.sqrt(2.0) * (eb - ea))
+        # a narrow strip off eta = 0, where the difference of erfi cancels
         val, _ = quad(lambda e: math.exp(e * e), a, b, **_QUAD_OPTS)
         return float(math.sqrt(2.0 * math.pi) * val)
     if isinstance(state, SlabState):
@@ -768,6 +801,97 @@ def primal_terminal_batch(
     return out
 
 
+def _bridge_survives(p: np.ndarray, h: float, clock: float, uni: np.ndarray) -> np.ndarray:
+    """Whether a Brownian motion from 0 on the given clock, ending at p,
+    stays below h: p < h, and the uniform is at or above
+    exp(-2 h (h - p) / clock), the chance that its bridge reaches h."""
+    # the clamp keeps exp from overflowing once p >= h
+    reach = np.exp(-2.0 * h * np.maximum(h - p, 0.0) / clock)
+    return (p < h) & (uni >= reach)
+
+
+def _wedge_clocks(u: np.ndarray, T: float) -> tuple:
+    """The direction u(T) = e^{JT} u of a line under the bilinear drift,
+    J = [[0, 1], [1, 0]], and the clocks tau_1 = int_0^T u_1^2 and
+    tau_2 = int_0^T u_2^2 of its path u(t) = e^{Jt} u."""
+    a, b = float(u[0]), float(u[1])
+    ch, sh = math.cosh(T), math.sinh(T)
+    # int cosh^2, int sinh^2 and int cosh sinh over [0, T]
+    quarter = math.sinh(2.0 * T) / 4.0
+    i_cc, i_ss, i_cs = quarter + T / 2.0, quarter - T / 2.0, sh * sh / 2.0
+    tau1 = a * a * i_cc + 2.0 * a * b * i_cs + b * b * i_ss
+    tau2 = a * a * i_ss + 2.0 * a * b * i_cs + b * b * i_cc
+    return np.array([a * ch + b * sh, a * sh + b * ch]), tau1, tau2
+
+
+def _wedge_terminal(state: WedgeState, T: float, w: np.ndarray, uni: np.ndarray) -> tuple:
+    """A wedge dual under the bilinear drift at T, from W_T (m, 2) and one
+    bridge uniform per row: anchors z, y (m, 2), alive (m,) and the normal.
+
+    Each line's offset along n = (u_2, -u_1) is a martingale, so along
+    n_T the z-line sits at n_0 . z_0 + P - Q and the y-line at
+    n_0 . y_0 - P - Q, with P = int u_2 dW_1 and Q = int u_1 dW_2
+    independent normals on the clocks tau_2 and tau_1.  The gap G_0 - 2P
+    is a Brownian motion on the clock tau_2, killed by _bridge_survives at
+    h = G_0 / 2.  Only the pair of lines has this law, so each anchor is
+    the foot of the normal from the origin on its line.
+    """
+    u_T, tau1, tau2 = _wedge_clocks(state.u, T)
+    p = math.sqrt(tau2 / T) * w[:, 0]
+    q = math.sqrt(tau1 / T) * w[:, 1]
+    alive = _bridge_survives(p, state.gap() / 2.0, tau2, uni)
+    n0, n_T = state.normal, _normal_of(u_T)
+    foot = n_T / _along(n_T, n_T)
+    z = (_along(n0, state.z) + p - q)[:, None] * foot
+    y = (_along(n0, state.y) - p - q)[:, None] * foot
+    return z, y, alive, n_T
+
+
+def _wedge_offsets(state: WedgeState, x: np.ndarray, T: float, seed: int,
+                   streams: Sequence[int]) -> np.ndarray:
+    """n_0 . X_T for the bilinear primal dX = -JX dt + dW from x, one
+    standard normal per stream: X_T is normal with mean e^{-JT} x and
+    covariance Sigma = (1/2) [[sinh 2T, 1 - cosh 2T], [1 - cosh 2T, sinh 2T]]."""
+    nvec = state.normal
+    ch, sh = math.cosh(T), math.sinh(T)
+    mean = float(_along(nvec, np.array([ch * x[0] - sh * x[1], ch * x[1] - sh * x[0]])))
+    # 1 - cosh 2T = -2 sinh^2 T
+    var = 0.5 * math.sinh(2.0 * T) * float(_along(nvec, nvec)) - 2.0 * sh * sh * nvec[0] * nvec[1]
+    # one standard normal per stream: a grid of one step of length 1
+    inc, _ = stream_increments(TimeGrid(1.0, 1), 1, seed, streams)
+    return mean + math.sqrt(var) * inc[0][:, 0]
+
+
+def _sliding_terminal(state: DualState, rate: float, T: float, w: np.ndarray,
+                      uni: np.ndarray) -> tuple:
+    """An interval or slab dual whose faces move along the fixed normal n
+    at `rate`, at T from W_T (m, n) and one bridge uniform per row.
+
+    The faces drift by rate T along n and slide as dual_step slides them,
+    the z-face by n . W and the y-face by n . flip(W), so the gap is
+    g0 - 2 n_1 W_1, the driftless interval gap in the coordinate n . x.
+    A replica survives to T iff the continuous maximum of W_1 stays below
+    h = g0 / (2 n_1) (_bridge_survives), and a survivor's faces depend on
+    W_T alone.
+    """
+    nvec = state.normal
+    z0, y0 = (np.atleast_1d(np.asarray(f, dtype=float)) for f in (state.z, state.y))
+    alive = _bridge_survives(w[:, 0], state.gap() / (2.0 * float(nvec[0])), T, uni)
+    drifted = rate * T * nvec
+    return _slide(z0 + drifted, nvec, w), _slide(y0 + drifted, nvec, flip_first(w)), alive, nvec
+
+
+def _sliding_offsets(state: DualState, rate: float, x: np.ndarray, T: float, seed: int,
+                     streams: Sequence[int]) -> np.ndarray:
+    """n . X_T for a primal whose drift along the fixed normal n is -rate on
+    the whole path: n . x - rate T + n . W_T on every grid, each stream
+    drawing W_T in one step of length T.  For an interval under a constant
+    drift this is bit for bit the x - mu T + W_T of primal_terminal_batch."""
+    nvec = state.normal
+    inc, _ = stream_increments(TimeGrid(T, 1), state.n, seed, streams)
+    return (_along(nvec, x) - rate * T) + _along(nvec, inc[0])
+
+
 def dual_terminal_batch(
     state: DualState,
     drift: DriftField,
@@ -781,19 +905,20 @@ def dual_terminal_batch(
     (m,); a killed replica's z and y are NaN.  An absorbed state stays
     absorbed, so every replica of it is killed.
 
-    Two families move along a fixed normal n in closed form (see
-    _normal_rate): an interval under constant drift mu, and a slab whose
-    drift is orthogonal to n everywhere.  Their faces move by mu t along
-    n, with mu = 0 for the slab, and slide as dual_step slides them, the
-    z-face by n . W and the y-face by n . flip(W), so the gap is
-    g0 - 2 n_1 W_1, the driftless interval gap in the coordinate n . x.
-    A replica survives to T iff the continuous maximum of W_1 stays below
-    h = g0 / (2 n_1), and a survivor's faces depend on W_T alone.  So
-    each stream draws W_T and one uniform from a grid of one step of
-    length T, whatever the caller's grid, slides both faces over [0, T],
-    and dies if W_1,T >= h or if the uniform falls below
-    exp(-2 h (h - W_1,T) / T), the chance that the Brownian bridge from 0
-    to W_1,T reaches h.  This law is exact, and no implicit step is solved.
+    Three families have a closed form (_closed_form): each stream draws
+    W_T and one uniform from a grid of one step of length T, whatever the
+    caller's grid, and the law at T is exact; no implicit step is solved.
+    An interval under constant drift mu and a slab whose drift is
+    orthogonal to n everywhere slide their faces along the fixed normal n
+    as dual_step slides them (_sliding_terminal).  A wedge under the
+    bilinear drift draws its two lines along the terminal normal
+    n_T = (u_2(T), -u_1(T)), u(T) = e^{JT} u (_wedge_terminal); a
+    survivor's z and y are the feet of the normal from the origin on its
+    lines, not points the gridded flow would reach, since only the lines
+    have the exact law.  In each family the gap is a Brownian motion on a
+    deterministic clock, and a replica dies if it ends at the kill level
+    or beyond, or if its uniform falls below the chance that the Brownian
+    bridge reaches that level (_bridge_survives).
 
     The other models step every face on the caller's grid, with
     absorption resolved inside each step, not just at the nodes: a
@@ -807,21 +932,14 @@ def dual_terminal_batch(
     z0 = np.atleast_1d(np.asarray(state.z, dtype=float))
     y0 = np.atleast_1d(np.asarray(state.y, dtype=float))
     nvec = state.normal
-    rate = _normal_rate(state, drift)
+    form = _closed_form(state, drift)
     if state.absorbed:
         # an absorbed region stays absorbed, as in dual_step
         z = np.full((m, n), np.nan)
         return {"z": z, "y": z.copy(), "alive": np.zeros(m, dtype=bool), "normal": nvec}
-    if rate is not None:
+    if form is not None:
         inc, uni = stream_increments(TimeGrid(grid.T, 1), n, seed, streams, step_uniforms=True)
-        w1 = inc[0][:, 0]
-        h = state.gap() / (2.0 * float(nvec[0]))
-        # the clamp keeps exp from overflowing once W_1,T >= h
-        reach = np.exp(-2.0 * h * np.maximum(h - w1, 0.0) / grid.T)
-        alive = (w1 < h) & (uni[0] >= reach)
-        drifted = rate * grid.T * nvec
-        z = _slide(z0 + drifted, nvec, inc[0])
-        y = _slide(y0 + drifted, nvec, flip_first(inc[0]))
+        z, y, alive, nvec = form.terminal(grid.T, inc[0], uni[0])
         z[~alive] = y[~alive] = np.nan
         return {"z": z, "y": y, "alive": alive, "normal": nvec}
     dt = grid.dt
@@ -895,24 +1013,22 @@ def _primal_hits(
 ) -> np.ndarray:
     """Whether the primal from x lands in the region at T, one per stream.
 
-    Where the faces move along a fixed normal n at a constant rate (see
-    _normal_rate), the drift along n is -rate on the whole path, so n .
-    X_T = n . x - rate T + n . W_T on every grid, and that offset alone
-    decides a hit: each stream draws W_T in one step of length T.  For an
-    interval under a constant drift this is bit for bit the x - mu T +
-    W_T of primal_terminal_batch.  Every other model runs
-    primal_terminal_batch on the caller's grid.  No primal lands in an
-    absorbed region.
+    The offset n . X_T along the region's normal n alone decides a hit,
+    and the closed-form families (_closed_form) draw it without a grid:
+    n . x - rate T + n . W_T from one step of length T where the faces
+    move along a fixed normal (_sliding_offsets), and one normal per
+    stream for the wedge's linear primal (_wedge_offsets).  Every other
+    model runs primal_terminal_batch on the caller's grid.  No
+    primal lands in an absorbed region.
     """
-    rate = _normal_rate(state, drift)
+    form = _closed_form(state, drift)
     if state.absorbed:
         return np.zeros(len(streams), dtype=bool)
-    nvec = state.normal
-    if rate is None:
+    if form is None:
         return contains_batch(state, primal_terminal_batch(x, drift, grid, seed, streams))
-    inc, _ = stream_increments(TimeGrid(grid.T, 1), state.n, seed, streams)
-    offset = (_along(nvec, x) - rate * grid.T) + _along(nvec, inc[0])
+    offset = form.offsets(x, grid.T, seed, streams)
     # the region along n is the interval (n . z, n . y] of covers
+    nvec = state.normal
     z, y = (np.atleast_1d(_along(nvec, np.atleast_1d(f))) for f in (state.z, state.y))
     return covers(np.ones(1), z, y, offset[:, None])
 
@@ -931,14 +1047,14 @@ def liggett_identity_mc(
     in the fixed region; the right side evolves the region with absorption
     and asks whether it still covers x.  Path i draws from streams
     (rng.stream << 32) + 2i and + 2i + 1, so both sides and all rng.stream
-    values are independent.  For an interval under a constant drift and
-    for a slab whose drift is orthogonal to n everywhere (_normal_rate),
-    both sides draw one step of length T (see _primal_hits and
-    dual_terminal_batch), so their bytes depend on T alone, not on the
-    grid's step count; every other model runs both sides on the grid.
-    Compensated sums make the estimate's summation order irrelevant; a
-    side's bytes depend on _CHUNK only through a gridded drift whose
-    batched kernels are not row-count invariant.
+    values are independent.  For an interval under a constant drift, a
+    slab whose drift is orthogonal to n everywhere and a wedge under the
+    bilinear drift (_closed_form), both sides draw one step of length T
+    (see _primal_hits and dual_terminal_batch), so their bytes depend on
+    T alone, not on the grid's step count; every other model runs both
+    sides on the grid.  Compensated sums make the estimate's summation
+    order irrelevant; a side's bytes depend on _CHUNK only through a
+    gridded drift whose batched kernels are not row-count invariant.
     """
     if paths < 1:
         raise ModelError(f"need at least one path, got {paths}")

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from dualflow import (
@@ -29,6 +30,7 @@ from dualflow import (
     sample_conditional,
     step_surface,
     truncated_exp_mean,
+    wedge_probabilities,
 )
 from dualflow import duals
 from dualflow.core import flip_first, normals, stream_increments
@@ -145,6 +147,14 @@ def test_wedge_mass_series_oracle():
     b = (u[1] * 0.5 - u[0] * 0.0) / math.sqrt(2.0 * u[0] * u[1])
     expect = math.sqrt(2.0 * math.pi) * (antideriv(b) - antideriv(0.0))
     assert val == pytest.approx(expect, rel=1e-10)
+    # a strip of width 1e-9 at eta = 1, where erfi(b) - erfi(a) cancels:
+    # int_a^b exp(eta^2) = exp(a^2) (d + a d^2 + O(d^3)), d = b - a
+    narrow = WedgeState(u, np.array([1.0, 0.0]), np.array([1.0 + 1e-9, 0.0]))
+    a, b = duals._wedge_bounds(narrow)
+    assert a == 1.0 and 0.0 < b - a < 2e-9
+    d = float(b - a)
+    expect = math.sqrt(2.0 * math.pi) * math.exp(a * a) * d * (1.0 + a * d)
+    assert nu_mass(narrow, None) == pytest.approx(expect, rel=1e-10)
 
 
 def test_wedge_mass_rejects_far_states():
@@ -514,6 +524,77 @@ def test_interval_survival_is_exact_at_every_resolution(N):
     assert abs(float(np.mean(out["alive"])) - p) <= 3.0 * se
 
 
+def _wedge_clock(u, T):
+    """tau_2 = int_0^T u_2(t)^2 dt along u(t) = e^{Jt} u, by quadrature."""
+    val, _ = quad(lambda t: (u[0] * math.sinh(t) + u[1] * math.cosh(t)) ** 2, 0.0, T,
+                  epsabs=1e-14, epsrel=1e-12)
+    return val
+
+
+@pytest.mark.parametrize("N", [1, 4, 16])
+def test_wedge_survival_is_exact_at_every_resolution(N):
+    # under the bilinear drift the strip gap is G_0 - 2P, P = int u_2 dW_1 a
+    # Brownian motion on the clock tau_2, so with the bridge draw the
+    # survival is P(max P < G_0 / 2) = 2 Phi(G_0 / (2 sqrt(tau_2))) - 1
+    _, state, _, drift = _identity_family("wedge")
+    T, m = 0.5, 20000
+    out = dual_terminal_batch(state, drift, TimeGrid(T, N), 8824, list(range(m)))
+    p = 2.0 * float(ndtr(state.gap() / (2.0 * math.sqrt(_wedge_clock(state.u, T))))) - 1.0
+    se = math.sqrt(p * (1.0 - p) / m)
+    assert abs(float(np.mean(out["alive"])) - p) <= 3.0 * se
+
+
+def test_wedge_closed_form_and_gridded_loop_agree(monkeypatch):
+    # the grid-free wedge and the gridded loop at N = 200 (reached by
+    # closing the gate), on disjoint streams: survival agrees, and so does
+    # the law of the survivors' offsets along n_T: the z-line's n_T . z_T =
+    # n_0 . z_0 + P - Q, and the gap G_0 - 2P and the sum -2Q on their own
+    _, state, _, drift = _identity_family("wedge")
+    grid, m = TimeGrid(0.5, 200), 40000
+    fast = dual_terminal_batch(state, drift, grid, 8825, list(range(m)))
+    monkeypatch.setattr(duals, "_closed_form", lambda state, drift: None)
+    slow = dual_terminal_batch(state, drift, grid, 8825, list(range(m, 2 * m)))
+    p_fast, p_slow = float(np.mean(fast["alive"])), float(np.mean(slow["alive"]))
+    pooled = (p_fast + p_slow) / 2.0
+    assert abs(p_fast - p_slow) <= 3.0 * math.sqrt(2.0 * pooled * (1.0 - pooled) / m)
+    # the terminal normal is e^{JT} u exactly, the gridded one its Euler product
+    u_T = np.array([math.cosh(0.5) + 2.0 * math.sinh(0.5), math.sinh(0.5) + 2.0 * math.cosh(0.5)])
+    assert np.allclose(fast["normal"], _normal_of(u_T), rtol=1e-15)
+    assert np.allclose(slow["normal"], fast["normal"], rtol=1e-2)
+    for lower, upper in (("zero", "z"), ("z", "y"), ("zero", "sum")):
+        offsets = []
+        for out in (fast, slow):
+            z, y = out["z"][out["alive"]], out["y"][out["alive"]]
+            rows = {"zero": np.zeros(2), "z": z, "y": y, "sum": z + y}
+            offsets.append(face_gap(out["normal"], rows[lower], rows[upper]))
+        assert stats.ks_2samp(*offsets).pvalue > 1e-3, (lower, upper)
+    for out in (fast, slow):
+        assert np.isnan(out["z"][~out["alive"]]).all() and np.isnan(out["y"][~out["alive"]]).all()
+
+
+def test_wedge_survivors_sit_at_the_feet_of_the_normal():
+    # a survivor's anchors are the points of its lines nearest the origin,
+    # and the lines keep the gap G_0 - 2P > 0
+    _, state, grid, drift = _identity_family("wedge")
+    out = dual_terminal_batch(state, drift, grid, 8826, list(range(200)))
+    alive, normal = out["alive"], out["normal"]
+    assert 0 < int(alive.sum()) < 200
+    for key in ("z", "y"):
+        v = out[key][alive]
+        assert np.allclose(v[:, 0] * normal[1] - v[:, 1] * normal[0], 0.0, atol=1e-12)
+    assert (face_gap(normal, out["z"][alive], out["y"][alive]) > 0.0).all()
+
+
+def test_wedge_identity_matches_the_closed_form_at_scale():
+    x, state, grid, drift = _identity_family("wedge")
+    oracle = wedge_probabilities(grid.T, x, state.u, state.z, state.y)["p_identity"]
+    paths = 200_000
+    est = liggett_identity_mc(x, state, grid, paths, drift, RngSpec(86, 0))
+    se = math.sqrt(oracle * (1.0 - oracle) / paths)
+    assert abs(est.lhs - oracle) <= 3.0 * se
+    assert abs(est.rhs - oracle) <= 3.0 * se
+
+
 def test_slab_faces_move_along_the_normal_in_step_and_batch():
     # the batch draws W_T in one step of length T and slides both faces as
     # dual_step does, so one dual_step of length T on the same increment
@@ -595,20 +676,30 @@ def _identity_family(family):
 
 
 def _offset_hits(x, state, rate, T, seed, streams):
-    """The closed-form families' primal hits, written out: the offset
-    (n . x - rate T) + n . W_T along the region normal, each dot product
-    summed coordinate by coordinate, with W_T drawn in one step of length T."""
+    """The closed-form families' primal hits, written out: the offset along
+    the region normal, each dot product summed coordinate by coordinate.
+    Along a fixed normal it is (n . x - rate T) + n . W_T, with W_T drawn in
+    one step of length T; for the wedge it is n . e^{-JT} x + s xi, with
+    s^2 = n' Sigma n and xi one standard normal per stream."""
     d = state.normal
-    inc, _ = stream_increments(TimeGrid(T, 1), len(d), seed, streams)
     dot = lambda v: sum((v[..., i] * d[i] for i in range(1, len(d))), v[..., 0] * d[0])
-    offset = (dot(x) - rate * T) + dot(inc[0])
+    if isinstance(state, WedgeState):
+        ch, sh = math.cosh(T), math.sinh(T)
+        sigma = 0.5 * np.array([[math.sinh(2 * T), 1 - math.cosh(2 * T)],
+                                [1 - math.cosh(2 * T), math.sinh(2 * T)]])
+        xi, _ = stream_increments(TimeGrid(1.0, 1), 1, seed, streams)
+        mean, sd = dot(np.array([[ch, -sh], [-sh, ch]]) @ x), math.sqrt(dot(sigma @ d))
+        offset = mean + sd * xi[0][:, 0]
+    else:
+        inc, _ = stream_increments(TimeGrid(T, 1), len(d), seed, streams)
+        offset = (dot(x) - rate * T) + dot(inc[0])
     z, y = (np.atleast_1d(dot(np.atleast_1d(f))) for f in (state.z, state.y))
     return covers(np.ones(1), z, y, offset[:, None])
 
 
 def test_liggett_identity_honours_stream():
     paths = 300
-    for family, rate in (("interval", 0.5), ("slab", 0.0)):
+    for family, rate in (("interval", 0.5), ("slab", 0.0), ("wedge", 0.0)):
         x, state, grid, drift = _identity_family(family)
         ests = [liggett_identity_mc(x, state, grid, paths, drift, RngSpec(80, k)) for k in (0, 1)]
         assert (ests[0].lhs, ests[0].rhs) != (ests[1].lhs, ests[1].rhs)
@@ -635,7 +726,7 @@ def test_closed_form_identity_skips_the_gridded_primal(monkeypatch):
         raise AssertionError("the gridded primal ran")
 
     monkeypatch.setattr(duals, "primal_terminal_batch", gridded)
-    for family in ("interval", "slab"):
+    for family in ("interval", "slab", "wedge"):
         x, state, grid, drift = _identity_family(family)
         est = liggett_identity_mc(x, state, grid, 200, drift, RngSpec(81, 0))
         assert 0.0 < est.lhs < 1.0 and 0.0 < est.rhs < 1.0

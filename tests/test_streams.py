@@ -5,10 +5,10 @@ layer as it was when each stream built its own `np.random.Generator`;
 the fast layer must reproduce them byte for byte.  The terminal digests
 below were recorded with that layer, so any change to the draws, to the
 order of a sum or to the chunking shows as a changed digest.  The
-constant-drift primal, the interval and slab duals and the identity's
-primal side of those two families draw their terminal law in one step
-of length T, so their bytes depend on T alone, not on the grid's step
-count.
+constant-drift primal, the interval, slab and wedge duals and the
+identity's primal side of those three families draw their terminal law
+in one step of length T, so their bytes depend on T alone, not on the
+grid's step count.
 """
 
 import hashlib
@@ -117,6 +117,20 @@ def test_uniforms_match_reference_bits(shape, seed):
     assert gen.integers(0, 2**53) == ref.integers(0, 2**53)
 
 
+def test_numpy_integer_ids_draw_the_bytes_of_python_ids():
+    # a NumPy id reduces mod 2**64 as a Python int would, with no overflow
+    for seed, stream in ((3, 1), (-5, 2**63 + 5), (2**63 - 1, -1)):
+        ids = (np.int64(seed), np.int64(stream) if stream < 2**63 else np.uint64(stream))
+        gens = RngSpec(seed, stream).generator(), RngSpec(*ids).generator()
+        assert uniforms(gens[0], (5,)).tobytes() == uniforms(gens[1], (5,)).tobytes()
+    grid, streams = TimeGrid(1.0, 3), [0, 1, 2**32 + 7]
+    ref = stream_increments(grid, 2, 3, streams, step_uniforms=True)
+    for seed, ids in ((np.int64(3), streams), (3, np.array(streams)),
+                      (np.uint64(3), [np.int64(s) for s in streams])):
+        got = stream_increments(grid, 2, seed, ids, step_uniforms=True)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # terminal bytes of the batch estimators
 
@@ -141,8 +155,19 @@ _FAMILIES = {
                             ConstantDrift(np.array([0.5, -0.25])), 5),
 }
 
+# the wedge's inputs with the closed-form gate shut: its dual runs the
+# gridded chunk loop of dual_terminal_batch, which every model without a
+# closed form steps on
+_FAMILIES["wedge-gridded"] = _FAMILIES["wedge"]
+_GRIDDED = {"wedge-gridded"}
+
 _SEED = 907559
 _PATHS = 300
+
+
+def _shut_gate_if_gridded(mp, name):
+    if name in _GRIDDED:
+        mp.setattr(duals, "_closed_form", lambda state, drift: None)
 
 
 def _digest(*arrays) -> str:
@@ -165,6 +190,7 @@ def _dual(name, paths=_PATHS, chunk=duals._CHUNK, streams=None):
     streams = _liggett_streams(k, paths, 1) if streams is None else streams
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(duals, "_CHUNK", chunk)
+        _shut_gate_if_gridded(mp, name)
         out = dual_terminal_batch(state, drift, grid, _SEED, streams)
     return out["z"], out["y"], out["alive"], out["normal"]
 
@@ -177,10 +203,14 @@ _PRIMAL_DIGESTS = {
 }
 
 # the slab entry was re-recorded when its y-face slid by d . flip(W_T), as
-# dual_step slides it (y moved by at most 2.2e-16; z and alive held)
+# dual_step slides it (y moved by at most 2.2e-16; z and alive held); the
+# wedge entry when its lines were drawn from their exact law at T in one
+# step, with each anchor at the foot of the normal from the origin; the
+# gridded wedge pins the bytes of the gridded chunk loop
 _DUAL_DIGESTS = {
     "interval": "893c3cff218a39a0",
-    "wedge": "746865de77ea37ba",
+    "wedge": "1a6e94609e9ad78b",
+    "wedge-gridded": "746865de77ea37ba",
     "slab": "47867ba38548ad24",
 }
 
@@ -189,7 +219,8 @@ _CRITERION_01_4096 = "316ddd736f94b325"
 
 # the wedge's surviving rows, alive mask and normal, without the NaN rows
 # of its killed replicas
-_WEDGE_SURVIVORS = "c59712bc30fa9308"
+_WEDGE_SURVIVORS = "bcbb01e1dd6d6de4"
+_GRIDDED_WEDGE_SURVIVORS = "c59712bc30fa9308"
 
 
 @pytest.mark.parametrize("name", sorted(_PRIMAL_DIGESTS))
@@ -208,6 +239,12 @@ def test_wedge_survivor_rows_unchanged():
     assert _digest(z[alive], y[alive], alive, normal) == _WEDGE_SURVIVORS
 
 
+def test_gridded_wedge_survivor_rows_unchanged():
+    z, y, alive, normal = _dual("wedge-gridded")
+    assert np.isnan(z[~alive]).all() and np.isnan(y[~alive]).all()
+    assert _digest(z[alive], y[alive], alive, normal) == _GRIDDED_WEDGE_SURVIVORS
+
+
 @pytest.mark.parametrize("name", ["interval", "constant-2d"])
 def test_constant_primal_bytes_do_not_depend_on_the_grid(name):
     x, _, grid, drift, k = _FAMILIES[name]()
@@ -217,7 +254,7 @@ def test_constant_primal_bytes_do_not_depend_on_the_grid(name):
     assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
 
-@pytest.mark.parametrize("name", ["interval", "slab"])
+@pytest.mark.parametrize("name", ["interval", "slab", "wedge"])
 def test_closed_form_dual_bytes_do_not_depend_on_the_grid(name):
     _, state, grid, drift, k = _FAMILIES[name]()
     streams = _liggett_streams(k, 50, 1)
@@ -227,7 +264,7 @@ def test_closed_form_dual_bytes_do_not_depend_on_the_grid(name):
         assert outs[0][key].tobytes() == outs[1][key].tobytes() == outs[2][key].tobytes()
 
 
-@pytest.mark.parametrize("name", ["interval", "slab"])
+@pytest.mark.parametrize("name", ["interval", "slab", "wedge"])
 def test_closed_form_identity_does_not_depend_on_the_grid(name):
     x, state, grid, drift, k = _FAMILIES[name]()
     ests = [liggett_identity_mc(x, state, TimeGrid(grid.T, N), 200, drift, RngSpec(_SEED, k))
@@ -261,9 +298,9 @@ def _assert_same_rows(a, b, exact):
 # share its chunk.  Only the slab primal runs it (the constant drift draws
 # W_T in one step and the bilinear drift steps row by row), so it alone is
 # held to 1e-12, well above the few ulps seen.  No dual runs a
-# row-count-variant kernel: the interval and slab faces move in closed form
-# and the bilinear implicit step is elementwise, so every dual is held to
-# its bytes.
+# row-count-variant kernel: the interval, slab and wedge duals move in
+# closed form and the gridded wedge's bilinear implicit step is
+# elementwise, so every dual is held to its bytes.
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 @pytest.mark.parametrize("name", sorted(_PRIMAL_DIGESTS))
 def test_primal_terminal_bytes_do_not_depend_on_chunk(name, chunk):
@@ -328,6 +365,7 @@ def test_permuted_streams_permute_the_dual_rows(name, chunk):
 def test_identity_estimate_does_not_depend_on_chunk(name, monkeypatch):
     x, state, grid, drift, k = _FAMILIES[name]()
     ests = []
+    _shut_gate_if_gridded(monkeypatch, name)
     for chunk in (1, 7, 4096):
         monkeypatch.setattr(duals, "_CHUNK", chunk)
         ests.append(liggett_identity_mc(x, state, grid, 50, drift, RngSpec(_SEED, k)))

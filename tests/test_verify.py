@@ -1,9 +1,11 @@
 """Report records, statistical helpers, and the verification suites."""
 
 import io
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from dualflow import (
@@ -15,6 +17,7 @@ from dualflow import (
     suite_duality,
     suite_flow_wiener,
     suite_reversal,
+    wedge_probabilities,
 )
 from dualflow.core import uniforms
 from dualflow.verify import (
@@ -93,6 +96,25 @@ def test_reflection_probability_oracle():
         reflection_probabilities(1.0, 0.0, 1.0, -1.0, 0.5)
     with pytest.raises(ModelError):
         reflection_probabilities(-1.0, 0.0, -1.0, 1.0, 0.5)
+
+
+def test_wedge_probability_oracle():
+    # m = n . e^{-JT} x and s^2 = int_0^T |e^{-Js} n|^2 ds, by quadrature,
+    # with n = (u_2, -u_1)
+    T, x, u = 0.5, np.array([0.2, 0.0]), np.array([1.0, 2.0])
+    z, y = np.zeros(2), np.array([0.5, 0.0])
+    n = np.array([u[1], -u[0]])
+    m = n @ np.array([[math.cosh(T), -math.sinh(T)], [-math.sinh(T), math.cosh(T)]]) @ x
+    s2, _ = quad(lambda t: (n[0] * math.cosh(t) - n[1] * math.sinh(t)) ** 2
+                 + (n[1] * math.cosh(t) - n[0] * math.sinh(t)) ** 2, 0.0, T, epsrel=1e-13)
+    expect = float(ndtr((n @ y - m) / math.sqrt(s2)) - ndtr((n @ z - m) / math.sqrt(s2)))
+    out = wedge_probabilities(T, x, u, z, y)
+    assert out["p_identity"] == pytest.approx(expect, rel=1e-12)
+    assert out["p_identity"] == pytest.approx(0.19676, abs=5e-6)
+    with pytest.raises(ModelError):
+        wedge_probabilities(T, x, u, y, z)
+    with pytest.raises(ModelError):
+        wedge_probabilities(0.0, x, u, z, y)
 
 
 def test_flow_noise_terminal_reproducible_and_gaussian():
