@@ -47,6 +47,7 @@ from .surfaces import (
     _check_direction,
     _check_unit_normal,
     _check_untilted,
+    _direction_path,
     _normal_of,
     _slide,
     step_surface,
@@ -646,18 +647,20 @@ def dual_step(
     -2 d_1 times the coordinate-1 increment, the rule under which
     dual_terminal_batch's slab survival is exact at every grid resolution.
     Interval and wedge anchors take one implicit step, and a wedge
-    direction advances by one deterministic Euler substep.  If the updated
-    region degenerates, the state absorbs, with the hitting time placed by
-    linear interpolation of the defining functional across the step.
+    direction advances by one deterministic Euler substep
+    (_direction_path).  If the updated region degenerates, the state
+    absorbs, with the hitting time placed by linear interpolation of the
+    defining functional across the step.
     """
     if state.absorbed:
         return state
     d = np.atleast_1d(np.asarray(dnoise, dtype=float))
-    u = state.u if isinstance(state, WedgeState) else None
-    z_new, _ = step_surface(np.atleast_1d(state.z), drift, dt, d, state.normal, u)
-    y_new, u = step_surface(np.atleast_1d(state.y), drift, dt, flip_first(d), state.normal, u)
-    frame = {} if u is None else {"u": u}
-    normal = state.normal if u is None else _normal_of(u)
+    line = isinstance(state, WedgeState)
+    fixed = None if line else state.normal
+    z_new = step_surface(np.atleast_1d(state.z), drift, dt, d, fixed)
+    y_new = step_surface(np.atleast_1d(state.y), drift, dt, flip_first(d), fixed)
+    frame = {"u": _direction_path(state.u, dt, 1)[1]} if line else {}
+    normal = _normal_of(frame["u"]) if line else state.normal
     g_old = state.gap()
     g_new = float(face_gap(normal, z_new, y_new))
     if g_new <= 0.0:
@@ -943,6 +946,9 @@ def dual_terminal_batch(
         z[~alive] = y[~alive] = np.nan
         return {"z": z, "y": y, "alive": alive, "normal": nvec}
     dt = grid.dt
+    fixed = None if isinstance(state, WedgeState) else nvec
+    # a wedge's direction at every node
+    u = None if fixed is not None else _direction_path(state.u, dt, grid.N)
     z_out = np.empty((m, n))
     y_out = np.empty((m, n))
     alive_out = np.empty(m, dtype=bool)
@@ -953,15 +959,14 @@ def dual_terminal_batch(
         z = np.broadcast_to(z0, (mc, n)).copy()
         y = np.broadcast_to(y0, (mc, n)).copy()
         alive = np.ones(mc, dtype=bool)
-        u = state.u if isinstance(state, WedgeState) else None
         g_prev = np.full(mc, state.gap())
         try:
             for j in range(grid.N):
                 d = inc[j]
-                z_new, _ = step_surface(z, drift, dt, d, nvec, u)
-                y_new, u = step_surface(y, drift, dt, flip_first(d), nvec, u)
+                z_new = step_surface(z, drift, dt, d, fixed)
+                y_new = step_surface(y, drift, dt, flip_first(d), fixed)
                 if u is not None:
-                    nvec = _normal_of(u)
+                    nvec = _normal_of(u[j + 1])
                 g = face_gap(nvec, z_new, y_new)
                 n1 = float(nvec[0])
                 # the y-z gap receives the flipped-minus-straight noise, whose

@@ -7,7 +7,9 @@ unreflected step would cross the surface, sigma jumps by twice the
 coordinate-1 noise increment and the step is retaken with the reduced
 noise.  The backward variant runs from a terminal anchor with the
 explicit scheme against a precomputed surface trajectory; the forward
-variant runs with the implicit scheme and evolves its surface as it goes.
+variant runs with the implicit scheme and evolves its surface as it goes;
+it evaluates the drift once for all nodes and precomputes each step's face
+moves, so its steps run on Python floats.
 The two are exact pathwise inverses under time reversal: reversing the
 reflected output of one and feeding it to the other reproduces paths,
 compensator, and surfaces node by node to solver precision.
@@ -34,9 +36,18 @@ from .core import (
     TimeGrid,
     euler_backward_values,
     flip_first,
+    implicit_step,
     partial_sums,
 )
-from .surfaces import Surface, SurfaceTrajectory, _height, _normal_of, evolve_surface, step_surface
+from .surfaces import (
+    Surface,
+    SurfaceTrajectory,
+    _along,
+    _check_untilted,
+    _float_height,
+    _height,
+    evolve_surface,
+)
 
 
 @dataclass(frozen=True)
@@ -177,8 +188,22 @@ def forward_flow(
     far endpoint with the surface at the step's near endpoint, and fires
     only on a positive coordinate-1 increment; on a crossing, sigma
     accrues twice that increment.  The surface is then advanced with the
-    flipped reflected increment; a failed surface step names the step
-    index and time.
+    flipped reflected increment: the increment itself on a crossing, the
+    flipped increment otherwise.
+
+    Everything the steps read that does not hang on an earlier crossing
+    is computed before them: the far-end values from one drift evaluation
+    at all far ends, a line's direction path with its slopes, and a fixed
+    normal's two candidate slides per step.  The steps then run on Python
+    floats, and move the face to the bits of one step_surface per step: a
+    hyperplane's anchor slides along its normal (_slide's arithmetic), and
+    only a level or a line takes an implicit anchor step, whose failure
+    names the step index and time.  The crossing test reads the batched
+    drift, so for a drift whose beta bits depend on the row count
+    (LogisticDrift) it matches one beta call per step only up to a
+    one-ulp tie.  A drift that is not orthogonal to a hyperplane's normal
+    everywhere has its tilt checked once, at the anchors the steps started
+    from.
     """
     grid = x_path.grid
     if noise.grid.N != grid.N or abs(noise.grid.T - grid.T) > 1e-12:
@@ -186,37 +211,52 @@ def forward_flow(
     dt = grid.dt
     inc = noise.increments()
     X = x_path.values
-    x0 = X[0]
 
-    if not y0.contains(x0):
+    if not y0.contains(X[0]):
         # flipped reflected noise is the plain noise again
         return _flow_output(grid, noise, 2.0 * noise.values[:, 0], x_path, True,
                             surfaces=evolve_surface(y0, noise, drift))
 
-    sigma = np.zeros(grid.N + 1)
-    surfaces = SurfaceTrajectory.constant(grid, y0)
-    anchors, u, normal = surfaces.anchors, surfaces.u, y0.normal
+    surfaces = SurfaceTrajectory.start(grid, y0)
+    anchors = surfaces.anchors
+    # each step's near-end face slopes n_i / n_1 and path coordinates 2..n,
+    # and its far-end implicit combination X_1 - beta(X)_1 dt
+    normals = np.broadcast_to(surfaces.normals, anchors.shape)
+    slopes = (normals[:-1, 1:] / normals[:-1, :1]).tolist()
+    rest = X[:-1, 1:].tolist()
+    far = (X[1:, 0] - drift.beta(X[1:])[:, 0] * dt).tolist()
+    d1 = inc[:, 0].tolist()
+    # the face's move without and with a crossing, since inc_1 - 2 inc_1
+    # is -inc_1 exactly
+    slide = y0.u is None and y0.n > 1
+    if slide:
+        moves = (_along(y0.normal, flip_first(inc)).tolist(), _along(y0.normal, inc).tolist())
+        nvec = y0.normal.tolist()
+    else:
+        moves = (flip_first(inc), inc)
+    a = anchors[0].tolist()
+    rows, crossed = [], []
     try:
-        for j in range(1, grid.N + 1):
-            d1 = inc[j - 1, 0]
-            b = drift.beta(X[j])
-            near_height = _height(anchors[j - 1], normal, X[j - 1, 1:])
+        for j in range(grid.N):
             # a tie at the surface is decided by rounding; only an upward
             # increment can cross it, and reflecting a downward one would
             # pull the gap down
-            crossing = d1 > 0.0 and X[j, 0] - b[0] * dt + abs(d1) > near_height
-            dsig = 2.0 * d1 if crossing else 0.0
-            sigma[j] = sigma[j - 1] + dsig
-            dxi = inc[j - 1].copy()
-            dxi[0] -= dsig
-            anchors[j], uj = step_surface(anchors[j - 1], drift, dt, flip_first(dxi), y0.normal,
-                                          None if u is None else u[j - 1])
-            if u is not None:
-                u[j] = uj
-                normal = _normal_of(uj)
+            cross = d1[j] > 0.0 and far[j] + d1[j] > _float_height(a, slopes[j], rest[j])
+            crossed.append(cross)
+            if slide:
+                s = moves[cross][j]
+                a = [ai + s * ni for ai, ni in zip(a, nvec)]
+            else:
+                a = implicit_step(a, moves[cross][j], dt, drift).tolist()
+            rows.append(a)
     except NumericalError as err:
-        raise NumericalError(f"reflection flow failed at step {j} (t={j * dt:.6g}): {err}") from err
+        raise NumericalError(
+            f"reflection flow failed at step {j + 1} (t={(j + 1) * dt:.6g}): {err}") from err
+    anchors[1:] = rows
+    if slide:
+        _check_untilted(drift, anchors[:-1], y0.normal)
 
+    sigma = partial_sums(np.where(crossed, 2.0 * inc[:, 0], 0.0))
     return _flow_output(grid, noise, sigma, x_path, surfaces=surfaces)
 
 

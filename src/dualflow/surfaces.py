@@ -11,11 +11,15 @@ interacts with, driven by the noise with its first coordinate negated (the
 "flipped" noise), so that an upper boundary and a lower path can share one
 Brownian source.  A hyperplane keeps only what moves the face: its anchor
 slides along the fixed normal, in closed form.  Faces move as anchor rows
-(and direction rows for a line) under one rule, step_surface.
+under one rule, step_surface, whose bits the forward reflection flow
+reproduces on Python floats.  A line's direction path does not depend on
+the noise: _direction_path, the one rule that rotates a direction,
+computes it whole before any anchor steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,17 +40,31 @@ def _normal_of(u: np.ndarray) -> np.ndarray:
     return u[..., ::-1] * np.array([1.0, -1.0])
 
 
-def _rotate(u: np.ndarray, dt: float) -> np.ndarray:
-    """One deterministic Euler substep of du = (u_2, u_1) dt."""
-    return u + dt * u[..., ::-1]
-
-
 def _check_direction(u) -> np.ndarray:
     """A strip or line direction: a finite 2-vector in the cone |u_1| < u_2."""
     u = np.asarray(u, dtype=float)
     if u.shape != (2,) or not abs(u[0]) < u[1] < np.inf:
         raise ModelError(f"need a finite 2-vector u with |u_1| < u_2, got u={u.tolist()}")
     return u
+
+
+def _direction_path(u0: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """A line's direction at every node, (steps + 1, 2): deterministic
+    Euler substeps of du = (u_2, u_1) dt from u0, on Python floats.
+
+    No noise moves it, so the flows and dual steps compute it before their
+    anchor steps.  A direction that leaves the cone |u_1| < u_2 names the
+    step index and time.
+    """
+    a, b = u0.tolist()
+    rows = [(a, b)]
+    for k in range(1, steps + 1):
+        a, b = a + dt * b, b + dt * a
+        if not abs(a) < b < math.inf:
+            raise ModelError(f"line direction left its cone at step {k} (t={k * dt:.6g}): "
+                             f"need a finite 2-vector u with |u_1| < u_2, got u={[a, b]}")
+        rows.append((a, b))
+    return np.array(rows)
 
 
 def _check_unit_normal(d) -> np.ndarray:
@@ -99,31 +117,41 @@ class Surface:
 
 def _height(anchor: np.ndarray, normal: np.ndarray, rest=()) -> float:
     """Coordinate 1 of the face through anchor with the given normal, over
-    the non-first coordinates rest."""
+    the non-first coordinates rest (_float_height)."""
     rest = np.asarray(rest, dtype=float)
-    return float(anchor[0] - (normal[1:] / normal[0]) @ (rest - anchor[1:]))
+    return _float_height(anchor.tolist(), (normal[1:] / normal[0]).tolist(), rest.tolist())
+
+
+def _float_height(anchor: list, slopes: list, rest: list) -> float:
+    """The height formula on Python floats, with the slopes n_i / n_1
+    given: anchor_1 less the slopes times rest_i - anchor_i, summed from
+    the first product coordinate by coordinate, as _along sums."""
+    if not slopes:
+        return anchor[0]
+    dot = (rest[0] - anchor[1]) * slopes[0]
+    for i in range(1, len(slopes)):
+        dot = dot + (rest[i] - anchor[i + 1]) * slopes[i]
+    return anchor[0] - dot
 
 
 def step_surface(anchor: np.ndarray, drift: DriftField, dt: float, dnoise_flipped: np.ndarray,
-                 normal: Optional[np.ndarray] = None, u: Optional[np.ndarray] = None) -> tuple:
-    """Advance a face one step, driven by a flipped-noise increment.
+                 normal: Optional[np.ndarray] = None) -> np.ndarray:
+    """Advance a face's anchor one step, driven by a flipped-noise increment.
 
-    anchor is one row, or (m, n) rows with their increments, in one frame:
-    a fixed normal, or a line's direction u (normal is then not read).
-    Returns the new anchor and direction (None for a fixed normal).  A
-    fixed normal n in two or more dimensions needs a drift orthogonal to n
-    at the anchor (a tilted drift is refused); the anchor slides along n
-    by n . increment (_slide), to the same bits alone or among rows.
-    Otherwise the anchor takes the implicit step with drift +beta, which
-    core.explicit_step with drift -beta inverts exactly, and a line's
-    direction one Euler substep, refused if it leaves |u_1| < u_2.
+    anchor is one row, or (m, n) rows with their increments, under one
+    fixed normal, or None for a line, whose direction path is
+    _direction_path's.  A fixed normal n in two or more dimensions needs a
+    drift orthogonal to n at the anchor (a tilted drift is refused); the
+    anchor slides along n by n . increment (_slide), to the same bits
+    alone or among rows.  A level or a line anchor takes the implicit step
+    with drift +beta, which core.explicit_step with drift -beta inverts
+    exactly.
     """
     d = np.atleast_1d(np.asarray(dnoise_flipped, dtype=float))
-    if u is None and np.shape(anchor)[-1] > 1:
+    if normal is not None and np.shape(anchor)[-1] > 1:
         _check_untilted(drift, anchor, normal)
-        return _slide(anchor, normal, d), None
-    anchor = implicit_step(anchor, d, dt, drift)
-    return anchor, None if u is None else _check_direction(_rotate(u, dt))
+        return _slide(anchor, normal, d)
+    return implicit_step(anchor, d, dt, drift)
 
 
 def _check_untilted(drift: DriftField, anchor: np.ndarray, normal: np.ndarray) -> None:
@@ -176,12 +204,13 @@ class SurfaceTrajectory:
             raise ModelError(f"need {self.grid.N + 1} surfaces for the grid, got {len(self.anchors)}")
 
     @classmethod
-    def constant(cls, grid: TimeGrid, surface: Surface) -> "SurfaceTrajectory":
-        """The surface at every node of the grid; a flow fills nodes 1..N in place."""
-        rows = (grid.N + 1, 1)
+    def start(cls, grid: TimeGrid, surface: Surface) -> "SurfaceTrajectory":
+        """The surface's anchor at every node, which a flow fills at nodes
+        1..N in place, with a line's whole direction path (_direction_path)."""
+        anchors = np.tile(surface.anchor, (grid.N + 1, 1))
         if surface.u is None:
-            return cls(grid, np.tile(surface.anchor, rows), surface.normal)
-        return cls(grid, np.tile(surface.anchor, rows), u=np.tile(surface.u, rows))
+            return cls(grid, anchors, surface.normal)
+        return cls(grid, anchors, u=_direction_path(surface.u, grid.dt, grid.N))
 
     @property
     def normals(self) -> np.ndarray:
@@ -202,18 +231,16 @@ def evolve_surface(
 
     Evolving over consecutive sub-grids and concatenating gives the same
     nodes as one pass, since each step consumes exactly one increment.
-    A failed anchor solve names the step index and time.
+    A failed anchor solve, or a line direction leaving its cone, names
+    the step index and time.
     """
     grid = flipped_noise.grid
     inc = flipped_noise.increments()
-    traj = SurfaceTrajectory.constant(grid, initial)
-    anchors, u = traj.anchors, traj.u
+    traj = SurfaceTrajectory.start(grid, initial)
+    anchors = traj.anchors
     try:
         for k in range(grid.N):
-            anchors[k + 1], uk = step_surface(anchors[k], drift, grid.dt, inc[k], initial.normal,
-                                              None if u is None else u[k])
-            if u is not None:
-                u[k + 1] = uk
+            anchors[k + 1] = step_surface(anchors[k], drift, grid.dt, inc[k], traj.normal)
     except NumericalError as err:
         raise NumericalError(
             f"surface flow failed at step {k + 1} (t={(k + 1) * grid.dt:.6g}): {err}") from err

@@ -253,9 +253,9 @@ def test_backward_scheme_divergence_names_step_and_time():
 
 
 # Under the zero drift an implicit solve makes two beta calls (the
-# predictor and one converged iteration); a forward-flow step adds the
-# crossing test's call before its surface solve.  A nan from the chosen
-# call never clears, so that solve exhausts its iterations.
+# predictor and one converged iteration); a forward flow makes one call
+# for all its crossing tests before its surface solves.  A nan from the
+# chosen call never clears, so that solve exhausts its iterations.
 _SOLVE_FAILED = r"implicit step failed to reach residual 1\.0e-13 \(last nan\)$"
 
 
@@ -270,15 +270,16 @@ def test_implicit_failures_name_step_and_time():
         evolve_surface(Surface.level(0.0), zeros, _BlowUp(5, np.nan))
     with pytest.raises(NumericalError, match=r"^reflection flow failed at step 4 \(t=0\.5\): "
                        + _SOLVE_FAILED):
-        forward_flow(zeros, Surface.level(1.0), zeros, _BlowUp(11, np.nan))
+        forward_flow(zeros, Surface.level(1.0), zeros, _BlowUp(8, np.nan))
 
 
-# a coupling run makes 8 explicit-scheme calls and one imputation call,
-# then 3 calls per reflection-flow step and 2 per lower-side step; an
-# entrance run from a point does the same from the degenerate interval
+# a coupling run makes 8 explicit-scheme calls, one imputation call and
+# one reflection-flow call for the crossing tests, then 2 calls per
+# reflection-flow step and 2 per lower-side step; an entrance run from a
+# point does the same from the degenerate interval
 @pytest.mark.parametrize("entrance, at, where", [
     (False, 14, r"reflection flow failed at step 2 \(t=0\.25\)"),
-    (False, 44, r"implicit scheme failed at step 6 \(t=0\.75\)"),
+    (False, 37, r"implicit scheme failed at step 6 \(t=0\.75\)"),
     (True, 14, r"reflection flow failed at step 2 \(t=0\.25\)"),
 ], ids=["reflection-flow", "lower-side", "entrance"])
 def test_coupling_failure_names_seed_stream_and_step(entrance, at, where):

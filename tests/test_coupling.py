@@ -47,6 +47,15 @@ def toy_logistic():
 SLAB_NORMAL = np.array([1.0, -1.0]) / math.sqrt(2.0)
 
 
+def slab3_logistic():
+    """Inputs orthogonal to SLAB3_NORMAL, each row labelled 1 and 0."""
+    rows = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]]
+    return LogisticDrift(np.repeat(rows, 2, axis=0), np.tile([1.0, 0.0], 4))
+
+
+SLAB3_NORMAL = np.ones(3) / math.sqrt(3.0)
+
+
 # ---------------------------------------------------------------------------
 # pitman transform
 
@@ -155,6 +164,14 @@ def test_slab_coupling_runs_with_flags():
     assert np.all(traj.gamma_flags)
 
 
+def test_three_dimensional_slab_coupling_holds_its_flags():
+    d, drift = SLAB3_NORMAL, slab3_logistic()
+    grid = TimeGrid(1.0, 100)
+    for s in range(40):
+        traj = run_coupling(SlabState(-0.4 * d, 0.4 * d, d), drift, grid, RngSpec(84, s))
+        assert traj.primal.dim == 3 and np.all(traj.gamma_flags), s
+
+
 # ---------------------------------------------------------------------------
 # entrance couplings
 
@@ -257,6 +274,16 @@ def test_slab_entrance_does_not_hinge_on_its_start_tie(monkeypatch):
         for name in ("primal", "z_path", "y_path", "sigma", "reflected"):
             moved = np.max(np.abs(getattr(b, name).values - getattr(a, name).values))
             assert moved <= 1e-12, (s, name, moved)
+
+
+# node 1's region flag is a tie that rounding decides, as above, so only
+# the gap is asserted
+def test_three_dimensional_slab_entrance_gap_stays_positive():
+    d, drift = SLAB3_NORMAL, slab3_logistic()
+    grid = TimeGrid(1.0, 100)
+    for s in range(100):
+        traj = run_entrance_coupling(SlabState(0.1 * d, 0.1 * d, d), drift, grid, RngSpec(5, s))
+        assert np.all(traj.gap()[1:] > 0.0), s
 
 
 @pytest.mark.parametrize("N", [100, 200])

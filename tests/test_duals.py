@@ -43,7 +43,7 @@ from dualflow.duals import (
     plane_density,
     primal_terminal_batch,
 )
-from dualflow.surfaces import _normal_of
+from dualflow.surfaces import _direction_path, _normal_of
 
 
 def toy_logistic():
@@ -384,16 +384,15 @@ def test_dual_step_moves_each_face_as_step_surface(family):
     else:
         state = SlabState(-0.4 * SLAB_NORMAL, 0.4 * SLAB_NORMAL, SLAB_NORMAL)
     u = getattr(state, "u", None)
-    z, u_z = step_surface(np.atleast_1d(state.z), drift, dt, inc, state.normal, u)
-    y, u_y = step_surface(np.atleast_1d(state.y), drift, dt, flip_first(inc), state.normal, u)
+    fixed = state.normal if u is None else None
+    z = step_surface(np.atleast_1d(state.z), drift, dt, inc, fixed)
+    y = step_surface(np.atleast_1d(state.y), drift, dt, flip_first(inc), fixed)
     out = dual_step(state, inc, dt, drift)
     assert not out.absorbed
     assert np.atleast_1d(out.z).tobytes() == z.tobytes()
     assert np.atleast_1d(out.y).tobytes() == y.tobytes()
-    if u is None:
-        assert u_z is None and u_y is None
-    else:
-        assert out.u.tobytes() == u_z.tobytes() == u_y.tobytes()
+    if u is not None:
+        assert out.u.tobytes() == _direction_path(u, dt, 1)[1].tobytes()
 
 
 def test_dual_drift_interval_oracle():

@@ -125,11 +125,18 @@ NORMAL_NAMES = {"d", "normal", "nvec"}
 
 
 def normal_products(source: str) -> list:
-    """The matrix products with a face normal as an operand, as written:
-    a name d, normal or nvec, or an attribute .normal.  Such a product is
-    a BLAS dot whose last bit may depend on the row count; surfaces._along
-    sums it coordinate by coordinate instead."""
+    """The matrix products with a face normal in an operand, as written:
+    a name d, normal or nvec, or an attribute .normal, alone, subscripted,
+    negated or in arithmetic.  Such a product is a BLAS dot whose last bit
+    may depend on the row count; surfaces._along sums it coordinate by
+    coordinate instead."""
     def is_normal(node):
+        if isinstance(node, ast.Subscript):
+            return is_normal(node.value)
+        if isinstance(node, ast.UnaryOp):
+            return is_normal(node.operand)
+        if isinstance(node, ast.BinOp) and not isinstance(node.op, ast.MatMult):
+            return is_normal(node.left) or is_normal(node.right)
         return ((isinstance(node, ast.Name) and node.id in NORMAL_NAMES)
                 or (isinstance(node, ast.Attribute) and node.attr == "normal"))
 
@@ -141,6 +148,10 @@ def normal_products(source: str) -> list:
 def test_normal_product_scanner_finds_each_operand():
     source = "a @ d\nb.normal @ c\nnormal @ x\nx @ nvec\nx @ y.basis\nd * x\n"
     assert normal_products(source) == ["a @ d", "b.normal @ c", "normal @ x", "x @ nvec"]
+    # a normal under a subscript, a sign or arithmetic is still one
+    source = "(normal[1:] / normal[0]) @ r\nx @ -d\n2.0 * s.normal @ x\nx[1:] @ y[0]\n"
+    assert normal_products(source) == ["(normal[1:] / normal[0]) @ r", "x @ -d",
+                                       "2.0 * s.normal @ x"]
 
 
 # LogisticDrift.orthogonal_to multiplies the data rows by a candidate

@@ -9,24 +9,36 @@ from hypothesis import given, settings, strategies as st
 from dualflow import (
     BilinearDrift,
     ConstantDrift,
+    IntervalState,
+    LogisticDrift,
     ModelError,
+    ProductDrift,
     RngSpec,
     SamplePath,
+    SlabState,
     Surface,
     SurfaceTrajectory,
     TimeGrid,
+    WedgeState,
     backward_flow,
     euler_forward_implicit,
+    evolve_surface,
     flow_constant_1d,
     flow_from_path,
     flow_trigger_1d,
     forward_flow,
     impute_noise,
     reversed_noise,
+    run_coupling,
+    run_entrance_coupling,
     sample_brownian,
     sample_brownian_batch,
     solve_skorohod_1d,
+    step_surface,
 )
+from dualflow import coupling
+from dualflow.core import flip_first
+from dualflow.surfaces import _height, _normal_of
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +214,7 @@ def test_backward_flow_outside_start():
     drift = ConstantDrift(0.5)
     grid = TimeGrid(1.0, 32)
     w = sample_brownian(grid, 1, RngSpec(66, 0))
-    traj = SurfaceTrajectory.constant(grid, Surface.level(-1.0))
+    traj = SurfaceTrajectory.start(grid, Surface.level(-1.0))
     flow = backward_flow(np.zeros(1), traj, w, drift)
     assert flow.outside
     assert np.allclose(flow.sigma.values[:, 0], 2.0 * w.values[:, 0], atol=0.0)
@@ -231,3 +243,125 @@ def test_two_dimensional_flow_runs_and_reflects():
     assert np.all(np.diff(flow.sigma.values[:, 0]) >= 0.0)
     # reflected noise differs from the raw noise only in coordinate 1
     assert np.allclose(flow.reflected_noise.values[:, 1], omega.values[:, 1], atol=0.0)
+
+
+def test_line_direction_leaving_its_cone_names_the_step():
+    # a step of dt = 2 rotates (1, 2) to (5, 4), outside |u_1| < u_2
+    grid = TimeGrid(4.0, 2)
+    y0, flat = Surface(np.array([0.4, 0.0]), u=np.array([1.0, 2.0])), ConstantDrift(np.zeros(2))
+    zeros = SamplePath(grid, np.zeros((3, 2)))
+    where = r"^line direction left its cone at step 1 \(t=2\): .*got u=\[5\.0, 4\.0\]$"
+    with pytest.raises(ModelError, match=where):
+        forward_flow(zeros, y0, zeros, flat)
+    with pytest.raises(ModelError, match=where):
+        evolve_surface(y0, zeros, flat)
+
+
+# ---------------------------------------------------------------------------
+# forward flow against its stepwise form
+
+
+def _forward_flow_reference(x_path, y0, noise, drift):
+    """The inside branch of forward_flow as one drift call and one
+    step_surface per step, as it was first written; the shipped flow must
+    match it bit for bit.  The shipped crossing test reads one batched
+    beta, which for LogisticDrift can differ from a row's by one ulp, so
+    a run with an exact tie at the face could tell the two apart; none of
+    the runs below has one.  Returns sigma, the reflected noise, the
+    anchors and the direction path (None for a fixed normal)."""
+    grid = x_path.grid
+    dt = grid.dt
+    inc = noise.increments()
+    X = x_path.values
+    sigma = np.zeros(grid.N + 1)
+    anchors = np.tile(y0.anchor, (grid.N + 1, 1))
+    u = None if y0.u is None else np.tile(y0.u, (grid.N + 1, 1))
+    normal = y0.normal
+    for j in range(1, grid.N + 1):
+        d1 = inc[j - 1, 0]
+        b = drift.beta(X[j])
+        near_height = _height(anchors[j - 1], normal, X[j - 1, 1:])
+        crossing = d1 > 0.0 and X[j, 0] - b[0] * dt + abs(d1) > near_height
+        dsig = 2.0 * d1 if crossing else 0.0
+        sigma[j] = sigma[j - 1] + dsig
+        dxi = inc[j - 1].copy()
+        dxi[0] -= dsig
+        anchors[j] = step_surface(anchors[j - 1], drift, dt, flip_first(dxi),
+                                  y0.normal if u is None else None)
+        if u is not None:
+            # one Euler substep of du = (u_2, u_1) dt
+            u[j] = u[j - 1] + dt * u[j - 1, ::-1]
+            normal = _normal_of(u[j])
+    reflected = noise.values.copy()
+    reflected[:, 0] -= sigma
+    return sigma, reflected, anchors, u
+
+
+def _slab3_logistic():
+    """Inputs orthogonal to D3, each row labelled 1 and 0."""
+    rows = [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]]
+    return LogisticDrift(np.repeat(rows, 2, axis=0), np.tile([1.0, 0.0], 4))
+
+
+D2 = np.array([1.0, -1.0]) / math.sqrt(2.0)
+D3 = np.ones(3) / math.sqrt(3.0)
+_TOY = LogisticDrift(np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]]),
+                     np.array([1.0, 1.0, 0.0, 0.0]))
+_WEDGE = WedgeState(np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+_TANH_LEVEL = ProductDrift(n=1, beta1=np.tanh, k_lipschitz=1.0)
+
+# 30 couplings per case, each calling forward_flow once
+FLOW_CASES = {
+    "wedge-bilinear": lambda s: run_coupling(_WEDGE, BilinearDrift(), TimeGrid(1.0, 200),
+                                             RngSpec(8810, 10000 + s)),
+    "slab-toy-logistic": lambda s: run_coupling(SlabState(-0.4 * D2, 0.4 * D2, D2), _TOY,
+                                                TimeGrid(1.0, 100), RngSpec(8810, 20000 + s)),
+    "slab3-logistic": lambda s: run_coupling(SlabState(-0.4 * D3, 0.4 * D3, D3), _slab3_logistic(),
+                                             TimeGrid(1.0, 100), RngSpec(84, s)),
+    "level-product": lambda s: run_coupling(IntervalState(-0.5, 0.2), _TANH_LEVEL,
+                                            TimeGrid(1.0, 100), RngSpec(91, s), x0=np.zeros(1)),
+    # not orthogonal_to the normal, so the tilt check evaluates beta
+    "slab-zero-constant": lambda s: run_coupling(SlabState(-0.4 * D2, 0.2 * D2, D2),
+                                                 ConstantDrift(np.zeros(2)), TimeGrid(1.0, 100),
+                                                 RngSpec(92, s), x0=np.zeros(2)),
+    "entrance-wedge": lambda s: run_entrance_coupling(
+        WedgeState(np.array([1.0, 2.0]), np.array([0.3, 0.1]), np.array([0.3, 0.1])),
+        BilinearDrift(), TimeGrid(1.0, 100), RngSpec(5, s)),
+    "entrance-slab": lambda s: run_entrance_coupling(SlabState(0.1 * D2, 0.1 * D2, D2), _TOY,
+                                                     TimeGrid(1.0, 100), RngSpec(5, s)),
+    "entrance-slab3": lambda s: run_entrance_coupling(SlabState(0.1 * D3, 0.1 * D3, D3),
+                                                      _slab3_logistic(), TimeGrid(1.0, 100),
+                                                      RngSpec(5, s)),
+}
+
+
+@pytest.mark.parametrize("case", FLOW_CASES)
+def test_forward_flow_matches_its_stepwise_form(case, monkeypatch):
+    flows = []
+
+    def recorded(x_path, y0, noise, drift):
+        out = forward_flow(x_path, y0, noise, drift)
+        flows.append((out, _forward_flow_reference(x_path, y0, noise, drift)))
+        return out
+
+    monkeypatch.setattr(coupling, "forward_flow", recorded)
+    for s in range(30):
+        FLOW_CASES[case](s)
+    assert len(flows) == 30 and not any(out.outside for out, _ in flows)
+    crossings = 0
+    for out, (sigma, reflected, anchors, u) in flows:
+        assert np.array_equal(out.sigma.values[:, 0], sigma)
+        assert np.array_equal(out.reflected_noise.values, reflected)
+        assert np.array_equal(out.surfaces.anchors, anchors)
+        assert (u is None and out.surfaces.u is None) or np.array_equal(out.surfaces.u, u)
+        crossings += int(np.count_nonzero(np.diff(sigma)))
+    assert crossings > 0  # the crossing branch was compared too
+
+
+def test_forward_flow_refuses_a_tilted_slab_drift():
+    grid = TimeGrid(1.0, 20)
+    tilted = ConstantDrift(np.array([1.0, 0.0]))
+    w = sample_brownian(grid, 2, RngSpec(93, 0))
+    x_path = euler_forward_implicit(np.zeros(2), w, tilted)
+    with pytest.raises(ModelError, match="tilted"):
+        forward_flow(x_path, Surface(0.3 * D2, normal=D2), impute_noise(x_path, tilted), tilted)

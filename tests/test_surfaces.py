@@ -19,6 +19,7 @@ from dualflow import (
     sample_brownian,
     step_surface,
 )
+from dualflow.surfaces import _along, _direction_path
 
 
 def toy_logistic():
@@ -57,7 +58,7 @@ def test_line_surface_needs_interior_cone_direction():
     # a step of dt >= 1 rotates (1, 2) onto the cone's edge (3, 3)
     flat, still = ConstantDrift(np.zeros(2)), SamplePath(TimeGrid(2.0, 2), np.zeros((3, 2)))
     with pytest.raises(ModelError, match=r"\|u_1\| < u_2, got u=\[3.0, 3.0\]"):
-        step_surface(np.zeros(2), flat, 1.0, np.zeros(2), u=np.array([1.0, 2.0]))
+        _direction_path(np.array([1.0, 2.0]), 1.0, 1)
     with pytest.raises(ModelError, match=r"\|u_1\| < u_2"):
         evolve_surface(Surface(np.zeros(2), u=np.array([1.0, 2.0])), still, flat)
 
@@ -69,6 +70,25 @@ def test_plane_surface_geometry():
     x2 = 1.0
     h = s.height(np.array([x2]))
     assert d @ np.array([h, x2]) == pytest.approx(d @ s.anchor)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_height_is_the_along_sum_to_the_bit(n):
+    # the height sums its slope products as every normal product in the
+    # package does, down to the sign of a zero
+    gen = RngSpec(95, n).generator()
+    for k in range(200):
+        anchor, rest = gen.standard_normal(n), gen.standard_normal(n - 1)
+        normal = gen.standard_normal(n)
+        normal[0] = abs(normal[0])
+        normal /= np.linalg.norm(normal)
+        if n > 1 and k % 2:
+            # zero products on a -0 anchor: only the sum's order fixes
+            # the height's sign
+            anchor[0], rest[:] = -0.0, anchor[1:]
+        h = Surface(anchor, normal=normal).height(rest)
+        want = anchor[0] if n == 1 else anchor[0] - _along(normal[1:] / normal[0], rest - anchor[1:])
+        assert np.array(h).tobytes() == np.array(want).tobytes()
 
 
 def test_plane_surface_validation():
@@ -87,8 +107,7 @@ def test_plane_surface_validation():
 def test_level_step_forward_backward_inverse():
     drift = ConstantDrift(0.5)
     d = np.array([0.2])
-    fwd, u = step_surface(np.array([0.3]), drift, 0.1, d, np.ones(1))
-    assert u is None
+    fwd = step_surface(np.array([0.3]), drift, 0.1, d, np.ones(1))
     assert fwd[0] == pytest.approx(0.3 + 0.05 + 0.2)
     back = explicit_step(fwd, 0.1, -d, drift)
     assert back[0] == pytest.approx(0.3, abs=1e-15)
@@ -98,7 +117,7 @@ def test_level_step_inverts_for_state_dependent_drift():
     # beta_1(x) = x: an explicit forward step would come back to 0.277
     drift = ProductDrift(n=1, beta1=lambda x: np.asarray(x, float), k_lipschitz=1.0)
     d = np.array([0.2])
-    fwd, _ = step_surface(np.array([0.3]), drift, 0.1, d, np.ones(1))
+    fwd = step_surface(np.array([0.3]), drift, 0.1, d, np.ones(1))
     assert fwd[0] == pytest.approx(0.5 / 0.9, abs=1e-12)  # w = 0.3 + 0.1 w + 0.2
     back = explicit_step(fwd, 0.1, -d, drift)
     assert abs(back[0] - 0.3) < 1e-12
@@ -109,9 +128,9 @@ def test_line_step_forward_backward_inverse():
     anchor, u = np.array([0.4, 0.1]), np.array([1.0, 2.0])
     d = np.array([0.05, -0.08])
     dt = 0.01
-    fwd, fwd_u = step_surface(anchor, drift, dt, d, u=u)
-    # direction follows its own deterministic substep
-    assert np.allclose(fwd_u, u + dt * np.array([u[1], u[0]]))
+    fwd = step_surface(anchor, drift, dt, d)
+    # the direction follows its own deterministic substep
+    assert np.allclose(_direction_path(u, dt, 1), [u, u + dt * np.array([u[1], u[0]])])
     # the explicit step inverts the implicit anchor step exactly
     back = explicit_step(fwd, dt, -d, drift)
     assert np.allclose(back, anchor, atol=1e-12)
@@ -123,8 +142,7 @@ def test_plane_step_forward_backward_inverse():
     anchor = np.array([0.3, 0.0])
     d = np.array([0.05, 0.02])
     dt = 0.01
-    fwd, u = step_surface(anchor, drift, dt, d, d_normal)
-    assert u is None
+    fwd = step_surface(anchor, drift, dt, d, d_normal)
     # the anchor slides along the normal by the increment's share, so the
     # opposite slide takes it back
     assert np.allclose(fwd - (d_normal @ d) * d_normal, anchor, atol=1e-12)
@@ -145,15 +163,12 @@ def test_step_surface_moves_rows_as_single_anchors(face):
     anchors, inc = rng.normal(size=(5, n)), 0.1 * rng.normal(size=(5, n))
     drift, frame = {
         "level": (ConstantDrift(0.5), {"normal": np.ones(1)}),
-        "line": (BilinearDrift(), {"u": np.array([1.0, 2.0])}),
+        "line": (BilinearDrift(), {}),
         "plane": (toy_logistic(), {"normal": np.array([1.0, -1.0]) / np.sqrt(2.0)}),
     }[face]
-    rows, u = step_surface(anchors, drift, 0.01, inc, **frame)
+    rows = step_surface(anchors, drift, 0.01, inc, **frame)
     single = [step_surface(a, drift, 0.01, d, **frame) for a, d in zip(anchors, inc)]
-    assert all((s_u is None) == (u is None) for _, s_u in single)
-    assert rows.tobytes() == np.array([a for a, _ in single]).tobytes()
-    if u is not None:
-        assert all(s_u.tobytes() == u.tobytes() for _, s_u in single)
+    assert rows.tobytes() == np.array(single).tobytes()
 
 
 def test_surface_needs_one_normal_source():
