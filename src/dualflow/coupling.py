@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -666,51 +667,64 @@ def _first_cover(lo, hi, pX, t, u, s, u0):
 # serialization
 
 
+# the keys of a coupling record in the order written (only a wedge's go on to u),
+# and a value: a JSON number, or the NaN and +-Infinity that nan and +-inf become
+_RECORD_KEYS = ("t", "x", "z", "y", "sigma", "gamma", "w", "omega", "xi", "u")
+_VALUE = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|-?Infinity|NaN)"
+
+
 def _header_record(traj: CouplingTrajectory) -> str:
     """The JSON header of a coupling artifact: family, T, N and any fixed normal."""
     normal = {} if traj.normal is None else {"normal": traj.normal.tolist()}
     return json.dumps({"family": traj.family, "T": traj.grid.T, "N": traj.grid.N, **normal})
 
 
-def write_coupling_jsonl(fp, traj: CouplingTrajectory) -> None:
-    """One record per grid node; header record carries family metadata.
+def _record_template(items) -> str:
+    """The line template, written and read, of a record of these (key, value) items."""
+    return "{" + ", ".join(f'"{key}": ' + ("%d" if key == "gamma" else "%r" if np.ndim(v) == 0
+                                          else "[" + ", ".join(["%r"] * len(v)) + "]")
+                           for key, v in items) + "}\n"
 
-    A record is the line json.dumps writes for it, from one template per
-    file: a float is its repr, and nan and +-inf become NaN and +-Infinity
-    (no key or literal holds those tokens); gamma is written 1 or 0, then
-    replaced by true or false."""
+
+def write_coupling_jsonl(fp, traj: CouplingTrajectory) -> None:
+    """A header record of family metadata, then one record per grid node: the line
+    json.dumps writes for it, from one template per file (a float is its repr, nan and
+    +-inf become NaN and +-Infinity, which no key holds, and gamma 1 or 0 true or false)."""
     fp.write(_header_record(traj) + "\n")
-    cols = [("t", traj.grid.times), ("x", traj.primal.values), ("z", traj.z_path.values),
-            ("y", traj.y_path.values), ("sigma", traj.sigma.values[:, 0]),
-            ("gamma", traj.gamma_flags), ("w", traj.wiener.values), ("omega", traj.noise.values),
-            ("xi", traj.reflected.values)]
-    if traj.u_path is not None:
-        cols.append(("u", traj.u_path))
-    fields = [f'"{key}": ' + ("%d" if key == "gamma" else "%r" if a.ndim == 1
-                              else "[" + ", ".join(["%r"] * a.shape[1]) + "]")
-              for key, a in cols]
-    _write_rows(fp, "{" + ", ".join(fields) + "}\n", [a for _, a in cols],
+    cols = [traj.grid.times, traj.primal.values, traj.z_path.values, traj.y_path.values,
+            traj.sigma.values[:, 0], traj.gamma_flags, traj.wiener.values, traj.noise.values,
+            traj.reflected.values] + ([] if traj.u_path is None else [traj.u_path])
+    _write_rows(fp, _record_template(zip(_RECORD_KEYS, [a[0] for a in cols])), cols,
                 tokens=[("nan", "NaN"), ("inf", "Infinity"),
                         ('"gamma": 1', '"gamma": true'), ('"gamma": 0', '"gamma": false')])
 
 
 def read_coupling_jsonl(fp) -> CouplingTrajectory:
-    """Rebuild a trajectory from the records write_coupling_jsonl wrote."""
+    """Rebuild a trajectory from the records write_coupling_jsonl wrote, in its exact
+    layout (each line matches the first's template), one float pass per column."""
     head = json.loads(fp.readline())
-    rows = [json.loads(line) for line in fp if line.strip()]
     grid = TimeGrid(float(head["T"]), int(head["N"]))
-    if len(rows) != grid.N + 1:
-        raise ValueError(f"expected {grid.N + 1} records, got {len(rows)}")
+    body = fp.read()
+    first = json.loads(body.partition("\n")[0])
+    keys = [key for key in _RECORD_KEYS if key in first]
+    line = re.compile("^" + re.escape(_record_template((key, first[key]) for key in keys)[:-1])
+                      .replace("%r", _VALUE).replace("%d", "(true|false)") + "$", re.M)
+    rows, count = line.findall(body), body.count("\n") + (not body.endswith("\n"))
+    if len(rows) != grid.N + 1 or count != grid.N + 1:
+        bad = [i + 2 for i, text in enumerate(body.split("\n")[:count]) if not line.match(text)]
+        raise ValueError(f"line {bad[0]} is not a {', '.join(keys)} record as written" if bad
+                         else f"expected {grid.N + 1} records, got {count}")
+    cols = iter(zip(*rows))
+    values = {key: [next(cols) for _ in range(np.size(first[key]))] for key in keys}
 
     def path(key):
-        return SamplePath(grid, np.asarray([r[key] for r in rows], dtype=float))
+        return SamplePath(grid, np.stack([np.fromiter(map(float, c), float, len(c))
+                                          for c in values[key]], axis=1))
 
     return CouplingTrajectory(
-        family=head["family"], grid=grid, primal=path("x"), z_path=path("z"),
-        y_path=path("y"), sigma=path("sigma"),
-        gamma_flags=np.asarray([r["gamma"] for r in rows], dtype=bool), wiener=path("w"),
-        noise=path("omega"), reflected=path("xi"),
-        u_path=np.asarray([r["u"] for r in rows], dtype=float) if "u" in rows[0] else None,
+        family=head["family"], grid=grid, primal=path("x"), z_path=path("z"), y_path=path("y"),
+        sigma=path("sigma"), gamma_flags=np.array(values["gamma"][0]) == "true", wiener=path("w"),
+        noise=path("omega"), reflected=path("xi"), u_path=path("u").values if "u" in first else None,
         normal=np.asarray(head["normal"], dtype=float) if "normal" in head else None)
 
 

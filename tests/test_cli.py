@@ -295,17 +295,43 @@ def _coupling_artifact(edit_header=None, edit_record=None) -> str:
     return "".join(json.dumps(r) + "\n" for r in [head] + recs)
 
 
-@pytest.mark.parametrize("artifact,text", [
+def _coupling_lines(edit) -> str:
+    """The small interval coupling artifact, its list of lines as edit returns it."""
+    return "".join(edit(_coupling_artifact().splitlines(True)))
+
+
+# (id, artifact text, where the error says it is malformed); the records of
+# _coupling_artifact are at t = 0, 0.25, ..., 1 on lines 2 to 6
+_MALFORMED_COUPLING = [
+    ("coupling-keys-reordered", lambda: _coupling_artifact(
+        edit_record=lambda r: dict(reversed(list(r.items())))), "line 2 "),
+    ("coupling-extra-key", lambda: _coupling_artifact(edit_record=lambda r: {**r, "v": 0.0}),
+     "line 2 "),
+    ("coupling-x-one-value-too-long", lambda: _coupling_artifact(
+        edit_record=lambda r: {**r, "x": r["x"] + [0.0]} if r["t"] == 0.5 else r), "line 4 "),
+    ("coupling-value-not-a-float",
+     lambda: _coupling_artifact().replace('"t": 0.5,', '"t": 1-2,'), "line 4 "),
+    ("coupling-N-records", lambda: _coupling_lines(lambda lines: lines[:-1]),
+     "expected 5 records, got 4"),
+    ("coupling-blank-line", lambda: _coupling_lines(lambda lines: lines[:3] + ["\n"] + lines[3:]),
+     "line 4 "),
+]
+
+
+@pytest.mark.parametrize("artifact,text,where", [
     ("coupling-0.jsonl", lambda: _coupling_artifact(
-        edit_record=lambda r: {k: v for k, v in r.items() if k != "x"})),
-    ("coupling-0.jsonl", lambda: _coupling_artifact(edit_header=lambda h: list(h.values()))),
-    ("dual-0.jsonl", lambda: '{"t": 0.0, "z": [0.0], "y": [1.0]}\n'),
-], ids=["coupling-record-without-x", "coupling-header-array", "dual-record-without-absorbed"])
-def test_plot_data_refuses_a_malformed_record(tmp_path, capsys, artifact, text):
+        edit_record=lambda r: {k: v for k, v in r.items() if k != "x"}), ""),
+    ("coupling-0.jsonl", lambda: _coupling_artifact(edit_header=lambda h: list(h.values())), ""),
+    ("dual-0.jsonl", lambda: '{"t": 0.0, "z": [0.0], "y": [1.0]}\n', ""),
+] + [("coupling-0.jsonl", text, where) for _, text, where in _MALFORMED_COUPLING],
+    ids=["coupling-record-without-x", "coupling-header-array", "dual-record-without-absorbed"]
+    + [name for name, _, _ in _MALFORMED_COUPLING])
+def test_plot_data_refuses_a_malformed_record(tmp_path, capsys, artifact, text, where):
     (tmp_path / artifact).write_text(text())
     assert main(["plot-data", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("model error: malformed artifact ") and artifact in err
+    assert f"{artifact}: {where}" in err
     assert not (tmp_path / artifact).with_suffix(".csv").exists()
 
 

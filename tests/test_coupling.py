@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -33,7 +34,12 @@ from dualflow import (
 from dualflow import coupling
 from dualflow.cli import build_drift
 from dualflow.core import brownian_increments, partial_sums
-from dualflow.coupling import _slab_region_attempts, read_coupling_jsonl, write_coupling_jsonl
+from dualflow.coupling import (
+    CouplingTrajectory,
+    _slab_region_attempts,
+    read_coupling_jsonl,
+    write_coupling_jsonl,
+)
 from dualflow.duals import _plane_density_sampler, plane_density, span_normal
 from dualflow.surfaces import _normal_of
 
@@ -136,6 +142,63 @@ def test_coupling_jsonl_round_trip():
     assert np.array_equal(back.y_path.values, traj.y_path.values)
     assert np.array_equal(back.sigma.values, traj.sigma.values)
     assert np.array_equal(back.gamma_flags, traj.gamma_flags)
+
+
+def _jsonl_round_trip(traj):
+    buf = io.StringIO()
+    write_coupling_jsonl(buf, traj)
+    buf.seek(0)
+    return read_coupling_jsonl(buf)
+
+
+def _assert_same_bits(back, traj):
+    """Every float of back has the bits of traj's (NaN as NaN, the sign of a
+    zero kept); the flags, family, grid and array shapes are equal."""
+    assert (back.family, back.grid) == (traj.family, traj.grid)
+    assert back.gamma_flags.dtype == bool and np.array_equal(back.gamma_flags, traj.gamma_flags)
+    for name in ("primal", "z_path", "y_path", "sigma", "wiener", "noise", "reflected",
+                 "u_path", "normal"):
+        a, b = (getattr(getattr(t, name), "values", getattr(t, name)) for t in (back, traj))
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b, equal_nan=True), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+def test_coupling_jsonl_round_trip_is_bit_for_bit_for_wedge_and_slab():
+    grid = TimeGrid(1.0, 40)
+    wedge = run_coupling(WedgeState(np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 0.0])),
+                         BilinearDrift(), grid, RngSpec(83, 0))
+    d = SLAB_NORMAL
+    slab = run_coupling(SlabState(-0.4 * d, 0.4 * d, d), toy_logistic(), grid, RngSpec(84, 0))
+    assert wedge.u_path is not None and slab.normal is not None
+    for traj in (wedge, slab):
+        _assert_same_bits(_jsonl_round_trip(traj), traj)
+
+
+def test_coupling_jsonl_round_trip_keeps_nan_infinities_and_signed_zeros():
+    grid = TimeGrid(1.0, 5)
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324])
+    cols = lambda shift, n: np.stack([np.roll(special, shift + i) for i in range(n)], axis=1)
+    path = lambda shift: SamplePath(grid, cols(shift, 2))
+    traj = CouplingTrajectory(
+        family="wedge", grid=grid, primal=path(0), z_path=path(1), y_path=path(2),
+        sigma=SamplePath(grid, special), gamma_flags=np.arange(6) % 2 == 0, wiener=path(3),
+        noise=path(4), reflected=path(5), u_path=cols(1, 2))
+    _assert_same_bits(_jsonl_round_trip(traj), traj)
+
+
+def test_coupling_jsonl_reader_does_not_parse_line_by_line(monkeypatch):
+    """Only the header and the first record go through json.loads."""
+    traj = run_entrance_coupling(0.0, ConstantDrift(0.5), TimeGrid(1.0, 4000), RngSpec(0, 0))
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr("dualflow.coupling.json.loads",
+                        lambda text, **kw: calls.append(text) or loads(text, **kw))
+    back = _jsonl_round_trip(traj)
+    assert back.grid.N == 4000 and len(calls) <= 2
 
 
 def test_wedge_coupling_runs_with_flags():
