@@ -58,7 +58,6 @@ from .duals import (
     dual_step,
     plane_density,
     span_normal,
-    _check_slab_drift,
     _plane_density_sampler,
 )
 from .surfaces import _along
@@ -388,7 +387,7 @@ def cmd_dual(config: dict) -> int:
     state0 = build_state(config["dual"].get("state"), d)
     if state0.n != drift.n:
         raise ConfigError("dual state and model live in different dimensions")
-    _check_slab_drift(state0, drift)
+    state0._check_drift(drift)
     run_dir = new_run_dir(config, "dual")
     for r in range(config["replicas"]):
         noise = sample_brownian(grid, drift.n, RngSpec(config["seed"], r))
@@ -402,7 +401,7 @@ def cmd_dual(config: dict) -> int:
                     "y": np.atleast_1d(np.asarray(state.y, dtype=float)).tolist(),
                     "absorbed": bool(state.absorbed),
                 }
-                if isinstance(state, WedgeState):
+                if state._rotating:
                     rec["u"] = state.u.tolist()
                 if state.zeta is not None:
                     rec["zeta"] = float(state.zeta)
@@ -435,10 +434,7 @@ def cmd_couple(config: dict) -> int:
         run, start = run_coupling, build_state(section.get("state"), d)
     if start.n != drift.n:
         raise ConfigError("coupling state and model dimensions differ")
-    if isinstance(start, SlabState) and not isinstance(drift, LogisticDrift):
-        # a slab coupling draws its primal start from the logistic plane density
-        raise ModelError("slab sampling requires the logistic drift family")
-    _check_slab_drift(start, drift)
+    start._check_drift(drift, sampled=True)
     run_dir = new_run_dir(config, "couple")
     for r in range(config["replicas"]):
         traj = run(start, drift, grid, RngSpec(config["seed"], r))

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (
     ConstantDrift,
@@ -47,18 +46,16 @@ from .core import (
     euler_backward_values,
     euler_forward_implicit,
     partial_sums,
-    uniforms,
 )
 from .duals import (
+    _FAMILIES,
     DualState,
     IntervalState,
     SlabState,
-    WedgeState,
-    _interval_mass,
+    _FacePair,
     covers,
     face_gap,
     plane_density,
-    _plane_density_sampler,
     sample_conditional,
     span_normal,
 )
@@ -257,55 +254,18 @@ def run_entrance_coupling(
     gen = rng.generator()
     try:
         if isinstance(start, (int, float)):
-            state0 = IntervalState(float(start), float(start))
-            x0 = np.array([float(start)])
-        elif isinstance(start, IntervalState):
-            if start.y != start.z:
-                raise ModelError("entrance interval must be degenerate (z == y)")
-            state0 = start
-            x0 = np.array([start.z])
-        elif isinstance(start, (WedgeState, SlabState)) and abs(start.gap()) > 1e-12:
-            raise ModelError(f"entrance {start.family} must have coincident faces")
-        elif isinstance(start, WedgeState):
-            state0 = start
-            x0 = _entrance_point_on_line(start, gen)
-        elif isinstance(start, SlabState):
-            if not isinstance(drift, LogisticDrift):
-                raise ModelError("slab entrance requires the logistic drift family")
-            state0 = start
-            pd = plane_density(drift, start.normal)
-            w = _plane_density_sampler(pd, gen, 1)[0]
-            x0 = pd.basis @ w + float(_along(start.normal, start.y)) * start.normal
-        else:
+            start = IntervalState(float(start), float(start))
+        elif not isinstance(start, _FacePair):
             raise ModelError(f"unsupported entrance start {type(start)}")
-
-        if state0.n > 1:
+        x0 = start._entrance_point(drift, gen)
+        if start.n > 1:
             # the draw lands on the shared boundary only up to rounding, and the
             # reflection flow branches on exact containment; snap the first
             # coordinate onto the surface (an adjustment of at most a few ulps)
-            x0[0] = min(x0[0], state0.upper_face().height(x0[1:]))
-        return _couple(state0, drift, grid, x0, gen)
+            x0[0] = min(x0[0], start.upper_face().height(x0[1:]))
+        return _couple(start, drift, grid, x0, gen)
     except NumericalError as err:
         raise NumericalError(f"coupling (seed {rng.seed}, stream {rng.stream}): {err}") from err
-
-
-def _entrance_point_on_line(state: WedgeState, gen) -> np.ndarray:
-    """Draw the primal start on the strip's boundary line, density proportional to nu.
-
-    Along the line through y with direction u the invariant density is a
-    Gaussian in the line coordinate, drawn by its exact quantile.
-    """
-    u = state.u
-    if not 0.0 < u[0] < u[1]:
-        raise ModelError(f"direction outside the entrance cone: u={u.tolist()}")
-    uhat = u / math.sqrt(float(u @ u))
-    y = state.y
-    # exponent of nu along y + s*uhat: -2(y1 + s u1)(y2 + s u2) = -2a s^2 - 2b s + const,
-    # a Gaussian in s with mean -b/(2a) and sd 1/sqrt(4a)
-    a = uhat[0] * uhat[1]
-    b = y[0] * uhat[1] + y[1] * uhat[0]
-    s = -b / (2.0 * a) + float(ndtri(uniforms(gen, ()))) / math.sqrt(4.0 * a)
-    return y + s * uhat
 
 
 def pitman_construct(w: SamplePath, mu: float) -> SamplePath:
@@ -341,27 +301,6 @@ class BesselDiagnostics:
     truncated: bool
 
 
-def _mass_rate(traj: CouplingTrajectory, drift: DriftField) -> np.ndarray:
-    """Closed-form m(X*(v)) = (d/dy - d/dz) applied to the region mass."""
-    if traj.family == "interval":
-        if not isinstance(drift, ConstantDrift):
-            raise ModelError("closed-form rate needs constant drift on intervals")
-        mu = float(drift.mu[0])
-        z = traj.z_path.values[:, 0]
-        y = traj.y_path.values[:, 0]
-        return np.exp(-2.0 * mu * y) + np.exp(-2.0 * mu * z)
-    if traj.family == "slab":
-        return np.full(traj.grid.N + 1, 2.0 * float(traj.normal[0]))
-    raise ModelError(f"no closed-form clock rate for the {traj.family} family")
-
-
-def _mass_path(traj: CouplingTrajectory, drift: DriftField) -> np.ndarray:
-    if traj.family == "interval":
-        return _interval_mass(traj.z_path.values[:, 0], traj.y_path.values[:, 0],
-                              float(drift.mu[0]))
-    return traj.gap()
-
-
 def bessel_time_change(
     traj: CouplingTrajectory,
     drift: DriftField,
@@ -374,12 +313,11 @@ def bessel_time_change(
     node count spanning [0, R(T)]; explicit eval_times beyond R(T) yield
     NaN entries and set the truncated flag.
     """
-    m = _mass_rate(traj, drift)
+    m, h_vals = _FAMILIES[traj.family]._mass_clock(traj, drift)
     v_times = traj.grid.times
     dv = traj.grid.dt
     R = np.zeros(traj.grid.N + 1)
     np.cumsum(m[:-1] ** 2 * dv, out=R[1:])
-    h_vals = _mass_path(traj, drift)
 
     R_total = float(R[-1])
     truncated = False
@@ -597,7 +535,7 @@ def _slab_wave(lo, hi, start, grid, specs, pd):
     x = np.zeros((rows, n))
     for r, gen in enumerate(gens):
         try:
-            x[r] = pd.basis @ _plane_density_sampler(pd, gen, 1)[0] + offset * d
+            x[r] = start._entrance_point(drift, gen)
         except NumericalError as err:
             outcome[r] = _attempt_error(specs[r], err)
     times = grid.times
@@ -673,17 +611,24 @@ _RECORD_KEYS = ("t", "x", "z", "y", "sigma", "gamma", "w", "omega", "xi", "u")
 _VALUE = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|-?Infinity|NaN)"
 
 
+def _record_layout(n: int, rotating: bool) -> list:
+    """(key, width) per key of a coupling record in n dimensions, width None for
+    the scalars t, sigma and gamma; a rotating normal adds the direction u."""
+    return [(key, None if key in ("t", "sigma", "gamma") else 2 if key == "u" else n)
+            for key in _RECORD_KEYS if rotating or key != "u"]
+
+
 def _header_record(traj: CouplingTrajectory) -> str:
     """The JSON header of a coupling artifact: family, T, N and any fixed normal."""
     normal = {} if traj.normal is None else {"normal": traj.normal.tolist()}
     return json.dumps({"family": traj.family, "T": traj.grid.T, "N": traj.grid.N, **normal})
 
 
-def _record_template(items) -> str:
-    """The line template, written and read, of a record of these (key, value) items."""
-    return "{" + ", ".join(f'"{key}": ' + ("%d" if key == "gamma" else "%r" if np.ndim(v) == 0
-                                          else "[" + ", ".join(["%r"] * len(v)) + "]")
-                           for key, v in items) + "}\n"
+def _record_template(layout) -> str:
+    """The line template, written and read, of a record of this layout."""
+    return "{" + ", ".join(f'"{key}": ' + ("%d" if key == "gamma" else "%r" if width is None
+                                          else "[" + ", ".join(["%r"] * width) + "]")
+                           for key, width in layout) + "}\n"
 
 
 def write_coupling_jsonl(fp, traj: CouplingTrajectory) -> None:
@@ -694,28 +639,30 @@ def write_coupling_jsonl(fp, traj: CouplingTrajectory) -> None:
     cols = [traj.grid.times, traj.primal.values, traj.z_path.values, traj.y_path.values,
             traj.sigma.values[:, 0], traj.gamma_flags, traj.wiener.values, traj.noise.values,
             traj.reflected.values] + ([] if traj.u_path is None else [traj.u_path])
-    _write_rows(fp, _record_template(zip(_RECORD_KEYS, [a[0] for a in cols])), cols,
+    layout = _record_layout(traj.primal.dim, traj.u_path is not None)
+    _write_rows(fp, _record_template(layout), cols,
                 tokens=[("nan", "NaN"), ("inf", "Infinity"),
                         ('"gamma": 1', '"gamma": true'), ('"gamma": 0', '"gamma": false')])
 
 
 def read_coupling_jsonl(fp) -> CouplingTrajectory:
     """Rebuild a trajectory from the records write_coupling_jsonl wrote, in its exact
-    layout (each line matches the first's template), one float pass per column."""
+    layout (each line matches the template of the header family's record layout), one
+    float pass per column."""
     head = json.loads(fp.readline())
     grid = TimeGrid(float(head["T"]), int(head["N"]))
+    family = _FAMILIES[head["family"]]
+    layout = _record_layout(family._dim or len(head["normal"]), family._rotating)
     body = fp.read()
-    first = json.loads(body.partition("\n")[0])
-    keys = [key for key in _RECORD_KEYS if key in first]
-    line = re.compile("^" + re.escape(_record_template((key, first[key]) for key in keys)[:-1])
+    line = re.compile("^" + re.escape(_record_template(layout)[:-1])
                       .replace("%r", _VALUE).replace("%d", "(true|false)") + "$", re.M)
     rows, count = line.findall(body), body.count("\n") + (not body.endswith("\n"))
     if len(rows) != grid.N + 1 or count != grid.N + 1:
         bad = [i + 2 for i, text in enumerate(body.split("\n")[:count]) if not line.match(text)]
-        raise ValueError(f"line {bad[0]} is not a {', '.join(keys)} record as written" if bad
+        raise ValueError(f"line {bad[0]} is not a {head['family']} record as written" if bad
                          else f"expected {grid.N + 1} records, got {count}")
     cols = iter(zip(*rows))
-    values = {key: [next(cols) for _ in range(np.size(first[key]))] for key in keys}
+    values = {key: [next(cols) for _ in range(width or 1)] for key, width in layout}
 
     def path(key):
         return SamplePath(grid, np.stack([np.fromiter(map(float, c), float, len(c))
@@ -724,7 +671,8 @@ def read_coupling_jsonl(fp) -> CouplingTrajectory:
     return CouplingTrajectory(
         family=head["family"], grid=grid, primal=path("x"), z_path=path("z"), y_path=path("y"),
         sigma=path("sigma"), gamma_flags=np.array(values["gamma"][0]) == "true", wiener=path("w"),
-        noise=path("omega"), reflected=path("xi"), u_path=path("u").values if "u" in first else None,
+        noise=path("omega"), reflected=path("xi"),
+        u_path=path("u").values if family._rotating else None,
         normal=np.asarray(head["normal"], dtype=float) if "normal" in head else None)
 
 

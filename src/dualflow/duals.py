@@ -13,18 +13,23 @@ for the absorbed region dynamics; dividing it out turns the absorbed
 dynamics into a conservative process whose drift gains a log-derivative
 term, and sample_conditional, a draw of the primal point from the
 region-conditional law, ties the two levels together.
+
+Each family's pieces are methods of its state class (IntervalState,
+WedgeState, SlabState): the mass, the conditional draw, the dual drift,
+the closed form, the entrance point, the Bessel clock and the drift check.
+The module functions (nu_mass, sample_conditional, dual_drift, ...) call
+them; a piece that a family lacks raises one ModelError naming the family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfi
+from scipy.special import erfi, ndtri
 
 from .core import (
     BilinearDrift,
@@ -89,12 +94,15 @@ def _check_finite(z, y) -> None:
 
 
 class _FacePair:
-    """Geometry shared by the dual regions.
+    """Geometry shared by the dual regions, and the defaults of the family
+    pieces; a piece that a family lacks raises one ModelError naming both.
 
     Every region is the half-space pair between a z-face and a y-face with
     a common normal: e_1 for an interval, (u_2, -u_1) for a strip, d for a
     slab.  The gap is the y-face's height above the z-face along it.
     """
+
+    _rotating = False  # whether the normal turns with a direction u (a strip's does)
 
     @property
     def n(self) -> int:
@@ -107,6 +115,65 @@ class _FacePair:
         """The hypograph below the y-face, with the region's fixed normal."""
         return Surface(self.y, normal=self.normal)
 
+    @classmethod
+    def _missing(cls, piece: str) -> ModelError:
+        return ModelError(f"the {cls.family} family has no {piece}")
+
+    def _mu(self, drift: DriftField, piece: str) -> Optional[float]:
+        """The drift law of the interval's pieces (IntervalState._mu)."""
+        raise self._missing(piece)
+
+    def _dual_drift(self, drift: DriftField) -> tuple:
+        raise self._missing("dual drift")
+
+    @classmethod
+    def _mass_clock(cls, traj, drift: DriftField) -> tuple:
+        """The Bessel clock's rate m = (d/dy - d/dz) nu and the mass nu at
+        each node of a coupling trajectory of the family."""
+        raise cls._missing("Bessel clock")
+
+    def _check_drift(self, drift: DriftField, sampled: bool = False) -> None:
+        """Refuse a drift under which the faces cannot move or, if sampled,
+        the family's points cannot be drawn; only a slab refuses one."""
+
+    def _check_coincident(self) -> None:
+        if abs(self.gap()) > 1e-12:
+            raise ModelError(f"entrance {self.family} must have coincident faces")
+
+    def _closed_form(self, drift: DriftField) -> bool:
+        """Whether the dual's law at T (_terminal) and the primal's offset
+        along the normal (_offsets) are in closed form under drift: by default
+        when the faces slide along the fixed normal at a _rate (mu or 0)."""
+        return self._rate(drift) is not None
+
+    def _terminal(self, drift: DriftField, T: float, w: np.ndarray, uni: np.ndarray) -> tuple:
+        """The dual at T from W_T (m, n) and one bridge uniform per row:
+        anchors z, y (m, n), alive (m,) and the terminal normal.
+
+        The faces drift by rate T along n and slide as dual_step slides them,
+        the z-face by n . W and the y-face by n . flip(W), so the gap is
+        g0 - 2 n_1 W_1, the driftless interval gap in the coordinate n . x.
+        A replica survives to T iff the continuous maximum of W_1 stays below
+        h = g0 / (2 n_1) (_bridge_survives), and a survivor's faces depend on
+        W_T alone.
+        """
+        nvec, rate = self.normal, self._rate(drift)
+        z0, y0 = (np.atleast_1d(np.asarray(f, dtype=float)) for f in (self.z, self.y))
+        alive = _bridge_survives(w[:, 0], self.gap() / (2.0 * float(nvec[0])), T, uni)
+        drifted = rate * T * nvec
+        return _slide(z0 + drifted, nvec, w), _slide(y0 + drifted, nvec, flip_first(w)), alive, nvec
+
+    def _offsets(self, drift: DriftField, x: np.ndarray, T: float, seed: int,
+                 streams: Sequence[int]) -> np.ndarray:
+        """n . X_T, one per stream, for a primal whose drift along the fixed
+        normal n is -rate on the whole path: n . x - rate T + n . W_T on every
+        grid, each stream drawing W_T in one step of length T.  For an
+        interval under a constant drift this is bit for bit the x - mu T +
+        W_T of primal_terminal_batch."""
+        nvec, rate = self.normal, self._rate(drift)
+        inc, _ = stream_increments(TimeGrid(T, 1), self.n, seed, streams)
+        return (_along(nvec, x) - rate * T) + _along(nvec, inc[0])
+
 
 @dataclass(frozen=True)
 class IntervalState(_FacePair):
@@ -114,6 +181,7 @@ class IntervalState(_FacePair):
     entrance start, from which the pair separates immediately."""
 
     family = "interval"
+    _dim = 1
     z: float
     y: float
     absorbed: bool = False
@@ -131,6 +199,64 @@ class IntervalState(_FacePair):
     def normal(self) -> np.ndarray:
         return np.ones(1)
 
+    def _mu(self, drift: DriftField, piece: str) -> Optional[float]:
+        """mu for a constant drift, None for a one-dimensional potential (a
+        ProductDrift with gamma1): the interval's pieces are known for these
+        two drifts alone."""
+        mu = self._rate(drift)
+        if mu is None and not (isinstance(drift, ProductDrift) and drift.gamma1 is not None):
+            raise ModelError(f"interval {piece} needs a constant drift or a 1-d potential")
+        return mu
+
+    def _mass(self, drift: DriftField) -> float:
+        mu = self._mu(drift, "mass")
+        if mu is not None:
+            return float(_interval_mass(self.z, self.y, mu))
+        val, _ = quad(
+            lambda x: math.exp(-2.0 * float(drift.gamma1(np.asarray(x)))),
+            self.z,
+            self.y,
+            **_QUAD_OPTS,
+        )
+        return float(val)
+
+    def _conditional(self, drift: DriftField, gen) -> np.ndarray:
+        u = float(uniforms(gen, ()))
+        mu = self._mu(drift, "sampling")
+        if mu is not None:
+            return np.array([float(_truncated_exp_inverse(u, self.z, self.y, mu))])
+        xs, cdf = _interval_table_sampler(drift, self.z, self.y)
+        return np.array([float(np.interp(u, cdf, xs))])
+
+    def _dual_drift(self, drift: DriftField) -> tuple:
+        mu = self._mu(drift, "dual drift")
+        if mu is not None:
+            c = _coth_correction(mu, self.y - self.z)
+            return np.array([mu - c]), np.array([mu + c])
+        nu_z = math.exp(-2.0 * float(drift.gamma1(np.asarray(self.z))))
+        nu_y = math.exp(-2.0 * float(drift.gamma1(np.asarray(self.y))))
+        c = (nu_y + nu_z) / self._mass(drift)
+        bz = float(drift.beta(np.array([self.z]))[0])
+        by = float(drift.beta(np.array([self.y]))[0])
+        return np.array([bz - c]), np.array([by + c])
+
+    @staticmethod
+    def _rate(drift: DriftField) -> Optional[float]:
+        return float(drift.mu[0]) if isinstance(drift, ConstantDrift) else None
+
+    def _entrance_point(self, drift: DriftField, gen) -> np.ndarray:
+        if self.y != self.z:
+            raise ModelError("entrance interval must be degenerate (z == y)")
+        return np.array([self.z])
+
+    @classmethod
+    def _mass_clock(cls, traj, drift: DriftField) -> tuple:
+        mu = cls._rate(drift)
+        if mu is None:
+            raise ModelError("closed-form rate needs constant drift on intervals")
+        z, y = traj.z_path.values[:, 0], traj.y_path.values[:, 0]
+        return np.exp(-2.0 * mu * y) + np.exp(-2.0 * mu * z), _interval_mass(z, y, mu)
+
 
 @dataclass(frozen=True)
 class WedgeState(_FacePair):
@@ -142,6 +268,8 @@ class WedgeState(_FacePair):
     """
 
     family = "wedge"
+    _dim = 2
+    _rotating = True
     u: np.ndarray
     z: np.ndarray
     y: np.ndarray
@@ -169,12 +297,100 @@ class WedgeState(_FacePair):
         """The hypograph below the y-line, rotating with the direction u."""
         return Surface(self.y, u=self.u)
 
+    def _mass(self, drift: DriftField) -> float:
+        a, b = _wedge_bounds(self)
+        ea, eb = erfi(a), erfi(b)
+        if 8.0 * abs(eb - ea) >= max(abs(ea), abs(eb)):
+            # sqrt(2 pi) int_a^b exp(eta^2) d eta, with int exp(eta^2) = (sqrt(pi) / 2) erfi
+            return float(math.pi / math.sqrt(2.0) * (eb - ea))
+        # a narrow strip off eta = 0, where the difference of erfi cancels
+        val, _ = quad(lambda e: math.exp(e * e), a, b, **_QUAD_OPTS)
+        return float(math.sqrt(2.0 * math.pi) * val)
+
+    def _conditional(self, drift: DriftField, gen) -> np.ndarray:
+        wz, wy = _wedge_bounds(self)
+        u = self.u
+        norm2 = float(u @ u)
+        norm = math.sqrt(norm2)
+        uhat = u / norm
+        nhat = self.normal / norm
+        wmax2 = max(wz * wz, wy * wy)
+        # conditional Gaussian in xi given eta: mean -c*eta, sd from the tilt
+        c = (u[1] ** 2 - u[0] ** 2) / (2.0 * u[0] * u[1])
+        sd_xi = math.sqrt(norm2 / (4.0 * u[0] * u[1]))
+        eta_scale = math.sqrt(2.0 * u[0] * u[1]) / norm
+
+        def propose(batch):
+            w = wz + (wy - wz) * uniforms(gen, batch)
+            return w, np.log(uniforms(gen, batch)) <= w * w - wmax2
+
+        w = _rejection_fill(propose, 1, lambda: f"wedge sampler, bounds ({wz:.3g}, {wy:.3g})")[0]
+        eta = w * eta_scale
+        xi = -c * eta + sd_xi * normals(gen, ())
+        return xi * uhat + eta * nhat
+
+    def _closed_form(self, drift: DriftField) -> bool:
+        return isinstance(drift, BilinearDrift)
+
+    def _terminal(self, drift: DriftField, T: float, w: np.ndarray, uni: np.ndarray) -> tuple:
+        """A wedge dual under the bilinear drift at T, from W_T (m, 2) and one
+        bridge uniform per row: anchors z, y (m, 2), alive (m,) and the normal.
+
+        Each line's offset along n = (u_2, -u_1) is a martingale, so along
+        n_T the z-line sits at n_0 . z_0 + P - Q and the y-line at
+        n_0 . y_0 - P - Q, with P = int u_2 dW_1 and Q = int u_1 dW_2
+        independent normals on the clocks tau_2 and tau_1.  The gap G_0 - 2P
+        is a Brownian motion on the clock tau_2, killed by _bridge_survives at
+        h = G_0 / 2.  Only the pair of lines has this law, so each anchor is
+        the foot of the normal from the origin on its line.
+        """
+        u_T, tau1, tau2 = _wedge_clocks(self.u, T)
+        p = math.sqrt(tau2 / T) * w[:, 0]
+        q = math.sqrt(tau1 / T) * w[:, 1]
+        alive = _bridge_survives(p, self.gap() / 2.0, tau2, uni)
+        n0, n_T = self.normal, _normal_of(u_T)
+        foot = n_T / _along(n_T, n_T)
+        z = (_along(n0, self.z) + p - q)[:, None] * foot
+        y = (_along(n0, self.y) - p - q)[:, None] * foot
+        return z, y, alive, n_T
+
+    def _offsets(self, drift: DriftField, x: np.ndarray, T: float, seed: int,
+                 streams: Sequence[int]) -> np.ndarray:
+        """n_0 . X_T for the bilinear primal dX = -JX dt + dW from x, one
+        standard normal per stream: X_T is normal with mean e^{-JT} x and
+        covariance Sigma = (1/2) [[sinh 2T, 1 - cosh 2T], [1 - cosh 2T, sinh 2T]]."""
+        nvec = self.normal
+        ch, sh = math.cosh(T), math.sinh(T)
+        mean = float(_along(nvec, np.array([ch * x[0] - sh * x[1], ch * x[1] - sh * x[0]])))
+        # 1 - cosh 2T = -2 sinh^2 T
+        var = 0.5 * math.sinh(2.0 * T) * float(_along(nvec, nvec)) - 2.0 * sh * sh * nvec[0] * nvec[1]
+        # one standard normal per stream: a grid of one step of length 1
+        inc, _ = stream_increments(TimeGrid(1.0, 1), 1, seed, streams)
+        return mean + math.sqrt(var) * inc[0][:, 0]
+
+    def _entrance_point(self, drift: DriftField, gen) -> np.ndarray:
+        """The primal start on the y-line, density proportional to nu: a
+        Gaussian in the line coordinate, drawn by its exact quantile."""
+        self._check_coincident()
+        u = self.u
+        if not 0.0 < u[0] < u[1]:
+            raise ModelError(f"direction outside the entrance cone: u={u.tolist()}")
+        uhat = u / math.sqrt(float(u @ u))
+        y = self.y
+        # exponent of nu along y + s*uhat: -2(y1 + s u1)(y2 + s u2) = -2a s^2 - 2b s + const,
+        # a Gaussian in s with mean -b/(2a) and sd 1/sqrt(4a)
+        a = uhat[0] * uhat[1]
+        b = y[0] * uhat[1] + y[1] * uhat[0]
+        s = -b / (2.0 * a) + float(ndtri(uniforms(gen, ()))) / math.sqrt(4.0 * a)
+        return y + s * uhat
+
 
 @dataclass(frozen=True)
 class SlabState(_FacePair):
     """Region between two parallel hyperplanes with shared unit normal."""
 
     family = "slab"
+    _dim = None  # the length of its normal
     z: np.ndarray
     y: np.ndarray
     normal: np.ndarray
@@ -194,53 +410,58 @@ class SlabState(_FacePair):
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "normal", d)
 
+    def _logistic(self, drift: DriftField) -> LogisticDrift:
+        """The drift, refused unless logistic: a slab draws its points from
+        the logistic drift's in-plane density (plane_density)."""
+        if not isinstance(drift, LogisticDrift):
+            raise ModelError("slab sampling requires the logistic drift family")
+        return drift
+
+    def _mass(self, drift: DriftField) -> float:
+        return self.gap()
+
+    def _conditional(self, drift: DriftField, gen) -> np.ndarray:
+        pd = plane_density(self._logistic(drift), self.normal)
+        h = self.gap()
+        if h <= 0.0:
+            raise ModelError("slab has no interior")
+        w = _plane_density_sampler(pd, gen, 1)
+        off = h * uniforms(gen, ())  # uniform on (0, h] from the z-face
+        return (w @ pd.basis.T)[0] + (float(_along(self.normal, self.z)) + off) * self.normal
+
+    def _dual_drift(self, drift: DriftField) -> tuple:
+        h = self.gap()
+        corr = np.zeros(self.n)
+        corr[0] = 2.0 * self.normal[0] / h
+        return drift.beta(self.z) - corr, drift.beta(self.y) + corr
+
+    def _rate(self, drift: DriftField) -> Optional[float]:
+        return 0.0 if drift.orthogonal_to(self.normal) else None
+
+    def _entrance_point(self, drift: DriftField, gen) -> np.ndarray:
+        """The face's in-plane invariant draw, on the face."""
+        self._check_coincident()
+        pd = plane_density(self._logistic(drift), self.normal)
+        w = _plane_density_sampler(pd, gen, 1)[0]
+        return pd.basis @ w + float(_along(self.normal, self.y)) * self.normal
+
+    def _check_drift(self, drift: DriftField, sampled: bool = False) -> None:
+        """Refuse a drift tilted against the normal at either face, since
+        only an orthogonal one lets the faces slide along the normal, and,
+        if sampled, one that is not logistic."""
+        if sampled:
+            self._logistic(drift)
+        _check_untilted(drift, self.z, self.normal)
+        _check_untilted(drift, self.y, self.normal)
+
+    @classmethod
+    def _mass_clock(cls, traj, drift: DriftField) -> tuple:
+        return np.full(traj.grid.N + 1, 2.0 * float(traj.normal[0])), traj.gap()
+
 
 DualState = Union[IntervalState, WedgeState, SlabState]
-
-
-def _check_slab_drift(state: DualState, drift: DriftField) -> None:
-    """Refuse a drift tilted against a slab's normal at either face; only
-    an orthogonal one lets the faces slide along the normal."""
-    if isinstance(state, SlabState):
-        _check_untilted(drift, state.z, state.normal)
-        _check_untilted(drift, state.y, state.normal)
-
-
-class _ClosedForm(NamedTuple):
-    """The grid-free laws at T of one closed-form family.
-
-    terminal(T, w, uni) turns W_T (m, n) and one bridge uniform per row
-    into the dual's anchors z, y (m, n), alive (m,) and terminal normal;
-    offsets(x, T, seed, streams) draws, one per stream, the primal's
-    offset n . X_T along the region's normal n.
-    """
-
-    terminal: Callable
-    offsets: Callable
-
-
-def _closed_form(state: DualState, drift: DriftField) -> Optional[_ClosedForm]:
-    """The one gate of the closed-form (grid-free) families: the laws the
-    family of (state, drift) draws, or None for every other model, which
-    steps on the grid.
-
-    An interval under a constant drift mu and a slab whose drift is
-    orthogonal to its normal everywhere (orthogonal_to) move their faces
-    along a fixed normal at the rate mu, 0 for the slab (_sliding_terminal,
-    _sliding_offsets).  A wedge under the bilinear drift has a rotating
-    normal n = (u_2, -u_1) that cancels the drift, d(n . y) = n . dxi for
-    each line (_wedge_terminal, _wedge_offsets).
-    """
-    if isinstance(state, WedgeState) and isinstance(drift, BilinearDrift):
-        return _ClosedForm(partial(_wedge_terminal, state), partial(_wedge_offsets, state))
-    if isinstance(state, SlabState) and drift.orthogonal_to(state.normal):
-        rate = 0.0
-    elif isinstance(state, IntervalState) and isinstance(drift, ConstantDrift):
-        rate = float(drift.mu[0])
-    else:
-        return None
-    return _ClosedForm(partial(_sliding_terminal, state, rate),
-                       partial(_sliding_offsets, state, rate))
+# the family classes by name, all that a trajectory read back from JSONL carries
+_FAMILIES = {cls.family: cls for cls in (IntervalState, WedgeState, SlabState)}
 
 
 def contains_batch(state: DualState, x: np.ndarray) -> np.ndarray:
@@ -300,30 +521,7 @@ def nu_mass(state: DualState, drift: DriftField) -> float:
     """
     if state.absorbed:
         raise ModelError("absorbed state has no region")
-    if isinstance(state, IntervalState):
-        if isinstance(drift, ConstantDrift):
-            return float(_interval_mass(state.z, state.y, float(drift.mu[0])))
-        if isinstance(drift, ProductDrift) and drift.gamma1 is not None:
-            val, _ = quad(
-                lambda x: math.exp(-2.0 * float(drift.gamma1(np.asarray(x)))),
-                state.z,
-                state.y,
-                **_QUAD_OPTS,
-            )
-            return float(val)
-        raise ModelError("interval mass needs a constant drift or a 1-d potential")
-    if isinstance(state, WedgeState):
-        a, b = _wedge_bounds(state)
-        ea, eb = erfi(a), erfi(b)
-        if 8.0 * abs(eb - ea) >= max(abs(ea), abs(eb)):
-            # sqrt(2 pi) int_a^b exp(eta^2) d eta, with int exp(eta^2) = (sqrt(pi) / 2) erfi
-            return float(math.pi / math.sqrt(2.0) * (eb - ea))
-        # a narrow strip off eta = 0, where the difference of erfi cancels
-        val, _ = quad(lambda e: math.exp(e * e), a, b, **_QUAD_OPTS)
-        return float(math.sqrt(2.0 * math.pi) * val)
-    if isinstance(state, SlabState):
-        return state.gap()
-    raise ModelError(f"unknown dual state {type(state)}")
+    return state._mass(drift)
 
 
 # ---------------------------------------------------------------------------
@@ -375,45 +573,7 @@ def sample_conditional(
     """
     if state.absorbed:
         raise ModelError("absorbed state has no region")
-    if isinstance(state, IntervalState):
-        u = float(uniforms(gen, ()))
-        if isinstance(drift, ConstantDrift):
-            x = _truncated_exp_inverse(u, state.z, state.y, float(drift.mu[0]))
-            return np.array([float(x)])
-        if isinstance(drift, ProductDrift) and drift.gamma1 is not None:
-            xs, cdf = _interval_table_sampler(drift, state.z, state.y)
-            return np.array([float(np.interp(u, cdf, xs))])
-        raise ModelError("interval sampling needs a constant drift or a 1-d potential")
-    if isinstance(state, WedgeState):
-        return _wedge_conditional(state, gen)
-    if isinstance(state, SlabState):
-        if not isinstance(drift, LogisticDrift):
-            raise ModelError("slab sampling requires the logistic drift family")
-        return _slab_conditional(state, drift, gen)
-    raise ModelError(f"unknown dual state {type(state)}")
-
-
-def _wedge_conditional(state: WedgeState, gen) -> np.ndarray:
-    wz, wy = _wedge_bounds(state)
-    u = state.u
-    norm2 = float(u @ u)
-    norm = math.sqrt(norm2)
-    uhat = u / norm
-    nhat = state.normal / norm
-    wmax2 = max(wz * wz, wy * wy)
-    # conditional Gaussian in xi given eta: mean -c*eta, sd from the tilt
-    c = (u[1] ** 2 - u[0] ** 2) / (2.0 * u[0] * u[1])
-    sd_xi = math.sqrt(norm2 / (4.0 * u[0] * u[1]))
-    eta_scale = math.sqrt(2.0 * u[0] * u[1]) / norm
-
-    def propose(batch):
-        w = wz + (wy - wz) * uniforms(gen, batch)
-        return w, np.log(uniforms(gen, batch)) <= w * w - wmax2
-
-    w = _rejection_fill(propose, 1, lambda: f"wedge sampler, bounds ({wz:.3g}, {wy:.3g})")[0]
-    eta = w * eta_scale
-    xi = -c * eta + sd_xi * normals(gen, ())
-    return xi * uhat + eta * nhat
+    return state._conditional(drift, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +776,6 @@ def plane_basis(drift: LogisticDrift, normal: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _slab_conditional(state: SlabState, drift: LogisticDrift, gen) -> np.ndarray:
-    d = state.normal
-    h = state.gap()
-    if h <= 0.0:
-        raise ModelError("slab has no interior")
-    pd = plane_density(drift, d)
-    w = _plane_density_sampler(pd, gen, 1)
-    off = h * uniforms(gen, ())  # uniform on (0, h] from the z-face
-    return (w @ pd.basis.T)[0] + (float(_along(d, state.z)) + off) * d
-
-
 # ---------------------------------------------------------------------------
 # dual dynamics
 
@@ -655,12 +804,11 @@ def dual_step(
     if state.absorbed:
         return state
     d = np.atleast_1d(np.asarray(dnoise, dtype=float))
-    line = isinstance(state, WedgeState)
-    fixed = None if line else state.normal
+    fixed = None if state._rotating else state.normal
     z_new = step_surface(np.atleast_1d(state.z), drift, dt, d, fixed)
     y_new = step_surface(np.atleast_1d(state.y), drift, dt, flip_first(d), fixed)
-    frame = {"u": _direction_path(state.u, dt, 1)[1]} if line else {}
-    normal = _normal_of(frame["u"]) if line else state.normal
+    frame = {"u": _direction_path(state.u, dt, 1)[1]} if state._rotating else {}
+    normal = _normal_of(frame["u"]) if state._rotating else state.normal
     g_old = state.gap()
     g_new = float(face_gap(normal, z_new, y_new))
     if g_new <= 0.0:
@@ -677,30 +825,11 @@ def dual_drift(state: DualState, drift: DriftField):
     direction, pushing the anchors apart.  For an interval under constant
     drift the correction is 2 mu coth(mu (y - z)), evaluated by series near
     mu = 0; for a slab it is 2 d_1 / h on coordinate 1.  The wedge family
-    is not supported here.
+    has none (ModelError).
     """
     if state.absorbed:
         raise ModelError("absorbed state has no drift")
-    if isinstance(state, IntervalState):
-        gap = state.y - state.z
-        if isinstance(drift, ConstantDrift):
-            mu = float(drift.mu[0])
-            c = _coth_correction(mu, gap)
-            return np.array([mu - c]), np.array([mu + c])
-        if isinstance(drift, ProductDrift) and drift.gamma1 is not None:
-            nu_z = math.exp(-2.0 * float(drift.gamma1(np.asarray(state.z))))
-            nu_y = math.exp(-2.0 * float(drift.gamma1(np.asarray(state.y))))
-            c = (nu_y + nu_z) / nu_mass(state, drift)
-            bz = float(drift.beta(np.array([state.z]))[0])
-            by = float(drift.beta(np.array([state.y]))[0])
-            return np.array([bz - c]), np.array([by + c])
-        raise ModelError("interval dual drift needs a constant drift or a 1-d potential")
-    if isinstance(state, SlabState):
-        h = state.gap()
-        corr = np.zeros(state.n)
-        corr[0] = 2.0 * state.normal[0] / h
-        return drift.beta(state.z) - corr, drift.beta(state.y) + corr
-    raise NotImplementedError(f"dual drift not available for {type(state).__name__}")
+    return state._dual_drift(drift)
 
 
 def _coth_correction(mu: float, gap: float) -> float:
@@ -730,18 +859,13 @@ def intertwining_residual(
     differences in (z, y).  Both routes are independent of the simulation
     code, so their difference isolates the conditioning algebra.
     """
-    if not isinstance(state, IntervalState):
-        raise NotImplementedError("residual check is interval-only")
-
-    if isinstance(drift, ConstantDrift):
-        mu = float(drift.mu[0])
+    mu = state._mu(drift, "intertwining residual")
+    if mu is not None:
         nu = lambda x: np.exp(-2.0 * mu * np.asarray(x, dtype=float))
         beta1 = lambda x: np.full_like(np.asarray(x, dtype=float), mu)
-    elif isinstance(drift, ProductDrift) and drift.gamma1 is not None:
+    else:
         nu = lambda x: np.exp(-2.0 * np.asarray(drift.gamma1(np.asarray(x)), dtype=float))
         beta1 = lambda x: np.asarray(drift.beta(np.asarray(x, dtype=float)[..., None]))[..., 0]
-    else:
-        raise ModelError("residual check needs a constant drift or a 1-d potential")
 
     def mass(z, y):
         val, _ = quad(lambda x: float(nu(x)), z, y, **_QUAD_OPTS)
@@ -827,74 +951,6 @@ def _wedge_clocks(u: np.ndarray, T: float) -> tuple:
     return np.array([a * ch + b * sh, a * sh + b * ch]), tau1, tau2
 
 
-def _wedge_terminal(state: WedgeState, T: float, w: np.ndarray, uni: np.ndarray) -> tuple:
-    """A wedge dual under the bilinear drift at T, from W_T (m, 2) and one
-    bridge uniform per row: anchors z, y (m, 2), alive (m,) and the normal.
-
-    Each line's offset along n = (u_2, -u_1) is a martingale, so along
-    n_T the z-line sits at n_0 . z_0 + P - Q and the y-line at
-    n_0 . y_0 - P - Q, with P = int u_2 dW_1 and Q = int u_1 dW_2
-    independent normals on the clocks tau_2 and tau_1.  The gap G_0 - 2P
-    is a Brownian motion on the clock tau_2, killed by _bridge_survives at
-    h = G_0 / 2.  Only the pair of lines has this law, so each anchor is
-    the foot of the normal from the origin on its line.
-    """
-    u_T, tau1, tau2 = _wedge_clocks(state.u, T)
-    p = math.sqrt(tau2 / T) * w[:, 0]
-    q = math.sqrt(tau1 / T) * w[:, 1]
-    alive = _bridge_survives(p, state.gap() / 2.0, tau2, uni)
-    n0, n_T = state.normal, _normal_of(u_T)
-    foot = n_T / _along(n_T, n_T)
-    z = (_along(n0, state.z) + p - q)[:, None] * foot
-    y = (_along(n0, state.y) - p - q)[:, None] * foot
-    return z, y, alive, n_T
-
-
-def _wedge_offsets(state: WedgeState, x: np.ndarray, T: float, seed: int,
-                   streams: Sequence[int]) -> np.ndarray:
-    """n_0 . X_T for the bilinear primal dX = -JX dt + dW from x, one
-    standard normal per stream: X_T is normal with mean e^{-JT} x and
-    covariance Sigma = (1/2) [[sinh 2T, 1 - cosh 2T], [1 - cosh 2T, sinh 2T]]."""
-    nvec = state.normal
-    ch, sh = math.cosh(T), math.sinh(T)
-    mean = float(_along(nvec, np.array([ch * x[0] - sh * x[1], ch * x[1] - sh * x[0]])))
-    # 1 - cosh 2T = -2 sinh^2 T
-    var = 0.5 * math.sinh(2.0 * T) * float(_along(nvec, nvec)) - 2.0 * sh * sh * nvec[0] * nvec[1]
-    # one standard normal per stream: a grid of one step of length 1
-    inc, _ = stream_increments(TimeGrid(1.0, 1), 1, seed, streams)
-    return mean + math.sqrt(var) * inc[0][:, 0]
-
-
-def _sliding_terminal(state: DualState, rate: float, T: float, w: np.ndarray,
-                      uni: np.ndarray) -> tuple:
-    """An interval or slab dual whose faces move along the fixed normal n
-    at `rate`, at T from W_T (m, n) and one bridge uniform per row.
-
-    The faces drift by rate T along n and slide as dual_step slides them,
-    the z-face by n . W and the y-face by n . flip(W), so the gap is
-    g0 - 2 n_1 W_1, the driftless interval gap in the coordinate n . x.
-    A replica survives to T iff the continuous maximum of W_1 stays below
-    h = g0 / (2 n_1) (_bridge_survives), and a survivor's faces depend on
-    W_T alone.
-    """
-    nvec = state.normal
-    z0, y0 = (np.atleast_1d(np.asarray(f, dtype=float)) for f in (state.z, state.y))
-    alive = _bridge_survives(w[:, 0], state.gap() / (2.0 * float(nvec[0])), T, uni)
-    drifted = rate * T * nvec
-    return _slide(z0 + drifted, nvec, w), _slide(y0 + drifted, nvec, flip_first(w)), alive, nvec
-
-
-def _sliding_offsets(state: DualState, rate: float, x: np.ndarray, T: float, seed: int,
-                     streams: Sequence[int]) -> np.ndarray:
-    """n . X_T for a primal whose drift along the fixed normal n is -rate on
-    the whole path: n . x - rate T + n . W_T on every grid, each stream
-    drawing W_T in one step of length T.  For an interval under a constant
-    drift this is bit for bit the x - mu T + W_T of primal_terminal_batch."""
-    nvec = state.normal
-    inc, _ = stream_increments(TimeGrid(T, 1), state.n, seed, streams)
-    return (_along(nvec, x) - rate * T) + _along(nvec, inc[0])
-
-
 def dual_terminal_batch(
     state: DualState,
     drift: DriftField,
@@ -913,9 +969,9 @@ def dual_terminal_batch(
     caller's grid, and the law at T is exact; no implicit step is solved.
     An interval under constant drift mu and a slab whose drift is
     orthogonal to n everywhere slide their faces along the fixed normal n
-    as dual_step slides them (_sliding_terminal).  A wedge under the
+    as dual_step slides them (_FacePair._terminal).  A wedge under the
     bilinear drift draws its two lines along the terminal normal
-    n_T = (u_2(T), -u_1(T)), u(T) = e^{JT} u (_wedge_terminal); a
+    n_T = (u_2(T), -u_1(T)), u(T) = e^{JT} u (WedgeState._terminal); a
     survivor's z and y are the feet of the normal from the origin on its
     lines, not points the gridded flow would reach, since only the lines
     have the exact law.  In each family the gap is a Brownian motion on a
@@ -935,18 +991,17 @@ def dual_terminal_batch(
     z0 = np.atleast_1d(np.asarray(state.z, dtype=float))
     y0 = np.atleast_1d(np.asarray(state.y, dtype=float))
     nvec = state.normal
-    form = _closed_form(state, drift)
     if state.absorbed:
         # an absorbed region stays absorbed, as in dual_step
         z = np.full((m, n), np.nan)
         return {"z": z, "y": z.copy(), "alive": np.zeros(m, dtype=bool), "normal": nvec}
-    if form is not None:
+    if state._closed_form(drift):
         inc, uni = stream_increments(TimeGrid(grid.T, 1), n, seed, streams, step_uniforms=True)
-        z, y, alive, nvec = form.terminal(grid.T, inc[0], uni[0])
+        z, y, alive, nvec = state._terminal(drift, grid.T, inc[0], uni[0])
         z[~alive] = y[~alive] = np.nan
         return {"z": z, "y": y, "alive": alive, "normal": nvec}
     dt = grid.dt
-    fixed = None if isinstance(state, WedgeState) else nvec
+    fixed = None if state._rotating else nvec
     # a wedge's direction at every node
     u = None if fixed is not None else _direction_path(state.u, dt, grid.N)
     z_out = np.empty((m, n))
@@ -1021,17 +1076,16 @@ def _primal_hits(
     The offset n . X_T along the region's normal n alone decides a hit,
     and the closed-form families (_closed_form) draw it without a grid:
     n . x - rate T + n . W_T from one step of length T where the faces
-    move along a fixed normal (_sliding_offsets), and one normal per
-    stream for the wedge's linear primal (_wedge_offsets).  Every other
+    move along a fixed normal (_FacePair._offsets), and one normal per
+    stream for the wedge's linear primal (WedgeState._offsets).  Every other
     model runs primal_terminal_batch on the caller's grid.  No
     primal lands in an absorbed region.
     """
-    form = _closed_form(state, drift)
     if state.absorbed:
         return np.zeros(len(streams), dtype=bool)
-    if form is None:
+    if not state._closed_form(drift):
         return contains_batch(state, primal_terminal_batch(x, drift, grid, seed, streams))
-    offset = form.offsets(x, grid.T, seed, streams)
+    offset = state._offsets(drift, x, grid.T, seed, streams)
     # the region along n is the interval (n . z, n . y] of covers
     nvec = state.normal
     z, y = (np.atleast_1d(_along(nvec, np.atleast_1d(f))) for f in (state.z, state.y))

@@ -315,6 +315,21 @@ _MALFORMED_COUPLING = [
      "expected 5 records, got 4"),
     ("coupling-blank-line", lambda: _coupling_lines(lambda lines: lines[:3] + ["\n"] + lines[3:]),
      "line 4 "),
+    # every record is consistent, but x holds 2 values where an interval's
+    # z holds 1: the header family's layout refuses it at the first record
+    ("coupling-x-wider-than-z", lambda: _coupling_artifact(
+        edit_record=lambda r: {**r, "x": r["x"] + [0.0]}), "line 2 "),
+    ("coupling-wedge-header-over-interval-records", lambda: _coupling_artifact(
+        edit_header=lambda h: {**h, "family": "wedge"}), "line 2 "),
+    ("coupling-unknown-family", lambda: _coupling_artifact(
+        edit_header=lambda h: {**h, "family": "strip"}), "'strip'"),
+    # a first record that is no JSON, or a blank first record, is named by
+    # its file line
+    ("coupling-first-record-not-json", lambda: _coupling_lines(
+        lambda lines: lines[:1] + [lines[1].replace('{"t": 0.0, ', '{"t": 0.0,, ')] + lines[2:]),
+     "line 2 "),
+    ("coupling-first-record-blank", lambda: _coupling_lines(
+        lambda lines: lines[:1] + ["\n"] + lines[2:]), "line 2 "),
 ]
 
 

@@ -21,12 +21,14 @@ from dualflow import (
     SlabState,
     TimeGrid,
     WedgeState,
+    bessel_time_change,
     contains_batch,
     dual_drift,
     dual_step,
     intertwining_residual,
     liggett_identity_mc,
     nu_mass,
+    run_coupling,
     sample_conditional,
     step_surface,
     truncated_exp_mean,
@@ -36,7 +38,6 @@ from dualflow import duals
 from dualflow.core import flip_first, normals, stream_increments
 from dualflow.duals import (
     _plane_density_sampler,
-    _wedge_conditional,
     covers,
     dual_terminal_batch,
     face_gap,
@@ -336,7 +337,7 @@ def test_sampler_failures_name_the_sampler(monkeypatch):
     assert str(err.value) == f"{label}: starved after 0 rounds"
     wedge = WedgeState(np.array([1.0, 2.0]), np.zeros(2), np.array([1.0, 0.0]))
     with pytest.raises(NumericalError, match=r"^wedge sampler, bounds \(.*\): starved"):
-        _wedge_conditional(wedge, RngSpec(74, 2).generator())
+        sample_conditional(wedge, BilinearDrift(), RngSpec(74, 2).generator())
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +447,34 @@ def test_intertwining_residual_spot():
         lambda x: x**2, lambda x: 2.0 * x, lambda x: np.full_like(np.asarray(x, float), 2.0),
         IntervalState(-0.5, 0.7), ConstantDrift(0.3))
     assert out["residual"] <= 1e-6 * out["scale"]
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ModelError, match="slab"):
         intertwining_residual(
             lambda x: x, lambda x: 1.0, lambda x: 0.0,
             SlabState(-0.4 * SLAB_NORMAL, 0.4 * SLAB_NORMAL, SLAB_NORMAL),
             toy_logistic())
+
+
+_WEDGE = WedgeState(np.array([1.0, 2.0]), np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+_SLAB = SlabState(-0.4 * SLAB_NORMAL, 0.4 * SLAB_NORMAL, SLAB_NORMAL)
+
+
+def _residual(state, drift):
+    return intertwining_residual(lambda x: x, lambda x: 1.0, lambda x: 0.0, state, drift)
+
+
+# a piece that a family lacks raises one ModelError that names the family
+@pytest.mark.parametrize("family, missing", [
+    ("wedge", lambda: dual_drift(_WEDGE, BilinearDrift())),
+    ("slab", lambda: _residual(_SLAB, toy_logistic())),
+    ("wedge", lambda: _residual(_WEDGE, BilinearDrift())),
+    ("wedge", lambda: bessel_time_change(
+        run_coupling(_WEDGE, BilinearDrift(), TimeGrid(0.5, 10), RngSpec(87, 0)), BilinearDrift())),
+    ("interval", lambda: dual_drift(IntervalState(-0.5, 0.5), BilinearDrift())),
+], ids=["wedge-dual-drift", "slab-residual", "wedge-residual", "wedge-bessel-clock",
+        "interval-dual-drift-under-a-bilinear-drift"])
+def test_a_missing_piece_raises_one_model_error_naming_the_family(family, missing):
+    with pytest.raises(ModelError, match=family):
+        missing()
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +575,7 @@ def test_wedge_closed_form_and_gridded_loop_agree(monkeypatch):
     _, state, _, drift = _identity_family("wedge")
     grid, m = TimeGrid(0.5, 200), 40000
     fast = dual_terminal_batch(state, drift, grid, 8825, list(range(m)))
-    monkeypatch.setattr(duals, "_closed_form", lambda state, drift: None)
+    monkeypatch.setattr(WedgeState, "_closed_form", lambda state, drift: None)
     slow = dual_terminal_batch(state, drift, grid, 8825, list(range(m, 2 * m)))
     p_fast, p_slow = float(np.mean(fast["alive"])), float(np.mean(slow["alive"]))
     pooled = (p_fast + p_slow) / 2.0

@@ -162,3 +162,71 @@ ALLOWED_NORMAL_PRODUCTS = {"core.py": ["self.inputs @ normal"]}
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_normal_products_go_through_along(path):
     assert normal_products(path.read_text()) == ALLOWED_NORMAL_PRODUCTS.get(path.name, [])
+
+
+FAMILY_CLASSES = {"IntervalState", "WedgeState", "SlabState"}
+
+
+def family_ladders(source: str) -> list:
+    """The functions that hold two or more family tests, each with its count.
+
+    A family test is an isinstance against a dual-state class or a tuple
+    holding one, or a comparison of a .family attribute with a string
+    literal.  A nested function's tests are its own, not its parent's.
+    Reading a config's "family" key is not a family test.
+    """
+    def names(node):
+        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {e.id if isinstance(e, ast.Name) else getattr(e, "attr", None) for e in elts}
+
+    def is_family_test(node):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            return bool(names(node.args[1]) & FAMILY_CLASSES)
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            return (any(isinstance(o, ast.Attribute) and o.attr == "family" for o in operands)
+                    and any(isinstance(o, ast.Constant) and isinstance(o.value, str)
+                            for o in operands))
+        return False
+
+    def own_nodes(func):
+        todo = list(ast.iter_child_nodes(func))
+        while todo:
+            node = todo.pop()
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield node
+                todo.extend(ast.iter_child_nodes(node))
+
+    ladders = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count = sum(map(is_family_test, own_nodes(func)))
+            if count >= 2:
+                ladders.append((func.name, count))
+    return ladders
+
+
+def test_family_ladder_scanner_counts_each_kind_of_test():
+    source = (
+        "def ladder(s):\n"
+        "    if isinstance(s, IntervalState):\n        return 1\n"
+        "    if isinstance(s, (WedgeState, SlabState)):\n        return 2\n"
+        "    return s.family == 'slab' or t.family != \"wedge\"\n"
+        "def one(s):\n    return isinstance(s, duals.SlabState)\n"
+        "def outer(s):\n"
+        "    def inner(s):\n        return isinstance(s, SlabState)\n"
+        "    return isinstance(s, WedgeState), inner\n"
+        "def config(model, s):\n"
+        "    return model['family'] == 'slab', s.family, isinstance(s, ConstantDrift)\n"
+    )
+    assert family_ladders(source) == [("ladder", 4)]
+    # a class read as a module attribute counts, and so does the sum of two kinds
+    assert family_ladders("def two(s):\n    x = isinstance(s, duals.SlabState)\n"
+                          "    return x and s.family == 'wedge'\n") == [("two", 2)]
+
+
+def test_no_function_dispatches_on_the_dual_family():
+    # each family's pieces are methods of its state class
+    ladders = {path.name: family_ladders(path.read_text()) for path in PACKAGE}
+    assert {name: found for name, found in ladders.items() if found} == {}

@@ -167,7 +167,7 @@ _PATHS = 300
 
 def _shut_gate_if_gridded(mp, name):
     if name in _GRIDDED:
-        mp.setattr(duals, "_closed_form", lambda state, drift: None)
+        mp.setattr(WedgeState, "_closed_form", lambda state, drift: None)
 
 
 def _digest(*arrays) -> str:
