@@ -37,7 +37,6 @@ from .core import (
 from .surfaces import (
     Surface,
     SurfaceTrajectory,
-    evolve_surface,
     step_surface,
 )
 from .reflection import (
@@ -115,7 +114,6 @@ __all__ = [
     "dual_step",
     "euler_backward",
     "euler_forward_implicit",
-    "evolve_surface",
     "explicit_step",
     "flip_first",
     "flow_constant_1d",

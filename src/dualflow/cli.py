@@ -643,6 +643,21 @@ def cmd_plot_data(config: dict, run_dir: str) -> int:
 # entry point
 
 
+def _commands() -> dict:
+    """Each subcommand's handler, called with the config; plot-data's also
+    takes the run directory.  The table is built at each call, so a handler
+    rebound on the module (a tracer's wrapper) is the one called."""
+    return {
+        "simulate": cmd_simulate,
+        "dual": cmd_dual,
+        "couple": cmd_couple,
+        "pitman": cmd_pitman,
+        "verify": cmd_verify,
+        "posterior": cmd_posterior,
+        "plot-data": cmd_plot_data,
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualflow",
@@ -658,10 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--override", action="append", metavar="K=V",
         help="dotted config override, value parsed as JSON when possible",
     )
-    for name in ("simulate", "dual", "couple", "pitman", "verify", "posterior"):
-        sub.add_parser(name, parents=[common])
-    plot = sub.add_parser("plot-data", parents=[common])
-    plot.add_argument("run_dir", help="run directory holding JSONL artifacts")
+    parsers = {name: sub.add_parser(name, parents=[common]) for name in _commands()}
+    parsers["plot-data"].add_argument("run_dir", help="run directory holding JSONL artifacts")
     return parser
 
 
@@ -669,21 +682,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "dual":
-            return cmd_dual(config)
-        if args.command == "couple":
-            return cmd_couple(config)
-        if args.command == "pitman":
-            return cmd_pitman(config)
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "posterior":
-            return cmd_posterior(config)
-        if args.command == "plot-data":
-            return cmd_plot_data(config, args.run_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        extra = [args.run_dir] if args.command == "plot-data" else []
+        return _commands()[args.command](config, *extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -167,14 +167,9 @@ def _interval_constant_coupling(
     sigma, xi, Y = (flow[key][:, 0] for key in ("sigma", "xi", "levels"))
     Z = state0.z + mu * times + xi
 
-    if flow["outside"][0]:
-        # start above the surface: degenerate flow branch
-        upper = np.zeros(grid.N + 1, dtype=bool)
-    else:
-        # sigma >= 2 omega - gap holds exactly by the running-max construction
-        upper = sigma >= 2.0 * omega - (state0.y - x_start)
-    lower = (x_start - state0.z) + sigma > 0.0
-    gamma = upper & lower
+    # inside, the upper cover sigma >= 2 omega - gap holds exactly by the
+    # running maximum, so the lower side decides; outside, nothing covers
+    gamma = ((x_start - state0.z) + sigma > 0.0) & ~flow["outside"][0]
 
     return CouplingTrajectory(
         family="interval",

@@ -40,6 +40,7 @@ from .core import (
     NumericalError,
     ProductDrift,
     RngSpec,
+    SchemeDivergence,
     TimeGrid,
     flip_first,
     normals,
@@ -909,7 +910,11 @@ def primal_terminal_batch(
     """Terminal values of the explicit scheme from a fixed start, one per stream.
 
     Under a constant drift mu the scheme telescopes to x - mu T + W_T on
-    every grid, so each stream draws W_T in one step of length T.
+    every grid, so each stream draws W_T in one step of length T.  Any
+    other drift steps a block of streams at a time, in place, with
+    floating-point warnings off: the first step that leaves a value
+    non-finite raises SchemeDivergence.  The loop keeps only the current
+    row, where core.euler_backward_values would hold every step's.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = x.shape[0]
@@ -922,8 +927,11 @@ def primal_terminal_batch(
         hi = min(lo + _CHUNK, len(streams))
         inc, _ = stream_increments(grid, n, seed, streams[lo:hi])
         cur = np.broadcast_to(x, (hi - lo, n)).copy()
-        for j in range(grid.N):
-            cur += -drift.beta(cur) * dt + inc[j]
+        with np.errstate(all="ignore"):
+            for j in range(grid.N):
+                cur += -drift.beta(cur) * dt + inc[j]
+                if not np.isfinite(cur).all():
+                    raise SchemeDivergence(j + 1, dt)
         out[lo:hi] = cur
     return out
 

@@ -7,12 +7,14 @@ unreflected step would cross the surface, sigma jumps by twice the
 coordinate-1 noise increment and the step is retaken with the reduced
 noise.  The backward variant runs from a terminal anchor with the
 explicit scheme against a precomputed surface trajectory; the forward
-variant runs with the implicit scheme and evolves its surface as it goes;
-it evaluates the drift once for all nodes and precomputes each step's face
-moves, so its steps run on Python floats.
-The two are exact pathwise inverses under time reversal: reversing the
-reflected output of one and feeding it to the other reproduces paths,
-compensator, and surfaces node by node to solver precision.
+variant runs with the implicit scheme and evolves its surface as it goes,
+in one step loop on both sides of the start: from above the surface,
+every step moves the face as a crossing does.  It evaluates the drift
+once for all nodes and precomputes each step's face moves, so its steps
+run on Python floats.  The two are exact pathwise inverses under time
+reversal: reversing the reflected output of one and feeding it to the
+other reproduces paths, compensator, and surfaces node by node to solver
+precision.
 
 A deliberate asymmetry in the crossing test: the backward flow compares
 against the surface at the step's far endpoint, the forward flow against
@@ -46,7 +48,6 @@ from .surfaces import (
     _check_untilted,
     _float_height,
     _height,
-    evolve_surface,
 )
 
 
@@ -189,7 +190,9 @@ def forward_flow(
     only on a positive coordinate-1 increment; on a crossing, sigma
     accrues twice that increment.  The surface is then advanced with the
     flipped reflected increment: the increment itself on a crossing, the
-    flipped increment otherwise.
+    flipped increment otherwise.  A start strictly above the surface takes
+    the degenerate branch: every step moves the face as a crossing does,
+    and sigma is twice coordinate 1 of the noise.
 
     Everything the steps read that does not hang on an earlier crossing
     is computed before them: the far-end values from one drift evaluation
@@ -211,20 +214,19 @@ def forward_flow(
     dt = grid.dt
     inc = noise.increments()
     X = x_path.values
-
-    if not y0.contains(X[0]):
-        # flipped reflected noise is the plain noise again
-        return _flow_output(grid, noise, 2.0 * noise.values[:, 0], x_path, True,
-                            surfaces=evolve_surface(y0, noise, drift))
+    outside = not y0.contains(X[0])
 
     surfaces = SurfaceTrajectory.start(grid, y0)
     anchors = surfaces.anchors
     # each step's near-end face slopes n_i / n_1 and path coordinates 2..n,
-    # and its far-end implicit combination X_1 - beta(X)_1 dt
-    normals = np.broadcast_to(surfaces.normals, anchors.shape)
-    slopes = (normals[:-1, 1:] / normals[:-1, :1]).tolist()
-    rest = X[:-1, 1:].tolist()
-    far = (X[1:, 0] - drift.beta(X[1:])[:, 0] * dt).tolist()
+    # and its far-end implicit combination X_1 - beta(X)_1 dt; from above
+    # the surface no step tests a crossing, so none of them is read
+    slopes = rest = far = None
+    if not outside:
+        normals = np.broadcast_to(surfaces.normals, anchors.shape)
+        slopes = (normals[:-1, 1:] / normals[:-1, :1]).tolist()
+        rest = X[:-1, 1:].tolist()
+        far = (X[1:, 0] - drift.beta(X[1:])[:, 0] * dt).tolist()
     d1 = inc[:, 0].tolist()
     # the face's move without and with a crossing, since inc_1 - 2 inc_1
     # is -inc_1 exactly
@@ -240,8 +242,9 @@ def forward_flow(
         for j in range(grid.N):
             # a tie at the surface is decided by rounding; only an upward
             # increment can cross it, and reflecting a downward one would
-            # pull the gap down
-            cross = d1[j] > 0.0 and far[j] + d1[j] > _float_height(a, slopes[j], rest[j])
+            # pull the gap down; outside, every step moves as a crossing
+            cross = outside or (d1[j] > 0.0
+                                and far[j] + d1[j] > _float_height(a, slopes[j], rest[j]))
             crossed.append(cross)
             if slide:
                 s = moves[cross][j]
@@ -256,8 +259,11 @@ def forward_flow(
     if slide:
         _check_untilted(drift, anchors[:-1], y0.normal)
 
-    sigma = partial_sums(np.where(crossed, 2.0 * inc[:, 0], 0.0))
-    return _flow_output(grid, noise, sigma, x_path, surfaces=surfaces)
+    if outside:
+        sigma = 2.0 * noise.values[:, 0]
+    else:
+        sigma = partial_sums(np.where(crossed, 2.0 * inc[:, 0], 0.0))
+    return _flow_output(grid, noise, sigma, x_path, outside, surfaces=surfaces)
 
 
 def flow_from_path(y0: Surface, x_path: SamplePath, drift: DriftField) -> FlowOutput:

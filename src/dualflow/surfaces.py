@@ -1,4 +1,4 @@
-"""Hypograph surfaces: the region below a moving hyperplane, and its flows.
+"""Hypograph surfaces: the region below a moving hyperplane, and its steps.
 
 A surface is the hypograph {x : n . (a - x) >= 0} below the hyperplane
 through an anchor a with normal n, n_1 > 0.  It is a graph over the
@@ -11,10 +11,11 @@ interacts with, driven by the noise with its first coordinate negated (the
 "flipped" noise), so that an upper boundary and a lower path can share one
 Brownian source.  A hyperplane keeps only what moves the face: its anchor
 slides along the fixed normal, in closed form.  Faces move as anchor rows
-under one rule, step_surface, whose bits the forward reflection flow
-reproduces on Python floats.  A line's direction path does not depend on
-the noise: _direction_path, the one rule that rotates a direction,
-computes it whole before any anchor steps.
+under one rule, step_surface: the dual steps call it, and the forward
+reflection flow reproduces its bits on Python floats in its own step
+loop, which evolves the upper face on both sides of the start.  A line's
+direction path does not depend on the noise: _direction_path, the one
+rule that rotates a direction, computes it whole before any anchor steps.
 """
 
 from __future__ import annotations
@@ -25,14 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    DriftField,
-    ModelError,
-    NumericalError,
-    SamplePath,
-    TimeGrid,
-    implicit_step,
-)
+from .core import DriftField, ModelError, TimeGrid, implicit_step
 
 
 def _normal_of(u: np.ndarray) -> np.ndarray:
@@ -220,28 +214,3 @@ class SurfaceTrajectory:
     def reversed(self) -> "SurfaceTrajectory":
         u = None if self.u is None else self.u[::-1]
         return SurfaceTrajectory(self.grid, self.anchors[::-1], self.normal, u)
-
-
-def evolve_surface(
-    initial: Surface,
-    flipped_noise: SamplePath,
-    drift: DriftField,
-) -> SurfaceTrajectory:
-    """Evolve a surface along a whole grid of flipped-noise increments.
-
-    Evolving over consecutive sub-grids and concatenating gives the same
-    nodes as one pass, since each step consumes exactly one increment.
-    A failed anchor solve, or a line direction leaving its cone, names
-    the step index and time.
-    """
-    grid = flipped_noise.grid
-    inc = flipped_noise.increments()
-    traj = SurfaceTrajectory.start(grid, initial)
-    anchors = traj.anchors
-    try:
-        for k in range(grid.N):
-            anchors[k + 1] = step_surface(anchors[k], drift, grid.dt, inc[k], traj.normal)
-    except NumericalError as err:
-        raise NumericalError(
-            f"surface flow failed at step {k + 1} (t={(k + 1) * grid.dt:.6g}): {err}") from err
-    return traj

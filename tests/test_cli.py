@@ -377,6 +377,20 @@ def test_verify_runs_only_the_requested_suites(tmp_path, monkeypatch):
     assert names and all(name.startswith("reversal_") for name in names)
 
 
+@pytest.mark.parametrize("name", ["pitman", "plot-data"])
+def test_main_calls_the_handler_bound_on_the_module(tmp_path, monkeypatch, name):
+    # a wrapper set on the module after import, as a tracer sets one, is
+    # the handler main dispatches to
+    from dualflow import cli
+
+    calls = []
+    attr = "cmd_" + name.replace("-", "_")
+    monkeypatch.setattr(cli, attr, lambda config, *extra: calls.append(extra) or 7)
+    extra = [str(tmp_path)] if name == "plot-data" else []
+    assert main([name, "--out", str(tmp_path), *extra]) == 7
+    assert calls == [tuple(extra)]
+
+
 def test_verify_rejects_unknown_suite(tmp_path):
     code = main(["verify", "--out", str(tmp_path),
                  "--override", 'verify.suites=["nope"]'])

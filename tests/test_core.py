@@ -23,7 +23,6 @@ from dualflow import (
     TimeGrid,
     euler_backward,
     euler_forward_implicit,
-    evolve_surface,
     explicit_step,
     flip_first,
     forward_flow,
@@ -265,9 +264,10 @@ def test_implicit_failures_name_step_and_time():
     with pytest.raises(NumericalError, match=r"^implicit scheme failed at step 5 \(t=0\.625\): "
                        + _SOLVE_FAILED):
         euler_forward_implicit(np.zeros(1), zeros, _BlowUp(9, np.nan))
-    with pytest.raises(NumericalError, match=r"^surface flow failed at step 3 \(t=0\.375\): "
+    # from above the level, only the face steps call the drift
+    with pytest.raises(NumericalError, match=r"^reflection flow failed at step 3 \(t=0\.375\): "
                        + _SOLVE_FAILED):
-        evolve_surface(Surface.level(0.0), zeros, _BlowUp(5, np.nan))
+        forward_flow(zeros, Surface.level(-1.0), zeros, _BlowUp(5, np.nan))
     with pytest.raises(NumericalError, match=r"^reflection flow failed at step 4 \(t=0\.5\): "
                        + _SOLVE_FAILED):
         forward_flow(zeros, Surface.level(1.0), zeros, _BlowUp(8, np.nan))
@@ -304,6 +304,16 @@ def test_dual_failures_name_step_and_time():
     with pytest.raises(NumericalError, match=r"^duality \(seed 5, stream block 2\): " + _DUAL_STEP_3):
         liggett_identity_mc(np.zeros(1), IntervalState(-1.0, 1.0), grid, 3,
                             _BlowUp(8 + 9, np.nan), RngSpec(5, 2))
+
+
+def test_gridded_primal_divergence_names_the_step():
+    # a cubic drift switched on away from the origin throws a start at 20
+    # to infinity within a few steps; no path may count as a quiet miss
+    cubic = ProductDrift(1, lambda x: np.where(np.abs(x) > 5.0, x**3, 0.0), 1.0)
+    with pytest.raises(NumericalError, match=r"^duality \(seed 1, stream block 0\): "
+                       r"explicit scheme diverged at step"):
+        liggett_identity_mc(np.array([20.0]), IntervalState(-1.0, 1.0), TimeGrid(1.0, 64), 1000,
+                            cubic, RngSpec(1, 0))
 
 
 def test_dual_command_failure_names_replica_and_step(tmp_path, monkeypatch, capsys):

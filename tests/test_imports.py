@@ -1,8 +1,10 @@
-"""Every module-level import in the package and its tests is read, every
+"""Every module in the package and its tests parses on the oldest Python
+the project admits, every module-level import is read, every
 module-level name of the package is read by the package or exported, and
 every exported name is bound."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,25 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "dualflow").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+
+
+# the oldest Python that pyproject.toml's requires-python admits
+OLDEST = tuple(int(v) for v in re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups())
+
+
+def test_oldest_grammar_refuses_a_newer_construct():
+    except_star = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(except_star)
+    with pytest.raises(SyntaxError):
+        ast.parse(except_star, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_module_parses_on_the_oldest_python(path):
+    # the grammar alone: what the standard library accepts at run time,
+    # such as a re pattern's syntax, is not checked
+    ast.parse(path.read_text(), feature_version=OLDEST)
 
 
 def unused_imports(source: str) -> list:

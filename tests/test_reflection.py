@@ -22,7 +22,6 @@ from dualflow import (
     WedgeState,
     backward_flow,
     euler_forward_implicit,
-    evolve_surface,
     flow_constant_1d,
     flow_from_path,
     flow_trigger_1d,
@@ -253,8 +252,6 @@ def test_line_direction_leaving_its_cone_names_the_step():
     where = r"^line direction left its cone at step 1 \(t=2\): .*got u=\[5\.0, 4\.0\]$"
     with pytest.raises(ModelError, match=where):
         forward_flow(zeros, y0, zeros, flat)
-    with pytest.raises(ModelError, match=where):
-        evolve_surface(y0, zeros, flat)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from dualflow import (
     Surface,
     SurfaceTrajectory,
     TimeGrid,
-    evolve_surface,
     explicit_step,
-    sample_brownian,
+    forward_flow,
     step_surface,
 )
 from dualflow.surfaces import _along, _direction_path
@@ -60,7 +59,7 @@ def test_line_surface_needs_interior_cone_direction():
     with pytest.raises(ModelError, match=r"\|u_1\| < u_2, got u=\[3.0, 3.0\]"):
         _direction_path(np.array([1.0, 2.0]), 1.0, 1)
     with pytest.raises(ModelError, match=r"\|u_1\| < u_2"):
-        evolve_surface(Surface(np.zeros(2), u=np.array([1.0, 2.0])), still, flat)
+        forward_flow(still, Surface(np.zeros(2), u=np.array([1.0, 2.0])), still, flat)
 
 
 def test_plane_surface_geometry():
@@ -182,24 +181,6 @@ def test_surface_needs_one_normal_source():
 # evolution
 
 
-def test_evolve_surface_concatenates():
-    drift = BilinearDrift()
-    grid = TimeGrid(0.5, 20)
-    noise = sample_brownian(grid, 2, RngSpec(31, 0))
-    s0 = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
-    full = evolve_surface(s0, noise, drift)
-    assert full.anchors.shape == (grid.N + 1, 2) and full.u.shape == (grid.N + 1, 2)
-
-    # restarting from the midpoint surface reproduces the second half
-    half = grid.N // 2
-    sub_grid = TimeGrid(grid.T / 2, half)
-    shifted = noise.values[half:] - noise.values[half]
-    sub_noise = SamplePath(sub_grid, shifted)
-    second = evolve_surface(Surface(full.anchors[half], u=full.u[half]), sub_noise, drift)
-    assert np.allclose(second.anchors[half], full.anchors[grid.N], atol=1e-12)
-    assert np.allclose(second.u[half], full.u[grid.N], atol=1e-12)
-
-
 def test_trajectory_validation_and_reversal():
     grid = TimeGrid(1.0, 2)
     anchors = np.array([[0.0], [1.0], [2.0]])
@@ -237,13 +218,18 @@ GOLDEN_PLANE = {
 
 
 def test_surface_golden_anchors_and_directions():
+    # a path that starts above both faces takes the forward flow's
+    # degenerate branch, whose face steps take the plain noise
     grid = TimeGrid(0.02, 2)
     noise = SamplePath(grid, np.array([[0.0, 0.0], [0.05, -0.08], [0.02, 0.03]]))
+    above = SamplePath(grid, np.tile([5.0, 0.0], (3, 1)))
     line = Surface(np.array([0.4, 0.1]), u=np.array([1.0, 2.0]))
     plane = Surface(np.array([0.3, 0.0]), normal=np.array([1.0, -1.0]) / np.sqrt(2.0))
-    line = evolve_surface(line, noise, BilinearDrift())
-    assert line.u.tolist() == GOLDEN_LINE["u"]
-    assert line.anchors.tolist() == GOLDEN_LINE["anchor"]
-    plane = evolve_surface(plane, noise, toy_logistic())
-    assert plane.normal.tolist() == GOLDEN_PLANE["normal"]
-    assert plane.anchors.tolist() == GOLDEN_PLANE["anchor"]
+    flow = forward_flow(above, line, noise, BilinearDrift())
+    assert flow.outside
+    assert flow.surfaces.u.tolist() == GOLDEN_LINE["u"]
+    assert flow.surfaces.anchors.tolist() == GOLDEN_LINE["anchor"]
+    flow = forward_flow(above, plane, noise, toy_logistic())
+    assert flow.outside
+    assert flow.surfaces.normal.tolist() == GOLDEN_PLANE["normal"]
+    assert flow.surfaces.anchors.tolist() == GOLDEN_PLANE["anchor"]
