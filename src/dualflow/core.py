@@ -278,6 +278,10 @@ class DriftField:
 
     Each family also defines gamma, its potential with beta = grad gamma;
     a ProductDrift's gamma is None unless it was given its potentials.
+    The implicit step has two entry points: solve_implicit on arrays of
+    any row count, and step_floats on one row of Python floats, which the
+    per-step loops call.  A family with a closed-form solve overrides
+    both, to the same bits.
     """
 
     n: int
@@ -290,9 +294,10 @@ class DriftField:
         """True only if beta has no component along the normal anywhere."""
         return False
 
-    def solve_implicit(self, prev: np.ndarray, c: np.ndarray, dt: float) -> np.ndarray:
-        """Solve w = c + beta(w) dt by damped fixed-point iteration from
-        the explicit guess c + beta(prev) dt, to residual _TOL.
+    def solve_implicit(self, prev: np.ndarray, dnoise: np.ndarray, dt: float) -> np.ndarray:
+        """Solve w = c + beta(w) dt, with c = prev + dnoise, by damped
+        fixed-point iteration from the explicit guess c + beta(prev) dt, to
+        residual _TOL.
 
         The step-size precondition makes the map a contraction, so plain
         iteration converges geometrically; the damping only engages if the
@@ -300,6 +305,7 @@ class DriftField:
         override this with their closed-form solves.
         """
         beta, peak = self.beta, np.maximum.reduce
+        c = prev + dnoise
         w = c + beta(prev) * dt
         alpha = 1.0
         last = np.inf
@@ -316,12 +322,36 @@ class DriftField:
             w = w + diff if alpha == 1.0 else w + alpha * diff
         raise NumericalError(f"implicit step failed to reach residual {_TOL:.1e} (last {last:.3e})")
 
+    def step_floats(self, prev: list, dnoise: list, dt: float) -> list:
+        """implicit_step on one row of Python floats, returned as a list.
+
+        This generic form goes through implicit_step, with its bits and
+        its failures; ConstantDrift and BilinearDrift override it with
+        their closed forms in numpy's order of operations.
+        """
+        return implicit_step(prev, dnoise, dt, self).tolist()
+
+
+_NOT_FINITE = "implicit step failed: the closed-form solve is not finite"
+
 
 def _finite_solve(w: np.ndarray) -> np.ndarray:
     """A closed-form implicit solve, refused when it is not finite."""
     if not np.isfinite(w).all():
-        raise NumericalError("implicit step failed: the closed-form solve is not finite")
+        raise NumericalError(_NOT_FINITE)
     return w
+
+
+def _pairs(a: list, b: list):
+    """The entries of two rows paired as numpy broadcasts them: a
+    one-entry row repeats, and other unequal lengths raise ValueError."""
+    if len(a) == len(b):
+        return zip(a, b)
+    if len(b) == 1:
+        return zip(a, b * len(a))
+    if len(a) == 1:
+        return zip(a * len(b), b)
+    raise ValueError(f"operands could not be broadcast together with shapes ({len(a)},) ({len(b)},)")
 
 
 @dataclass(frozen=True)
@@ -351,9 +381,22 @@ class ConstantDrift(DriftField):
     def gamma(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.mu
 
-    def solve_implicit(self, prev, c, dt) -> np.ndarray:
-        """w = c + mu dt: the bits of the fixed-point loop, with no iteration."""
-        return _finite_solve(c + self.mu * dt)
+    def solve_implicit(self, prev, dnoise, dt) -> np.ndarray:
+        """w = (prev + dnoise) + mu dt: the bits of the fixed-point loop,
+        with no iteration.  An overflow is refused as not finite, with
+        floating-point warnings off."""
+        with np.errstate(all="ignore"):
+            w = prev + dnoise + self.mu * dt
+        return _finite_solve(w)
+
+    def step_floats(self, prev, dnoise, dt) -> list:
+        """solve_implicit's w = (prev + dnoise) + mu dt on Python floats."""
+        dt = float(dt)
+        c = [p + d for p, d in _pairs(prev, dnoise)]
+        w = [ci + m * dt for ci, m in _pairs(c, self.mu.tolist())]
+        if not all(map(math.isfinite, w)):
+            raise NumericalError(_NOT_FINITE)
+        return w
 
 
 @dataclass(frozen=True)
@@ -381,14 +424,36 @@ class BilinearDrift(DriftField):
         x = np.asarray(x, dtype=float)
         return x[..., 0] * x[..., 1]
 
-    def solve_implicit(self, prev, c, dt) -> np.ndarray:
-        """w = c + dt (w_2, w_1) is linear: w = (c + dt (c_2, c_1)) / (1 - dt^2).
+    def solve_implicit(self, prev, dnoise, dt) -> np.ndarray:
+        """w = c + dt (w_2, w_1), c = prev + dnoise, is linear:
+        w = (c + dt (c_2, c_1)) / (1 - dt^2).
 
         Elementwise, so a row's bits do not depend on the rows beside it.
+        An overflow is refused as not finite, with floating-point warnings
+        off.
         """
-        if c.shape[-1] != 2:
-            raise ModelError(f"bilinear drift needs 2 coordinates, got {c.shape[-1]}")
-        return _finite_solve((c + dt * c[..., ::-1]) / (1.0 - dt * dt))
+        with np.errstate(all="ignore"):
+            c = prev + dnoise
+            if c.shape[-1] != 2:
+                raise ModelError(f"bilinear drift needs 2 coordinates, got {c.shape[-1]}")
+            w = (c + dt * c[..., ::-1]) / (1.0 - dt * dt)
+        return _finite_solve(w)
+
+    def step_floats(self, prev, dnoise, dt) -> list:
+        """solve_implicit on Python floats, c = prev + dnoise first; a zero
+        1 - dt^2 leaves no finite solve, as numpy's division does."""
+        dt = float(dt)
+        c = [p + d for p, d in _pairs(prev, dnoise)]
+        if len(c) != 2:
+            raise ModelError(f"bilinear drift needs 2 coordinates, got {len(c)}")
+        c1, c2 = c
+        det = 1.0 - dt * dt
+        if det == 0.0:
+            raise NumericalError(_NOT_FINITE)
+        w1, w2 = (c1 + dt * c2) / det, (c2 + dt * c1) / det
+        if not (math.isfinite(w1) and math.isfinite(w2)):
+            raise NumericalError(_NOT_FINITE)
+        return [w1, w2]
 
 
 @dataclass(frozen=True)
@@ -525,10 +590,11 @@ def implicit_step(
 
     The drift chooses the method (DriftField.solve_implicit): a closed form
     for constant and bilinear drifts, damped fixed-point iteration to
-    residual _TOL for every other drift.
+    residual _TOL for every other drift.  The per-step loops call
+    DriftField.step_floats instead, which gives one row's bits on Python
+    floats.
     """
-    prev = np.asarray(prev, dtype=float)
-    return drift.solve_implicit(prev, prev + np.asarray(dnoise, dtype=float), dt)
+    return drift.solve_implicit(np.asarray(prev, dtype=float), np.asarray(dnoise, dtype=float), dt)
 
 
 def euler_backward_values(
@@ -576,20 +642,27 @@ def euler_backward(x_start: np.ndarray, noise: SamplePath, drift: DriftField) ->
 def euler_forward_implicit_values(
     grid: TimeGrid, x_start: np.ndarray, noise_values: np.ndarray, drift: DriftField
 ) -> np.ndarray:
-    """Implicit scheme with drift +beta, batched; exact inverse of the explicit one.
+    """Implicit scheme with drift +beta on one path's (N+1, n) node values;
+    exact inverse of the explicit one.
 
-    A failed solve names the step index and time on the grid.
+    The steps run on Python floats through DriftField.step_floats, with
+    implicit_step's bits.  A failed solve names the step index and time
+    on the grid.
     """
     _check_step_size(grid, drift)
     dt = grid.dt
-    dnoise = np.diff(noise_values, axis=0)
+    step = drift.step_floats
     out = np.empty_like(noise_values)
     out[0] = x_start
+    row = out[0].tolist()
+    rows = []
     try:
-        for j in range(1, grid.N + 1):
-            out[j] = implicit_step(out[j - 1], dnoise[j - 1], dt, drift)
+        for j, dn in enumerate(np.diff(noise_values, axis=0).tolist(), 1):
+            row = step(row, dn, dt)
+            rows.append(row)
     except NumericalError as err:
         raise NumericalError(f"implicit scheme failed at step {j} (t={j * dt:.6g}): {err}") from err
+    out[1:] = rows
     return out
 
 

@@ -38,7 +38,6 @@ from .core import (
     TimeGrid,
     euler_backward_values,
     flip_first,
-    implicit_step,
     partial_sums,
 )
 from .surfaces import (
@@ -200,8 +199,10 @@ def forward_flow(
     normal's two candidate slides per step.  The steps then run on Python
     floats, and move the face to the bits of one step_surface per step: a
     hyperplane's anchor slides along its normal (_slide's arithmetic), and
-    only a level or a line takes an implicit anchor step, whose failure
-    names the step index and time.  The crossing test reads the batched
+    only a level or a line takes an implicit anchor step, through
+    DriftField.step_floats (implicit_step's bits; a closed form on Python
+    floats for the constant and bilinear drifts), whose failure names the
+    step index and time.  The crossing test reads the batched
     drift, so for a drift whose beta bits depend on the row count
     (LogisticDrift) it matches one beta call per step only up to a
     one-ulp tie.  A drift that is not orthogonal to a hyperplane's normal
@@ -235,7 +236,8 @@ def forward_flow(
         moves = (_along(y0.normal, flip_first(inc)).tolist(), _along(y0.normal, inc).tolist())
         nvec = y0.normal.tolist()
     else:
-        moves = (flip_first(inc), inc)
+        moves = (flip_first(inc).tolist(), inc.tolist())
+    step = drift.step_floats
     a = anchors[0].tolist()
     rows, crossed = [], []
     try:
@@ -250,7 +252,7 @@ def forward_flow(
                 s = moves[cross][j]
                 a = [ai + s * ni for ai, ni in zip(a, nvec)]
             else:
-                a = implicit_step(a, moves[cross][j], dt, drift).tolist()
+                a = step(a, moves[cross][j], dt)
             rows.append(a)
     except NumericalError as err:
         raise NumericalError(

@@ -456,6 +456,121 @@ def test_affine_drifts_solve_in_closed_form(name, rows):
         implicit_step(bad, dnoise, dt, drift)
 
 
+_NOT_FINITE = r"implicit step failed: the closed-form solve is not finite$"
+
+
+# an overflow in a closed form is refused as not finite, where numpy
+# would warn first (and a RuntimeWarning is an error under this suite)
+@pytest.mark.parametrize("args", [
+    (np.array([[1e308, 1e308], [0.0, 0.0]]), np.zeros((2, 2)), 0.45, BilinearDrift()),
+    (np.array([1.7e308]), np.array([1e308]), 0.1, ConstantDrift(0.5)),
+], ids=["bilinear-divide", "constant-add"])
+def test_closed_form_overflow_is_not_finite(args):
+    with pytest.raises(NumericalError, match="^" + _NOT_FINITE):
+        implicit_step(*args)
+
+
+def test_float_steps_name_their_step():
+    # with no noise, each bilinear step at dt = 0.25 multiplies by 4/3,
+    # so the third leaves the floats
+    grid = TimeGrid(1.0, 4)
+    zeros = SamplePath(grid, np.zeros((5, 2)))
+    with pytest.raises(NumericalError, match=r"^implicit scheme failed at step 3 \(t=0\.75\): "
+                       + _NOT_FINITE):
+        euler_forward_implicit(np.array([1e308, 1e308]), zeros, BilinearDrift())
+    # a path far below the line crosses nothing; the line's anchor steps alone
+    path = SamplePath(grid, np.tile([5.0, 0.0], (5, 1)))
+    line = Surface(np.array([1e308, 1e308]), u=np.array([0.0, 1.0]))
+    with pytest.raises(NumericalError, match=r"^reflection flow failed at step 3 \(t=0\.75\): "
+                       + _NOT_FINITE):
+        forward_flow(path, line, zeros, BilinearDrift())
+
+
+def _random_rows(gen, count, width, scales):
+    """count rows of Python floats in (-scale, scale), one of the scales
+    per row, with about one entry in four a zero of either sign."""
+    scale = np.asarray(scales)[gen.integers(0, len(scales), (count, 1))]
+    rows = (2.0 * uniforms(gen, (count, width)) - 1.0) * scale
+    return np.where(uniforms(gen, rows.shape) < 0.25, np.copysign(0.0, rows), rows).tolist()
+
+
+def _signs(row):
+    return [math.copysign(1.0, v) for v in row]
+
+
+def _assert_float_step(drift, prev, dnoise, dt):
+    """step_floats gives implicit_step's row as Python floats, signs of
+    zeros included, or its exception: the same message, but for numpy's
+    broadcast error."""
+    try:
+        want = implicit_step(prev, dnoise, dt, drift).tolist()
+    except (NumericalError, ValueError) as err:
+        with pytest.raises(type(err)) as got:
+            drift.step_floats(prev, dnoise, dt)
+        assert type(got.value) is type(err)
+        if isinstance(err, (NumericalError, ModelError)):
+            assert str(got.value) == str(err)
+        return
+    got = drift.step_floats(prev, dnoise, dt)
+    assert got == want and _signs(got) == _signs(want)
+    assert all(type(v) is float for v in got)
+
+
+# each closed form with the row widths it is stepped on: a one-entry mu
+# broadcasts over any width, a two-entry mu over a one-entry row, and a
+# width that does not fit raises
+_CLOSED_FORM_WIDTHS = [
+    (ConstantDrift(0.5), (1, 2, 3)),
+    (ConstantDrift(np.array([0.5, -1.25])), (1, 2, 3)),
+    (ConstantDrift(np.array([-0.0, 0.0])), (2,)),
+    (BilinearDrift(), (1, 2, 3)),
+]
+
+
+def test_step_floats_has_implicit_step_bits():
+    gen = RngSpec(4244, 0).generator()
+    # moderate, tiny, and near-overflow magnitudes, where some solves
+    # leave the floats
+    scales = [2.0, 1e-300, 1e300, 1.7e308]
+    for drift, widths in _CLOSED_FORM_WIDTHS:
+        for width in widths:
+            prevs = _random_rows(gen, 600, width, scales)
+            dnoises = _random_rows(gen, 600, width, scales)
+            for prev, dnoise, dt in zip(prevs, dnoises, (0.45 * uniforms(gen, 600)).tolist()):
+                _assert_float_step(drift, prev, dnoise, dt)
+        _assert_float_step(drift, [-0.0, -0.0], [-0.0, -0.0], 0.05)
+        # a numpy dt gives Python floats, and overflows without a warning
+        _assert_float_step(drift, [0.25, -0.5], [0.125, 0.5], np.float64(0.05))
+        _assert_float_step(drift, [1.7e308, 1.7e308], [0.0, 0.0], np.float64(0.45))
+        # an increment of one entry broadcasts over the row, as in numpy
+        _assert_float_step(drift, [0.25, -0.5], [0.125], 0.05)
+        _assert_float_step(drift, [0.25], [0.125, -0.5], 0.05)
+        _assert_float_step(drift, [0.25, -0.5], [0.125, 0.5, 1.0], 0.05)
+    # dt = 1 leaves no finite bilinear solve
+    _assert_float_step(BilinearDrift(), [1.0, 2.0], [0.0, 0.0], 1.0)
+    # the generic drifts go through implicit_step itself
+    for name in ("toy-logistic", "logistic-3d", "product", "damped"):
+        drift = _SOLVE_DRIFTS[name]
+        prevs = _random_rows(gen, 20, drift.n, [2.0, 1e-300])
+        dnoises = _random_rows(gen, 20, drift.n, [2.0, 1e-300])
+        for prev, dnoise in zip(prevs, dnoises):
+            _assert_float_step(drift, prev, dnoise, 0.05)
+    with pytest.raises(ModelError, match=r"^bilinear drift needs 2 coordinates, got 3$"):
+        BilinearDrift().step_floats([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], 0.05)
+
+
+def test_implicit_path_broadcasts_a_one_entry_mu():
+    w = sample_brownian(TimeGrid(1.0, 16), 2, RngSpec(4245, 0))
+    path = euler_forward_implicit(np.zeros(2), w, ConstantDrift(0.5)).values
+    want = [np.zeros(2)]
+    for dn in np.diff(w.values, axis=0):
+        want.append(implicit_step(want[-1], dn, w.grid.dt, ConstantDrift(0.5)))
+    assert path.tobytes() == np.stack(want).tobytes()
+    assert path[-1, 0] != path[-1, 1]
+    with pytest.raises(ValueError):
+        euler_forward_implicit(np.zeros(2), w, ConstantDrift(np.array([0.5, 0.5, 0.5])))
+
+
 def _euler_backward_reference(grid, x_start, noise_values, drift):
     """euler_backward_values as written before its steps moved in place
     and its finiteness check moved to the end of the call; the shipped

@@ -251,3 +251,37 @@ def test_no_function_dispatches_on_the_dual_family():
     # each family's pieces are methods of its state class
     ladders = {path.name: family_ladders(path.read_text()) for path in PACKAGE}
     assert {name: found for name, found in ladders.items() if found} == {}
+
+
+def implicit_overrides(source: str) -> dict:
+    """The module's DriftField subclasses that define solve_implicit, each
+    mapped to whether it defines step_floats too.  A subclass derives
+    from DriftField, or from such a subclass, by name within the module."""
+    drifts, found = {"DriftField"}, {}
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id in drifts for b in node.bases)):
+            continue
+        drifts.add(node.name)
+        methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        if "solve_implicit" in methods:
+            found[node.name] = "step_floats" in methods
+    return found
+
+
+def test_implicit_override_scanner_follows_subclasses():
+    source = (
+        "class DriftField:\n    def solve_implicit(self): pass\n"
+        "class A(DriftField):\n    def solve_implicit(self): pass\n"
+        "class B(A):\n    def solve_implicit(self): pass\n    def step_floats(self): pass\n"
+        "class C(DriftField):\n    def beta(self): pass\n"
+        "class D:\n    def solve_implicit(self): pass\n"
+    )
+    assert implicit_overrides(source) == {"A": False, "B": True}
+
+
+def test_every_closed_form_steps_on_floats():
+    # a closed-form solve without its float step would leave the per-step
+    # loops on one-row numpy solves
+    found = implicit_overrides((ROOT / "src" / "dualflow" / "core.py").read_text())
+    assert found and all(found.values()), found
